@@ -1,9 +1,10 @@
 """Annular Khovanov homology of 2-periodic links over F2.
 
 Computes triply-graded AKh/Kh ranks of annular braid closures, builds the
-Tate bicomplex of a 2-periodic double cover, runs both of its spectral
-sequences by filtered cancellation, and machine-checks the periodicity
-rank inequalities and their decategorified congruences.
+Tate bicomplex of a 2-periodic double cover folded over F2[theta, 1/theta],
+runs both of its spectral sequences by filtered cancellation, and
+machine-checks the periodicity rank inequalities and their decategorified
+congruences.
 """
 
 from .links import (
@@ -48,10 +49,8 @@ from .tate import (
     PeriodicRun,
     TateBicomplex,
     Verdict,
-    build_tate,
     check_equivariance,
     hv_pages,
-    tau_sharp,
     tau_table,
     total_diagonal_ranks,
     verify_cascade,

@@ -1,6 +1,6 @@
 """Command-line interface: rank tables, periodicity verification, corpus runs.
 
-Reports are JSON (schema 1) with deterministic field order, or aligned
+Reports are JSON (schema 2) with deterministic field order, or aligned
 text tables.  Grading keys serialize as comma-joined strings ("i,j,k").
 When a cache directory is configured (the ANNULUS_TATE_CACHE environment
 variable overrides --cache-dir), a repeated invocation with an identical
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from . import decat
+from . import __version__, decat
 from .cube import format_bits, parse_bits, resolve
 from .khovanov import Theory, total_rank
 from .links import BraidError, BraidWord, close_braid, parse_braid_word
@@ -34,7 +34,7 @@ from .tate import (
     verify_rank_inequality,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CACHE_ENV = "ANNULUS_TATE_CACHE"
 
 MAX_CORPUS_LENGTH = 8
@@ -102,20 +102,30 @@ def _cache_key(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_load(cache: Path | None, key: str) -> bytes | None:
+def _cache_load(cache: Path | None, key: str) -> dict | None:
+    """The cached report under ``key``; an entry that is missing or does
+    not decode as a JSON object is a miss."""
     if cache is None:
         return None
-    path = cache / f"{key}.json"
-    if path.is_file():
-        return path.read_bytes()
-    return None
+    try:
+        report = json.loads((cache / f"{key}.json").read_bytes())
+    except (OSError, ValueError):
+        return None
+    return report if isinstance(report, dict) else None
 
 
 def _cache_store(cache: Path | None, key: str, payload: bytes) -> None:
+    """Write through a temporary file so a reader never sees a torn entry."""
     if cache is None:
         return
     cache.mkdir(parents=True, exist_ok=True)
-    (cache / f"{key}.json").write_bytes(payload)
+    tmp = cache / f".{key}.{os.getpid()}.tmp"
+    tmp.write_bytes(payload)
+    os.replace(tmp, cache / f"{key}.json")
+
+
+def _payload(report: dict) -> bytes:
+    return (json.dumps(report, indent=2) + "\n").encode()
 
 
 def _render_table(report: dict, indent: str = "") -> str:
@@ -138,25 +148,28 @@ def _render_table(report: dict, indent: str = "") -> str:
     return "\n".join(line for line in lines if line)
 
 
+def _report(config: dict, build_report) -> dict:
+    """Config, then the body from ``build_report()``, its ok flag and timing."""
+    started = time.perf_counter()
+    body, ok = build_report()
+    return {
+        **config,
+        **body,
+        "ok": ok,
+        "timing": {"seconds": round(time.perf_counter() - started, 6)},
+    }
+
+
 def _emit(ctx, config: dict, build_report, fmt: str, cache_flag: str | None) -> None:
     """Compute (or fetch) the report, print it, exit nonzero on failure."""
     cache = _cache_dir(cache_flag)
     key = _cache_key(config)
-    cached = _cache_load(cache, key)
-    if cached is not None:
-        payload = cached
-        report = json.loads(payload.decode())
-    else:
-        started = time.perf_counter()
-        report = dict(config)
-        body, ok = build_report()
-        report.update(body)
-        report["ok"] = ok
-        report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-        payload = (json.dumps(report, indent=2) + "\n").encode()
-        _cache_store(cache, key, payload)
+    report = _cache_load(cache, key)
+    if report is None:
+        report = _report(config, build_report)
+        _cache_store(cache, key, _payload(report))
     if fmt == "json":
-        click.echo(payload.decode(), nl=False)
+        click.echo(_payload(report).decode(), nl=False)
     else:
         click.echo(_render_table(report))
     if not report.get("ok", False):
@@ -183,7 +196,7 @@ strands_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="annulus-tate", prog_name="annulus-tate")
+@click.version_option(version=__version__, prog_name="annulus-tate")
 def main() -> None:
     """Annular Khovanov homology of 2-periodic links over F2."""
 
@@ -289,7 +302,9 @@ def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
             verify_cascade(run),
         ]
     cong = decat.check_congruences(
-        run.word, quotient_ranks=run.quotient_homology(Theory.AKH)
+        run.word,
+        quotient_ranks=run.quotient_homology(Theory.AKH),
+        cover_ranks=run.cover_homology(Theory.AKH),
     )
     verdicts.append(
         Verdict(
@@ -304,10 +319,8 @@ def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
     return verdicts
 
 
-def _periodic_body(
-    word: BraidWord, window: int | None, theory: str = "both"
-) -> tuple[dict, bool]:
-    run = PeriodicRun(word, window=window)
+def _periodic_body(word: BraidWord, theory: str) -> tuple[dict, bool]:
+    run = PeriodicRun(word)
     verdicts = _periodic_verdicts(run, theory)
     body = {
         "proven_family": run.proven_family,
@@ -323,21 +336,17 @@ def _periodic_body(
     "--theory", type=click.Choice(["both", "akh", "kh"]), default="both",
     show_default=True, help="Which Tate bicomplex checks to run.",
 )
-@click.option("--window", type=int, default=None, help="Tate window override.")
 @fmt_option
 @cache_option
 @click.pass_context
-def cmd_periodic(ctx, braid, strands, theory, window, fmt, cache_dir):
+def cmd_periodic(ctx, braid, strands, theory, fmt, cache_dir):
     word = _load_word(braid, strands)
     if len(word) > MAX_CORPUS_LENGTH:
         raise click.ClickException(
             f"quotient words are limited to {MAX_CORPUS_LENGTH} letters"
         )
-    config = _config(
-        "periodic", braid=word.as_text(), strands=strands, theory=theory,
-        window=window,
-    )
-    _emit(ctx, config, lambda: _periodic_body(word, window, theory), fmt, cache_dir)
+    config = _config("periodic", braid=word.as_text(), strands=strands, theory=theory)
+    _emit(ctx, config, lambda: _periodic_body(word, theory), fmt, cache_dir)
 
 
 @main.command("decat", help="State sum, homology polynomial, and mod-2 congruences.")
@@ -386,77 +395,51 @@ def iter_corpus_words(max_strands: int, max_length: int):
                 yield BraidWord(m, letters)
 
 
-def _corpus_word_report(args: tuple[str, int, int | None]) -> dict:
-    braid, strands, window = args
+def _corpus_config(braid: str, strands: int) -> dict:
+    return _config("periodic", braid=braid, strands=strands, theory="both")
+
+
+def _corpus_word_report(args: tuple[str, int]) -> dict:
+    braid, strands = args
     word = parse_braid_word(braid, strands)
-    config = _config(
-        "periodic", braid=braid, strands=strands, theory="both", window=window
-    )
-    started = time.perf_counter()
-    report = dict(config)
-    body, ok = _periodic_body(word, window)
-    report.update(body)
-    report["ok"] = ok
-    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    return report
+    return _report(_corpus_config(braid, strands), lambda: _periodic_body(word, "both"))
 
 
 @main.command("corpus", help="Run the periodic verification over all small words.")
 @click.option("--max-strands", type=int, default=3, show_default=True)
 @click.option("--max-length", type=int, default=3, show_default=True)
-@click.option("--window", type=int, default=None, help="Tate window override.")
-@click.option("--jobs", type=int, default=None, help="Worker processes (default: CPUs).")
+@click.option(
+    "--jobs", type=click.IntRange(min=1), default=None,
+    help="Worker processes (default and cap: CPUs).",
+)
 @fmt_option
 @cache_option
 @click.pass_context
-def cmd_corpus(ctx, max_strands, max_length, window, jobs, fmt, cache_dir):
+def cmd_corpus(ctx, max_strands, max_length, jobs, fmt, cache_dir):
     if max_length > MAX_CORPUS_LENGTH:
         raise click.ClickException(f"--max-length is capped at {MAX_CORPUS_LENGTH}")
     if max_strands > MAX_CORPUS_STRANDS:
         raise click.ClickException(f"--max-strands is capped at {MAX_CORPUS_STRANDS}")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    config = _config(
-        "corpus",
-        max_strands=max_strands,
-        max_length=max_length,
-        window=window,
-    )
+    cpus = os.cpu_count() or 1
+    jobs = min(jobs or cpus, cpus)
+    config = _config("corpus", max_strands=max_strands, max_length=max_length)
     cache = _cache_dir(cache_dir)
 
     def build():
         words = list(iter_corpus_words(max_strands, max_length))
-        tasks = [(w.as_text(), w.strands, window) for w in words]
-        reports: list[dict] = []
-        pending: list[tuple[int, tuple]] = []
-        for idx, task in enumerate(tasks):
-            key = _cache_key(
-                _config(
-                    "periodic", braid=task[0], strands=task[1],
-                    theory="both", window=task[2],
-                )
-            )
-            cached = _cache_load(cache, key)
-            if cached is not None:
-                reports.append(json.loads(cached.decode()))
-            else:
-                reports.append({})
-                pending.append((idx, task))
-        if pending:
-            if jobs > 1 and len(pending) > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                    fresh = list(pool.map(_corpus_word_report, [t for _, t in pending]))
-            else:
-                fresh = [_corpus_word_report(t) for _, t in pending]
-            for (idx, task), rep in zip(pending, fresh):
-                reports[idx] = rep
-                key = _cache_key(
-                    _config(
-                        "periodic", braid=task[0], strands=task[1],
-                        theory="both", window=task[2],
-                    )
-                )
-                _cache_store(cache, key, (json.dumps(rep, indent=2) + "\n").encode())
+        tasks = [(w.as_text(), w.strands) for w in words]
+        keys = [_cache_key(_corpus_config(*task)) for task in tasks]
+        reports = [_cache_load(cache, key) for key in keys]
+        pending = [idx for idx, rep in enumerate(reports) if rep is None]
+        workers = min(jobs, len(pending))
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                fresh = list(pool.map(_corpus_word_report, [tasks[i] for i in pending]))
+        else:
+            fresh = [_corpus_word_report(tasks[i]) for i in pending]
+        for idx, rep in zip(pending, fresh):
+            reports[idx] = rep
+            _cache_store(cache, keys[idx], _payload(rep))
         summary = []
         failures = []
         for word, rep in zip(words, reports):

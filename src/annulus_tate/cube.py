@@ -28,11 +28,6 @@ def hamming(bits: int) -> int:
     return bits.bit_count()
 
 
-def bit_increments(bits: int, width: int) -> list[int]:
-    """All bitstrings covering ``bits`` (one extra bit set)."""
-    return [bits | (1 << b) for b in range(width) if not (bits >> b) & 1]
-
-
 def swap_halves(bits: int, width: int) -> int:
     """The involution a1a2 -> a2a1 on a bitstring of even width."""
     if width % 2:
@@ -93,12 +88,6 @@ class Resolution:
     @property
     def trivial_flags(self) -> tuple[bool, ...]:
         return tuple(c.trivial for c in self.circles)
-
-    def circle_of_port(self, port: int) -> int:
-        for idx, circle in enumerate(self.circles):
-            if port in circle.ports:
-                return idx
-        raise KeyError(f"port {port} not on any circle")
 
 
 class UnclassifiableEdge(ValueError):

@@ -83,12 +83,6 @@ class FilteredComplex:
         self.out[src] |= 1 << tgt
         self.inc[tgt] |= 1 << src
 
-    def toggle_arrow(self, src: int, tgt: int) -> bool:
-        """Flip an arrow mod 2; returns True when the arrow is now present."""
-        self.out[src] ^= 1 << tgt
-        self.inc[tgt] ^= 1 << src
-        return bool((self.out[src] >> tgt) & 1)
-
     # -- queries -------------------------------------------------------
 
     def is_alive(self, g: int) -> bool:
@@ -191,7 +185,9 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of) -> bool:
 
     A min-heap of candidate sources keeps the order exact: cancelling can
     only create eligible arrows at the predecessors of the cancelled
-    target, and those are pushed back on the heap.
+    target, and those are pushed back on the heap.  A self-loop x -> x is
+    never a pivot: in a complex folded over a Laurent ring it stands for a
+    chain of arrows, not for an invertible pair.
     """
     acted = False
     out = work.out
@@ -208,6 +204,11 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of) -> bool:
         if not m:
             continue
         l = (m & -m).bit_length() - 1
+        if l == x:
+            m ^= 1 << x
+            if not m:
+                continue
+            l = (m & -m).bit_length() - 1
         preds, _ = work.cancel_arrow(x, l)
         acted = True
         for p in _bits(preds):
@@ -215,37 +216,11 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of) -> bool:
     return acted
 
 
-def homology_ranks(
-    C: FilteredComplex, tie_break: str = "lex", validate: bool = False
-) -> dict[tuple, int]:
-    """Homology ranks per grading, by cancelling until no arrows remain.
-
-    ``tie_break`` picks the deterministic cancellation order ("lex" or
-    "revlex"); the resulting table does not depend on it.
-    """
+def homology_ranks(C: FilteredComplex, validate: bool = False) -> dict[tuple, int]:
+    """Homology ranks per grading, by cancelling until no arrows remain."""
     work = C.copy()
-    if tie_break == "lex":
-        full = (1 << len(work.fdeg)) - 1
-        _sweep_cancel(work, lambda x: full)
-    elif tie_break == "revlex":
-        # mirror image of the lexicographic sweep
-        x = len(work.fdeg) - 1
-        while x >= 0:
-            if not (work.alive >> x) & 1:
-                x -= 1
-                continue
-            m = work.out[x] & work.alive
-            if not m:
-                x -= 1
-                continue
-            l = m.bit_length() - 1
-            preds, _ = work.cancel_arrow(x, l)
-            if preds:
-                high = preds.bit_length() - 1
-                if high > x:
-                    x = high
-    else:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    full = (1 << len(work.fdeg)) - 1
+    _sweep_cancel(work, lambda x: full)
     if validate:
         work.check_d_squared()
     if work.n_arrows():

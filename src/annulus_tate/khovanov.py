@@ -213,32 +213,44 @@ def build_complex(
     return gc
 
 
-def _blocks(gc: GradedComplex, block_of) -> dict[tuple, FilteredComplex]:
-    """Split into engine complexes along gradings every arrow preserves."""
-    blocks: dict[tuple, FilteredComplex] = {}
-    local: list[int] = [0] * gc.n_generators
-    for g in range(gc.n_generators):
-        key = block_of(g)
-        C = blocks.get(key)
-        if C is None:
-            C = blocks[key] = FilteredComplex()
-        local[g] = C.add_generator(gc.gi[g], key)
-    for src, tgt in gc.arrows():
-        key = block_of(src)
-        if block_of(tgt) != key:
-            raise FilteredComplexError("arrow leaves its grading block")
-        blocks[key].add_arrow(local[src], local[tgt])
-    return blocks
+def _blocks(
+    gc: GradedComplex, fdeg=None, aux=None, arrows=None
+) -> list[tuple[FilteredComplex, list[int]]]:
+    """Split into engine complexes along the gradings every arrow preserves:
+    (j, k) for AKh, j for Kh.
 
-
-def homology_of(gc: GradedComplex) -> dict[tuple, int]:
-    """Graded homology ranks: keys (i, j, k) for AKh, (i, j) for Kh."""
+    ``fdeg(g)`` sets the filtration degree (default i) and ``aux(g)`` the
+    auxiliary gradings (default the block key); ``arrows`` defaults to the
+    complex's own.  Returns (complex, members) pairs, where members[x] is
+    the generator of ``gc`` at engine index x.
+    """
     if gc.theory is Theory.AKH:
         block_of = lambda g: (gc.gj[g], gc.gk[g])
     else:
         block_of = lambda g: (gc.gj[g],)
+    fdeg = fdeg or gc.gi.__getitem__
+    aux = aux or block_of
+    blocks: dict[tuple, tuple[FilteredComplex, list[int]]] = {}
+    local: list[int] = [0] * gc.n_generators
+    for g in range(gc.n_generators):
+        key = block_of(g)
+        if key not in blocks:
+            blocks[key] = (FilteredComplex(), [])
+        C, members = blocks[key]
+        local[g] = C.add_generator(fdeg(g), aux(g))
+        members.append(g)
+    for src, tgt in gc.arrows() if arrows is None else arrows:
+        key = block_of(src)
+        if block_of(tgt) != key:
+            raise FilteredComplexError("arrow leaves its grading block")
+        blocks[key][0].add_arrow(local[src], local[tgt])
+    return list(blocks.values())
+
+
+def homology_of(gc: GradedComplex) -> dict[tuple, int]:
+    """Graded homology ranks: keys (i, j, k) for AKh, (i, j) for Kh."""
     table: dict[tuple, int] = {}
-    for C in _blocks(gc, block_of).values():
+    for C, _ in _blocks(gc):
         table.update(homology_ranks(C))
     return table
 
@@ -265,17 +277,7 @@ def k_filtration_pages(
         kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
         max_page = kspan + 2
 
-    blocks: dict[tuple, FilteredComplex] = {}
-    local = [0] * gc.n_generators
-    for g in range(gc.n_generators):
-        key = (gc.gj[g],)
-        C = blocks.get(key)
-        if C is None:
-            C = blocks[key] = FilteredComplex()
-        local[g] = C.add_generator(-gc.gk[g], (gc.gi[g], gc.gj[g]))
-    for src, tgt in gc.arrows():
-        blocks[(gc.gj[src],)].add_arrow(local[src], local[tgt])
-
-    return PageTable.merge(
-        (spectral_pages(C, max_page) for C in blocks.values()), max_page
+    blocks = _blocks(
+        gc, fdeg=lambda g: -gc.gk[g], aux=lambda g: (gc.gi[g], gc.gj[g])
     )
+    return PageTable.merge((spectral_pages(C, max_page) for C, _ in blocks), max_page)

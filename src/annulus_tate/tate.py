@@ -1,12 +1,18 @@
-"""Tate bicomplexes of 2-periodic covers and their spectral sequences.
+"""Tate complexes of 2-periodic covers and their spectral sequences.
 
-The bicomplex has one column per power of the deck variable; each column
-is a copy of the cover's chain complex, the vertical differential is the
-theory differential, and the horizontal differential is 1 + the chain
-involution.  The bi-infinite complex is approximated by a finite window of
-columns t in [0, T): arrows leaving column T-1 are dropped (still a valid
-complex) and every claim is checked on interior columns only, at distance
-more than the cover's i-span from both window edges.
+The Tate bicomplex of a cover complex C with chain involution tau has one
+column per power of a deck variable theta: it is C (x) F2[theta, 1/theta]
+with differential d + theta (1 + tau).  Every column is a copy of C, so
+the bicomplex is computed folded: one engine generator g per cover
+generator stands for all of its column copies (g, t).  The arrows are the
+cover arrows (coefficient theta^0) and, for each non-equivariant g, the
+horizontal arrows g -> g and g -> tau g (theta^1).  Under the total grading
+i + t an arrow g -> g' can only carry theta^a with a = 1 + i(g) - i(g'), so
+one bit per entry determines the complex and Gaussian cancellation is exact
+on it, with one rule: a self-loop g -> g (theta times the identity, a chain
+through all columns) is never a pivot.  Ranks read off the folded complex
+are ranks of one column (row filtration) or one diagonal (total homology)
+of the bi-infinite bicomplex, with no truncation to finitely many columns.
 """
 
 from __future__ import annotations
@@ -22,9 +28,15 @@ from .f2algebra import (
     degree_masks,
     homology_ranks,
     rank_table,
-    spectral_pages,
 )
-from .khovanov import GradedComplex, Theory, build_complex, homology_of, total_rank
+from .khovanov import (
+    GradedComplex,
+    Theory,
+    _blocks,
+    build_complex,
+    homology_of,
+    total_rank,
+)
 from .links import BraidWord, CoverPairing, close_braid, double_cover
 
 
@@ -38,28 +50,6 @@ def _port_circle_map(res: cube.Resolution) -> dict[int, int]:
         for port in circle.ports:
             table[port] = idx
     return table
-
-
-def tau_sharp(gc: GradedComplex, pairing: CoverPairing, g: int) -> int:
-    """Image of generator ``g`` under the chain involution; gradings are kept."""
-    n = pairing.quotient_crossings
-    width = gc.diagram.n_crossings
-    if width != 2 * n:
-        raise ValueError("complex is not built on a double-cover diagram")
-    m = gc.diagram.strands
-    beta = gc.vertex_of[g]
-    labels = gc.labels_of[g]
-    tbeta = cube.swap_halves(beta, width) if n else beta
-    res, tres = gc.resolutions[beta], gc.resolutions[tbeta]
-    target_circle = _port_circle_map(tres)
-    tlabels = 0
-    for ci, circle in enumerate(res.circles):
-        port = circle.min_port
-        level, strand = divmod(port, m)
-        mapped = pairing.shift_level(level) * m + strand
-        if (labels >> ci) & 1:
-            tlabels |= 1 << target_circle[mapped]
-    return gc.index(tbeta, tlabels)
 
 
 def tau_table(gc: GradedComplex, pairing: CoverPairing) -> list[int]:
@@ -141,274 +131,70 @@ def check_equivariance(gc: GradedComplex, pairing: CoverPairing) -> Equivariance
 
 
 # ---------------------------------------------------------------------------
-# the truncated bicomplex
-
-
-class WindowTooSmall(ValueError):
-    """Requested window leaves no interior columns."""
-
-
-def minimum_window(i_span: int) -> int:
-    return max(i_span + 4, 2 * i_span + 3)
-
-
-def default_window(i_span: int) -> int:
-    # wide enough for three interior columns
-    return 2 * i_span + 5
+# the folded Tate complex
 
 
 @dataclass
 class TateBicomplex:
-    """Window [0, T) of the Tate bicomplex of a cover complex.
+    """The Tate bicomplex of a cover complex, folded over F2[theta, 1/theta].
 
-    Generator (g, t) has id t * N + g.  Horizontal arrows from column t go
-    to both (g, t+1) and (tau g, t+1); for equivariant g the two coincide
-    and cancel mod 2, so equivariant generators emit no horizontal arrows.
+    Equivariant generators emit no horizontal arrows: their two copies
+    g -> g and g -> tau g coincide and cancel mod 2.
     """
 
     cover: GradedComplex
-    pairing: CoverPairing
     tau: list[int] = field(repr=False)
-    window: int = 0
-    i_span: int = 0
-    _template_cache: list | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def theory(self) -> Theory:
-        return self.cover.theory
 
     @property
     def n_generators(self) -> int:
-        return self.cover.n_generators * self.window
+        return self.cover.n_generators
 
-    def gen_id(self, g: int, t: int) -> int:
-        return t * self.cover.n_generators + g
+    def arrows(self):
+        """Cover arrows (theta^0), then the theta^1 arrows g -> g and
+        g -> tau g of every non-equivariant g."""
+        yield from self.cover.arrows()
+        for g, tg in enumerate(self.tau):
+            if tg != g:
+                yield g, g
+                yield g, tg
 
-    def gen_of(self, gid: int) -> tuple[int, int]:
-        t, g = divmod(gid, self.cover.n_generators)
-        return g, t
-
-    def is_equivariant(self, g: int) -> bool:
-        return self.tau[g] == g
-
-    def interior_columns(self) -> list[int]:
-        T, span = self.window, self.i_span
-        return [t for t in range(T) if t > span and (T - 1 - t) > span]
-
-    def interior_diagonals(self) -> list[int]:
-        gi = self.cover.gi
-        if not gi:
-            return []
-        band = self.i_span + 1
-        lo = min(gi) + band
-        hi = max(gi) + (self.window - 1) - band
-        return list(range(lo, hi + 1))
-
-    def iter_arrows(self):
-        N, T = self.cover.n_generators, self.window
-        for t in range(T):
-            base = t * N
-            for x, y in self.cover.arrows():
-                yield base + x, base + y
-        for t in range(T - 1):
-            base, nxt = t * N, (t + 1) * N
-            for g in range(N):
-                tg = self.tau[g]
-                if tg != g:
-                    yield base + g, nxt + g
-                    yield base + g, nxt + tg
-
-    def make_filtered(self, fdeg, aux) -> FilteredComplex:
-        """One engine complex over the whole window; engine ids equal
-        bicomplex ids.  ``fdeg(g, t)`` and ``aux(g, t)`` set the gradings."""
-        C = FilteredComplex()
-        N = self.cover.n_generators
-        for gid in range(self.n_generators):
-            g, t = self.gen_of(gid)
-            C.add_generator(fdeg(g, t), aux(g, t))
-        for src, tgt in self.iter_arrows():
-            C.add_arrow(src, tgt)
-        return C
-
-    def _block_partition(self):
-        """Cover generators grouped by the gradings every arrow preserves:
-        (j, k) blocks for AKh, j blocks for Kh."""
-        gc = self.cover
-        if gc.theory is Theory.AKH:
-            key_of = lambda g: (gc.gj[g], gc.gk[g])
-        else:
-            key_of = lambda g: (gc.gj[g],)
-        groups: dict[tuple, list[int]] = {}
-        for g in range(gc.n_generators):
-            groups.setdefault(key_of(g), []).append(g)
-        return groups
-
-    def _templates(self):
-        """Per-block adjacency rows and member lists, built once.
-
-        Members are ordered column-major: local = t * block_size + position
-        of g in the block.  Rows are assembled by shifting the cover-level
-        arrow patterns, which keeps construction linear in the output size.
-        """
-        if self._template_cache is not None:
-            return self._template_cache
-        gc = self.cover
-        T = self.window
-        groups = self._block_partition()
-        pos: dict[int, int] = {}
-        for gens in groups.values():
-            for idx, g in enumerate(gens):
-                pos[g] = idx
-
-        vert_out: dict[int, int] = {}
-        vert_inc: dict[int, int] = {}
-        for x, y in gc.arrows():
-            vert_out[x] = vert_out.get(x, 0) | (1 << pos[y])
-            vert_inc[y] = vert_inc.get(y, 0) | (1 << pos[x])
-
-        templates = []
-        for gens in groups.values():
-            nb = len(gens)
-            # per-column patterns: vertical targets/sources at the same
-            # column, horizontal copies (identity and tau) one column over
-            vout = [vert_out.get(g, 0) for g in gens]
-            vinc = [vert_inc.get(g, 0) for g in gens]
-            horiz = [
-                ((1 << pos[g]) | (1 << pos[self.tau[g]])) if self.tau[g] != g else 0
-                for g in gens
-            ]
-            out_pattern = [v | (h << nb) for v, h in zip(vout, horiz)]
-            inc_pattern = [h | (v << nb) for v, h in zip(vinc, horiz)]
-
-            members = []
-            out_rows, inc_rows = [], []
-            for t in range(T):
-                shift = t * nb
-                back = (t - 1) * nb
-                last = t == T - 1
-                for idx, g in enumerate(gens):
-                    members.append((g, t))
-                    out_rows.append((vout[idx] if last else out_pattern[idx]) << shift)
-                    inc_rows.append(
-                        vinc[idx] << shift if t == 0 else inc_pattern[idx] << back
-                    )
-            templates.append((members, out_rows, inc_rows))
-        self._template_cache = templates
-        return templates
-
-    def make_blocks(self, fdeg, aux):
-        """Engine complexes split along preserved gradings.
-
-        Returns (complex, members) pairs; ``fdeg(g, t)`` / ``aux(g, t)``
-        set the gradings for the requested filtration.  Adjacency rows are
-        shared with the cached templates (safe: rows are immutable ints).
-        """
-        out_blocks = []
-        for members, out_rows, inc_rows in self._templates():
-            C = FilteredComplex()
-            C.fdeg = [fdeg(g, t) for g, t in members]
-            C.aux = [aux(g, t) for g, t in members]
-            C.out = list(out_rows)
-            C.inc = list(inc_rows)
-            C.alive = (1 << len(members)) - 1
-            out_blocks.append((C, members))
-        return out_blocks
-
-
-def build_tate(
-    gc: GradedComplex, pairing: CoverPairing, window: int | None = None
-) -> TateBicomplex:
-    """Build the finite-window Tate bicomplex of a cover complex."""
-    span = gc.i_span()
-    if window is None:
-        window = default_window(span)
-    if window < minimum_window(span):
-        raise WindowTooSmall(
-            f"window {window} below the minimum {minimum_window(span)} "
-            f"for an i-span of {span}"
-        )
-    tau = tau_table(gc, pairing)
-    return TateBicomplex(cover=gc, pairing=pairing, tau=tau, window=window, i_span=span)
-
-
-# ---------------------------------------------------------------------------
-# interior reductions
-
-
-def reduce_window_coordinate(
-    table: dict[tuple, int], values: list[int], pos: int
-) -> tuple[dict[tuple, int], list]:
-    """Drop the window coordinate at index ``pos`` from a rank-table key,
-    keeping only keys whose coordinate lies in ``values`` and requiring the
-    rank to be constant across them.  Returns (reduced table, failures)."""
-    wanted = set(values)
-    per_value: dict[int, dict[tuple, int]] = {v: {} for v in values}
-    for key, rank in table.items():
-        v = key[pos]
-        if v in wanted:
-            rest = key[:pos] + key[pos + 1 :] if pos != -1 else key[:-1]
-            per_value[v][rest] = rank
-    keys = set()
-    for sub in per_value.values():
-        keys.update(sub)
-    reduced: dict[tuple, int] = {}
-    failures = []
-    for rest in sorted(keys):
-        ranks = {per_value[v].get(rest, 0) for v in values}
-        if len(ranks) > 1:
-            failures.append((rest, sorted(ranks)))
-        reduced[rest] = max(ranks)
-    return reduced, failures
+    def blocks(self) -> list[tuple[FilteredComplex, list[int]]]:
+        """Engine complexes per (j, k) (AKh) or j (Kh) block, filtered by i;
+        members[x] is the cover generator at engine index x."""
+        return _blocks(self.cover, arrows=self.arrows())
 
 
 @dataclass
 class HvPages:
-    """Row-filtered spectral sequence of a Tate window.
+    """Row-filtered spectral sequence of the Tate complex.
 
-    Keys of ``pages`` are (i, j, k, t) for AKh and (i, j, t) for Kh.  The
-    odd-page check asserts that interior ranks do not move from page
-    2s+1 to page 2s+2.  For AKh windows, ``d2_observed`` holds the
-    (delta-i = 2, delta-t = -1) arrows read off after cancelling exactly
-    the tau arrows, restricted to interior columns, and ``d2_strays`` any
-    nonequivariant interior survivors of that cancellation (there should
-    be none).
+    Keys of ``pages`` are (i, j, k) for AKh and (i, j) for Kh: the ranks of
+    one column.  The odd-page check asserts that ranks do not move from
+    page 2s+1 to page 2s+2.  ``d2_observed`` holds the (delta-i = 2,
+    a = -1) arrows g1 -> g2 read off after cancelling exactly the tau
+    arrows, and ``d2_strays`` any nonequivariant survivors of that
+    cancellation (there should be none).
     """
 
     pages: PageTable
-    interior_columns: list[int]
     odd_pages_ok: bool
     odd_page_failures: list
     d2_observed: set = field(default_factory=set)
     d2_strays: list = field(default_factory=list)
 
-    def interior_table(self, r: int) -> tuple[dict[tuple, int], list]:
-        return reduce_window_coordinate(
-            self.pages.table(r), self.interior_columns, -1
-        )
 
-
-def _tau_sweep(C: FilteredComplex, members, index, tau, window: int) -> bool:
-    """Cancel exactly the tau arrows (g, t) -> (tau g, t+1), scanning in
-    member order until none remain.  A cancellation toggles off the twin
-    arrow of the same orbit, never creating tau arrows elsewhere, so the
-    loop terminates after the leftover twins are skipped."""
+def _tau_sweep(C: FilteredComplex, members: list[int], tau: list[int]) -> bool:
+    """Cancel exactly the tau arrows g -> tau g, lower end of each orbit
+    first.  A cancellation removes its whole orbit and toggles only arrows
+    that raise i by at least 2, so one pass reaches every orbit."""
+    local = {g: x for x, g in enumerate(members)}
     acted = False
-    while True:
-        pending = []
-        for local in C.generators():
-            g, t = members[local]
-            tg = tau[g]
-            if tg == g or t + 1 >= window:
-                continue
-            other = index.get((tg, t + 1))
-            if other is not None and C.has_arrow(local, other):
-                pending.append((local, other))
-        if not pending:
-            return acted
-        for src, tgt in pending:
-            if C.has_arrow(src, tgt):
-                C.cancel_arrow(src, tgt)
-                acted = True
+    for x in C.generators():
+        tx = local[tau[members[x]]]
+        if tx != x and C.has_arrow(x, tx):
+            C.cancel_arrow(x, tx)
+            acted = True
+    return acted
 
 
 def hv_pages(b: TateBicomplex, max_page: int | None = None) -> HvPages:
@@ -420,39 +206,24 @@ def hv_pages(b: TateBicomplex, max_page: int | None = None) -> HvPages:
     induced length-2 differentials are read off.
     """
     if max_page is None:
-        max_page = max(3, b.i_span + 2)
-    gc = b.cover
-    akh = gc.theory is Theory.AKH
-    if akh:
-        aux = lambda g, t: (gc.gj[g], gc.gk[g], t)
-    else:
-        aux = lambda g, t: (gc.gj[g], t)
-    interior = b.interior_columns()
-    interior_set = set(interior)
-
-    observed: set[tuple[int, int, int, int]] = set()
-    strays: list[tuple[int, int]] = []
+        max_page = max(3, b.cover.i_span() + 2)
+    gi = b.cover.gi
+    observed: set[tuple[int, int]] = set()
+    strays: list[int] = []
     tables = []
-    for C, members in b.make_blocks(lambda g, t: gc.gi[g], aux):
-        index = {gt: local for local, gt in enumerate(members)}
+    for C, members in b.blocks():
         masks = degree_masks(C)
         pt = PageTable(max_page=max_page)
         pt.ranks[0] = rank_table(C)
-        acted = _tau_sweep(C, members, index, b.tau, b.window)
-        if akh:
-            for local in C.generators():
-                g, t = members[local]
-                if t in interior_set and b.tau[g] != g:
-                    strays.append((g, t))
-            for src in C.generators():
-                g1, t1 = members[src]
-                if t1 not in interior_set:
-                    continue
-                for tgt in C.targets(src):
-                    g2, t2 = members[tgt]
-                    if t2 in interior_set and t2 - t1 == -1:
-                        if gc.gi[g2] - gc.gi[g1] == 2:
-                            observed.add((g1, t1, g2, t2))
+        acted = _tau_sweep(C, members, b.tau)
+        for src in C.generators():
+            g1 = members[src]
+            if b.tau[g1] != g1:
+                strays.append(g1)
+            for tgt in C.targets(src):
+                g2 = members[tgt]
+                if gi[g2] - gi[g1] == 2:
+                    observed.add((g1, g2))
         acted = cancel_shift_level(C, 0, masks) or acted
         pt.d_nonzero[0] = acted
         for r in range(1, max_page + 1):
@@ -461,77 +232,55 @@ def hv_pages(b: TateBicomplex, max_page: int | None = None) -> HvPages:
         tables.append(pt)
 
     pages = PageTable.merge(tables, max_page)
-    odd_failures = []
-    for r in range(1, max_page, 2):
-        before, cb = reduce_window_coordinate(pages.table(r), interior, -1)
-        after, ca = reduce_window_coordinate(pages.table(r + 1), interior, -1)
-        if cb or ca or before != after:
-            odd_failures.append((r, cb, ca, before, after))
+    odd_failures = [
+        (r, pages.table(r), pages.table(r + 1))
+        for r in range(1, max_page, 2)
+        if pages.table(r) != pages.table(r + 1)
+    ]
     return HvPages(
         pages=pages,
-        interior_columns=interior,
         odd_pages_ok=not odd_failures,
         odd_page_failures=odd_failures,
         d2_observed=observed,
-        d2_strays=strays,
+        d2_strays=sorted(strays),
     )
 
 
 @dataclass
 class VhPages:
-    """Column-filtered spectral sequence; page 1 carries the cover homology
-    in every interior column."""
+    """Column-filtered spectral sequence; page 1 carries the cover
+    homology.  Keys are (i, j, k) for AKh and (i, j) for Kh."""
 
     pages: PageTable
-    interior_columns: list[int]
     e1_ok: bool
-    e1_failures: list
-
-    def interior_table(self, r: int) -> tuple[dict[tuple, int], list]:
-        return reduce_window_coordinate(
-            self.pages.table(r), self.interior_columns, 0
-        )
 
 
 def vh_pages(b: TateBicomplex, max_page: int = 2) -> VhPages:
-    """Spectral sequence of the column-wise (t) filtration."""
-    gc = b.cover
-    if gc.theory is Theory.AKH:
-        aux = lambda g, t: (gc.gi[g], gc.gj[g], gc.gk[g])
-    else:
-        aux = lambda g, t: (gc.gi[g], gc.gj[g])
-    blocks = b.make_blocks(lambda g, t: t, aux)
-    pages = PageTable.merge(
-        (spectral_pages(C, max_page) for C, _ in blocks), max_page
-    )
-    interior = b.interior_columns()
-    cover_table = homology_of(gc)
-    e1_failures = []
-    page1 = pages.table(1)
-    for t in interior:
-        column = {key[1:]: rank for key, rank in page1.items() if key[0] == t}
-        if column != {k: r for k, r in cover_table.items() if r}:
-            e1_failures.append((t, column))
-    return VhPages(
-        pages=pages,
-        interior_columns=interior,
-        e1_ok=not e1_failures,
-        e1_failures=e1_failures,
-    )
+    """Spectral sequence of the column-wise (t) filtration.
+
+    An arrow g -> g' moves a = 1 + i(g) - i(g') columns, so page r cancels
+    the arrows that shift i by 1 - r.
+    """
+    tables = []
+    for C, _ in b.blocks():
+        masks = degree_masks(C)
+        pt = PageTable(max_page=max_page)
+        for r in range(max_page + 1):
+            pt.ranks[r] = rank_table(C)
+            pt.d_nonzero[r] = cancel_shift_level(C, 1 - r, masks)
+        tables.append(pt)
+    pages = PageTable.merge(tables, max_page)
+    cover_table = {k: r for k, r in homology_of(b.cover).items() if r}
+    return VhPages(pages=pages, e1_ok=pages.table(1) == cover_table)
 
 
 def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
-    """Total-complex homology ranks keyed (i + t, j, k) (AKh) or (i + t, j) (Kh)."""
-    gc = b.cover
-    if gc.theory is Theory.AKH:
-        aux = lambda g, t: (gc.gj[g], gc.gk[g])
-    else:
-        aux = lambda g, t: (gc.gj[g],)
-    blocks = b.make_blocks(lambda g, t: gc.gi[g] + t, aux)
+    """Total-complex homology ranks keyed (j, k) (AKh) or (j,) (Kh); they
+    are the same on every diagonal i + t."""
     table: dict[tuple, int] = {}
-    for C, _ in blocks:
+    for C, _ in b.blocks():
         for key, rank in homology_ranks(C).items():
-            table[key] = table.get(key, 0) + rank
+            table[key[1:]] = table.get(key[1:], 0) + rank
     return table
 
 
@@ -559,16 +308,14 @@ class Verdict:
 class PeriodicRun:
     """Shared computations for one quotient braid word."""
 
-    def __init__(self, word: BraidWord, window: int | None = None) -> None:
+    def __init__(self, word: BraidWord) -> None:
         self.word = word
-        self.window = window
         self.quotient_diagram = close_braid(word)
         self.cover_diagram, self.pairing = double_cover(word)
         self._quotient_res: list | None = None
         self._cover_res: list | None = None
         self._complexes: dict = {}
         self._homology: dict = {}
-        self._tate: dict = {}
         self._hv: dict = {}
 
     def quotient_complex(self, theory: Theory) -> GradedComplex:
@@ -614,22 +361,7 @@ class PeriodicRun:
         return tau_table(self.cover_complex(Theory.AKH), self.pairing)
 
     def tate(self, theory: Theory) -> TateBicomplex:
-        if theory not in self._tate:
-            gc = self.cover_complex(theory)
-            span = gc.i_span()
-            window = self.window if self.window is not None else default_window(span)
-            if window < minimum_window(span):
-                raise WindowTooSmall(
-                    f"window {window} below minimum {minimum_window(span)}"
-                )
-            self._tate[theory] = TateBicomplex(
-                cover=gc,
-                pairing=self.pairing,
-                tau=self.tau,
-                window=window,
-                i_span=span,
-            )
-        return self._tate[theory]
+        return TateBicomplex(cover=self.cover_complex(theory), tau=self.tau)
 
     def hv(self, theory: Theory) -> HvPages:
         if theory not in self._hv:
@@ -642,10 +374,10 @@ class PeriodicRun:
         return self.word.n_pos <= 1 or self.word.n_neg <= 1
 
 
-def _as_run(word_or_run, window: int | None = None) -> PeriodicRun:
+def _as_run(word_or_run) -> PeriodicRun:
     if isinstance(word_or_run, PeriodicRun):
         return word_or_run
-    return PeriodicRun(word_or_run, window=window)
+    return PeriodicRun(word_or_run)
 
 
 def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
@@ -697,11 +429,11 @@ def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
     return lift, problems
 
 
-def verify_e2_correspondence(word_or_run, window: int | None = None) -> Verdict:
+def verify_e2_correspondence(word_or_run) -> Verdict:
     """Check the equivariant-generator bijection, its grading relations,
     and that the induced length-2 differentials reproduce the quotient
-    differential on interior columns."""
-    run = _as_run(word_or_run, window)
+    differential."""
+    run = _as_run(word_or_run)
     gq = run.quotient_complex(Theory.AKH)
     gcov = run.cover_complex(Theory.AKH)
     tau = run.tau
@@ -741,20 +473,13 @@ def verify_e2_correspondence(word_or_run, window: int | None = None) -> Verdict:
 
 
 def _check_d2_arrows(run: PeriodicRun, lift: dict[int, int]) -> tuple[bool, dict]:
-    """Compare the induced (delta-i = 2, delta-t = -1) arrows of the AKh
-    window, read after cancelling exactly the tau arrows, with the
+    """Compare the induced (delta-i = 2, a = -1) arrows of the AKh Tate
+    complex, read after cancelling exactly the tau arrows, with the
     quotient differential transported along the lift."""
     hv = run.hv(Theory.AKH)
-    interior = set(hv.interior_columns)
     observed = hv.d2_observed
-
-    expected: set[tuple[int, int, int, int]] = set()
     gq = run.quotient_complex(Theory.AKH)
-    for u, v in gq.arrows():
-        for t in interior:
-            if t - 1 in interior:
-                expected.add((lift[u], t, lift[v], t - 1))
-
+    expected = {(lift[u], lift[v]) for u, v in gq.arrows()}
     ok = not hv.d2_strays and observed == expected
     detail = {
         "d2_arrows_per_column": len(gq.arrow_set()),
@@ -765,15 +490,13 @@ def _check_d2_arrows(run: PeriodicRun, lift: dict[int, int]) -> tuple[bool, dict
     return ok, detail
 
 
-def verify_collapse(word_or_run, theory: Theory, window: int | None = None) -> Verdict:
-    """Check that interior page-3 ranks equal final-page ranks and that odd
-    pages never move; asserted for AKh always, for Kh only on the proven
+def verify_collapse(word_or_run, theory: Theory) -> Verdict:
+    """Check that page-3 ranks equal final-page ranks and that odd pages
+    never move; asserted for AKh always, for Kh only on the proven
     at-most-one-positive / at-most-one-negative family."""
-    run = _as_run(word_or_run, window)
+    run = _as_run(word_or_run)
     hv = run.hv(theory)
-    page3, c3 = hv.interior_table(3)
-    final, cf = hv.interior_table(hv.pages.max_page)
-    collapse_ok = not c3 and not cf and page3 == final
+    collapse_ok = hv.pages.table(3) == hv.pages.table(hv.pages.max_page)
     observed = collapse_ok and hv.odd_pages_ok
     asserted = theory is Theory.AKH or run.proven_family
     return Verdict(
@@ -784,7 +507,6 @@ def verify_collapse(word_or_run, theory: Theory, window: int | None = None) -> V
             "asserted": asserted,
             "odd_pages_ok": hv.odd_pages_ok,
             "collapse_ok": collapse_ok,
-            "interior_columns": hv.interior_columns,
         },
     )
 
@@ -796,9 +518,9 @@ def _jk_totals(table: dict[tuple, int]) -> dict[tuple[int, int], int]:
     return out
 
 
-def verify_rank_inequality(word_or_run, window: int | None = None) -> Verdict:
+def verify_rank_inequality(word_or_run) -> Verdict:
     """rk AKh^{j,k}(L) <= rk AKh^{2j-k,k}(cover) at every (j, k)."""
-    run = _as_run(word_or_run, window)
+    run = _as_run(word_or_run)
     quot = _jk_totals(run.quotient_homology(Theory.AKH))
     cover = _jk_totals(run.cover_homology(Theory.AKH))
     failures = []
@@ -820,7 +542,7 @@ def verify_rank_inequality(word_or_run, window: int | None = None) -> Verdict:
 def _quotient_diagonal_expectation(
     quotient_akh: dict[tuple, int]
 ) -> dict[tuple[int, int], int]:
-    """Expected interior diagonal rank at cover grading (J, k):
+    """Expected diagonal rank at cover grading (J, k):
     the i-summed quotient rank at ((J + k) / 2, k)."""
     out: dict[tuple[int, int], int] = {}
     for (i, j, k), r in quotient_akh.items():
@@ -830,66 +552,54 @@ def _quotient_diagonal_expectation(
 
 
 def _diagonal_table_from_pages(hv: HvPages) -> dict[tuple, int]:
-    """Total-homology ranks per (diagonal, other gradings), summed from the
-    limit page: over a field the associated graded of the induced
+    """Total-homology ranks per (j, k) (AKh) or (j,) (Kh), summed over i
+    from the limit page: over a field the associated graded of the induced
     filtration has the same rank as the total homology in each degree."""
     out: dict[tuple, int] = {}
     for key, rank in hv.pages.table(hv.pages.max_page).items():
-        i, rest, t = key[0], key[1:-1], key[-1]
-        dkey = (i + t, *rest)
-        out[dkey] = out.get(dkey, 0) + rank
+        out[key[1:]] = out.get(key[1:], 0) + rank
     return out
 
 
-def verify_diagonals(word_or_run, window: int | None = None) -> Verdict:
-    """Interior total-homology ranks of the AKh window at (J, k) equal the
+def verify_diagonals(word_or_run) -> Verdict:
+    """Total-homology ranks of the AKh Tate complex at (J, k) equal the
     i-summed quotient rank at ((J+k)/2, k), and vanish for J + k odd."""
-    run = _as_run(word_or_run, window)
-    b = run.tate(Theory.AKH)
+    run = _as_run(word_or_run)
     table = _diagonal_table_from_pages(run.hv(Theory.AKH))
-    reduced, constancy = reduce_window_coordinate(
-        table, b.interior_diagonals(), 0
-    )
     expected = _quotient_diagonal_expectation(run.quotient_homology(Theory.AKH))
     failures = []
-    for key in sorted(set(reduced) | set(expected)):
+    for key in sorted(set(table) | set(expected)):
         J, k = key
         want = 0 if (J + k) % 2 else expected.get(key, 0)
-        got = reduced.get(key, 0)
+        got = table.get(key, 0)
         if want != got:
             failures.append((key, want, got))
-    odd_failures = [key for key in reduced if sum(key) % 2 and reduced[key]]
+    odd_failures = [key for key in table if sum(key) % 2 and table[key]]
     return Verdict(
         name="diagonal-ranks",
-        passed=not failures and not constancy and not odd_failures,
+        passed=not failures and not odd_failures,
         details={
             "failures": failures[:10],
-            "nonconstant": constancy[:10],
             "odd_diagonal_failures": odd_failures[:10],
-            "interior_diagonals": b.interior_diagonals(),
         },
     )
 
 
-def verify_khtate_limit(word_or_run, window: int | None = None) -> Verdict:
-    """Interior Kh-window total homology at cover quantum grading J equals
-    the quotient AKh rank summed over the (2j-k, k) fibre of J; asserted on
-    the proven family, recorded otherwise."""
-    run = _as_run(word_or_run, window)
-    b = run.tate(Theory.KH)
-    table = _diagonal_table_from_pages(run.hv(Theory.KH))  # keys (d, J)
-    reduced, constancy = reduce_window_coordinate(
-        table, b.interior_diagonals(), 0
-    )
+def verify_khtate_limit(word_or_run) -> Verdict:
+    """Kh Tate total homology at cover quantum grading J equals the
+    quotient AKh rank summed over the (2j-k, k) fibre of J; asserted on the
+    proven family, recorded otherwise."""
+    run = _as_run(word_or_run)
+    table = _diagonal_table_from_pages(run.hv(Theory.KH))
     expected: dict[tuple, int] = {}
     for (i, j, k), r in run.quotient_homology(Theory.AKH).items():
         key = (2 * j - k,)
         expected[key] = expected.get(key, 0) + r
     failures = []
-    for key in sorted(set(reduced) | set(expected)):
-        if reduced.get(key, 0) != expected.get(key, 0):
-            failures.append((key, expected.get(key, 0), reduced.get(key, 0)))
-    observed = not failures and not constancy
+    for key in sorted(set(table) | set(expected)):
+        if table.get(key, 0) != expected.get(key, 0):
+            failures.append((key, expected.get(key, 0), table.get(key, 0)))
+    observed = not failures
     asserted = run.proven_family
     return Verdict(
         name="khtate-limit",
@@ -898,16 +608,15 @@ def verify_khtate_limit(word_or_run, window: int | None = None) -> Verdict:
             "observed_ok": observed,
             "asserted": asserted,
             "failures": failures[:10],
-            "nonconstant": constancy[:10],
         },
     )
 
 
-def verify_cascade(word_or_run, window: int | None = None) -> Verdict:
+def verify_cascade(word_or_run) -> Verdict:
     """Total-rank cascade AKh(cover) >= Kh(cover) >= AKh(L) >= Kh(L), with
     the two k-filtration inequalities also checked per (i, j); asserted on
     the proven family, recorded otherwise."""
-    run = _as_run(word_or_run, window)
+    run = _as_run(word_or_run)
     a_cover = run.cover_homology(Theory.AKH)
     k_cover = run.cover_homology(Theory.KH)
     a_quot = run.quotient_homology(Theory.AKH)

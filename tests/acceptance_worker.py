@@ -8,16 +8,17 @@ from annulus_tate.decat import check_congruences, homology_poly, state_sum, MINU
 from annulus_tate.tate import (
     PeriodicRun,
     check_equivariance,
-    default_window,
+    total_diagonal_ranks,
     verify_cascade,
     verify_collapse,
     verify_diagonals,
     verify_e2_correspondence,
     verify_khtate_limit,
     verify_rank_inequality,
+    vh_pages,
 )
 
-from conftest import dense_homology_of
+from conftest import WindowedTate, dense_homology_of
 
 
 def _grading_shifts_ok(gc) -> bool:
@@ -31,6 +32,29 @@ def _grading_shifts_ok(gc) -> bool:
         elif dk not in (0, -2):
             return False
     return True
+
+
+def _tate_matches_oracle(run: PeriodicRun, theory: Theory, full: bool) -> bool:
+    """Folded Tate readings against the literal windowed bicomplex: every
+    row-filtered page, the induced d2 arrows and the strays; with ``full``
+    also column-filtered pages 0-2 and the diagonal totals."""
+    b = run.tate(theory)
+    hv = run.hv(theory)
+    oracle = WindowedTate(b.cover, b.tau)
+    pages, pairs, strays = oracle.hv(hv.pages.max_page)
+    ok = (
+        pages == [hv.pages.table(r) for r in range(hv.pages.max_page + 1)]
+        and pairs == hv.d2_observed
+        and strays == hv.d2_strays
+    )
+    if full:
+        vh = vh_pages(b)
+        ok = (
+            ok
+            and oracle.vh(2) == [vh.pages.table(r) for r in range(3)]
+            and oracle.diagonals() == total_diagonal_ranks(b)
+        )
+    return ok
 
 
 def compute_word_result(args: tuple[str, int]) -> dict:
@@ -88,15 +112,10 @@ def compute_word_result(args: tuple[str, int]) -> dict:
         if lhs != rhs:
             euler_ok = False
 
-    window_stable = None
-    if len(word) <= 2:
-        span = run.cover_complex(Theory.AKH).i_span()
-        wide = PeriodicRun(word, window=default_window(span) + 2)
-        window_stable = bool(
-            verify_diagonals(wide).passed
-            and verify_collapse(wide, Theory.AKH).passed
-            and verify_e2_correspondence(wide).passed
-        )
+    tate_oracle_ok = all(
+        _tate_matches_oracle(run, theory, full=len(word) <= 3)
+        for theory in (Theory.AKH, Theory.KH)
+    )
 
     return {
         "braid": braid,
@@ -123,5 +142,5 @@ def compute_word_result(args: tuple[str, int]) -> dict:
         "oracle_ok": oracle_ok,
         "gradings_ok": gradings_ok,
         "euler_ok": euler_ok,
-        "window_stable": window_stable,
+        "tate_oracle_ok": tate_oracle_ok,
     }

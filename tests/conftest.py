@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from annulus_tate.f2algebra import dense_rank
+from annulus_tate.f2algebra import (
+    FilteredComplex,
+    cancel_shift_level,
+    degree_masks,
+    dense_rank,
+    homology_ranks,
+    rank_table,
+    spectral_pages,
+)
 from annulus_tate.khovanov import GradedComplex, Theory
 from annulus_tate.links import BraidWord
 
@@ -24,10 +32,7 @@ def dense_homology_of(gc: GradedComplex) -> dict[tuple, int]:
 
     Same keys as ``homology_of``: (i, j, k) for AKh, (i, j) for Kh.
     """
-    if gc.theory is Theory.AKH:
-        key_of = lambda g: (gc.gj[g], gc.gk[g])
-    else:
-        key_of = lambda g: (gc.gj[g],)
+    key_of = _block_key(gc)
     groups: dict[tuple, list[int]] = {}
     for g in range(gc.n_generators):
         groups.setdefault((key_of(g), gc.gi[g]), []).append(g)
@@ -53,6 +58,156 @@ def dense_homology_of(gc: GradedComplex) -> dict[tuple, int]:
         if h:
             table[(i, *key)] = h
     return table
+
+
+def _block_key(gc: GradedComplex):
+    if gc.theory is Theory.AKH:
+        return lambda g: (gc.gj[g], gc.gk[g])
+    return lambda g: (gc.gj[g],)
+
+
+def _interior(table: dict[tuple, int], pos: int, values) -> dict | None:
+    """Drop coordinate ``pos`` of every key whose value there lies in
+    ``values``; None unless the ranks agree at each of those values."""
+    per_value = {v: {} for v in values}
+    for key, rank in table.items():
+        if key[pos] in per_value:
+            per_value[key[pos]][key[:pos] + key[pos + 1 :]] = rank
+    first, *rest = per_value.values()
+    return first if all(other == first for other in rest) else None
+
+
+class WindowedTate:
+    """The literal Tate bicomplex on columns t in [0, window) (oracle path).
+
+    Column t is a copy of the cover complex; (g, t) has horizontal arrows
+    to (g, t+1) and (tau g, t+1) unless g is equivariant, and arrows
+    leaving the last column are dropped (still a complex).  Claims are read
+    on interior columns, farther than the cover's i-span from both edges,
+    and each reading is None unless every interior column agrees.  The
+    default window, twice the span plus five, has three interior columns.
+    """
+
+    def __init__(self, gc: GradedComplex, tau: list[int], window: int | None = None):
+        self.gc, self.tau = gc, tau
+        self.span = gc.i_span()
+        self.window = 2 * self.span + 5 if window is None else window
+        self.columns = [
+            t for t in range(self.window) if self.span < t < self.window - 1 - self.span
+        ]
+        if not self.columns:
+            raise ValueError(f"window {self.window} leaves no interior column")
+
+    def blocks(self, fdeg, aux) -> list[tuple[FilteredComplex, list]]:
+        """Engine complexes per (j, k) (AKh) or j (Kh) block with members
+        (g, t) in column-major order; ``fdeg(g, t)``, ``aux(g, t)`` grade."""
+        gc, tau, T = self.gc, self.tau, self.window
+        key_of = _block_key(gc)
+        groups: dict[tuple, list[int]] = {}
+        for g in range(gc.n_generators):
+            groups.setdefault(key_of(g), []).append(g)
+        blocks = []
+        for gens in groups.values():
+            nb = len(gens)
+            pos = {g: p for p, g in enumerate(gens)}
+            vout, vinc = [0] * nb, [0] * nb
+            for g in gens:
+                for y in gc.out[g]:
+                    vout[pos[g]] |= 1 << pos[y]
+                    vinc[pos[y]] |= 1 << pos[g]
+            # (g, t) -> (g, t+1), (tau g, t+1); tau is an involution, so
+            # the same pattern lists the horizontal sources one column back
+            horiz = [
+                (1 << pos[g]) | (1 << pos[tau[g]]) if tau[g] != g else 0 for g in gens
+            ]
+            C = FilteredComplex()
+            members = [(g, t) for t in range(T) for g in gens]
+            C.fdeg = [fdeg(g, t) for g, t in members]
+            C.aux = [aux(g, t) for g, t in members]
+            C.out = [
+                (vout[p] | (horiz[p] << nb if t + 1 < T else 0)) << (t * nb)
+                for t in range(T)
+                for p in range(nb)
+            ]
+            C.inc = [
+                (vinc[p] << nb | horiz[p]) << ((t - 1) * nb) if t else vinc[p]
+                for t in range(T)
+                for p in range(nb)
+            ]
+            C.alive = (1 << len(members)) - 1
+            blocks.append((C, members))
+        return blocks
+
+    def hv(self, max_page: int):
+        """Interior row-filtered pages r = 0..max_page keyed (i, *block
+        key), the induced (delta-i = 2, delta-t = -1) arrows (g1, g2) read
+        after cancelling exactly the tau arrows, and the sorted stray
+        nonequivariant survivors g of that cancellation."""
+        gc, tau, T = self.gc, self.tau, self.window
+        key_of, cols = _block_key(gc), set(self.columns)
+        tables = {r: {} for r in range(max_page + 1)}
+        observed, strays = set(), set()
+        for C, members in self.blocks(lambda g, t: gc.gi[g], lambda g, t: (t, *key_of(g))):
+            index = {m: x for x, m in enumerate(members)}
+            masks = degree_masks(C)
+            pages = [rank_table(C)]
+            while True:  # the tau sweep, in member order until none remain
+                pending = []
+                for x in C.generators():
+                    g, t = members[x]
+                    if tau[g] != g and t + 1 < T and C.has_arrow(x, index[(tau[g], t + 1)]):
+                        pending.append((x, index[(tau[g], t + 1)]))
+                if not pending:
+                    break
+                for x, y in pending:
+                    if C.has_arrow(x, y):
+                        C.cancel_arrow(x, y)
+            for x in C.generators():
+                g1, t1 = members[x]
+                if t1 not in cols:
+                    continue
+                if tau[g1] != g1:
+                    strays.add(g1)
+                for y in C.targets(x):
+                    g2, t2 = members[y]
+                    if t2 in cols and t2 == t1 - 1 and gc.gi[g2] - gc.gi[g1] == 2:
+                        observed.add((g1, t1, g2, t2))
+            cancel_shift_level(C, 0, masks)
+            for r in range(1, max_page + 1):
+                pages.append(rank_table(C))
+                cancel_shift_level(C, r, masks)
+            for r, table in enumerate(pages):
+                for key, rank in table.items():
+                    tables[r][key] = tables[r].get(key, 0) + rank
+        pairs = {(g1, g2) for g1, _, g2, _ in observed}
+        steps = [t for t in self.columns if t - 1 in cols]
+        if observed != {(g1, t, g2, t - 1) for g1, g2 in pairs for t in steps}:
+            pairs = None
+        interior = [_interior(tables[r], 1, self.columns) for r in range(max_page + 1)]
+        return interior, pairs, sorted(strays)
+
+    def vh(self, max_page: int = 2) -> list[dict | None]:
+        """Interior column-filtered pages r = 0..max_page keyed (i, *block key)."""
+        gc, key_of = self.gc, _block_key(self.gc)
+        tables = {r: {} for r in range(max_page + 1)}
+        for C, _ in self.blocks(lambda g, t: t, lambda g, t: (gc.gi[g], *key_of(g))):
+            pages = spectral_pages(C, max_page)
+            for r in range(max_page + 1):
+                for key, rank in pages.table(r).items():
+                    tables[r][key] = tables[r].get(key, 0) + rank
+        return [_interior(tables[r], 0, self.columns) for r in range(max_page + 1)]
+
+    def diagonals(self) -> dict | None:
+        """Total homology on interior diagonals i + t, keyed by block key."""
+        gc, key_of = self.gc, _block_key(self.gc)
+        table: dict[tuple, int] = {}
+        for C, _ in self.blocks(lambda g, t: gc.gi[g] + t, lambda g, t: key_of(g)):
+            for key, rank in homology_ranks(C).items():
+                table[key] = table.get(key, 0) + rank
+        gi = gc.gi
+        band = self.span + 1
+        diagonals = range(min(gi) + band, max(gi) + self.window - band)
+        return _interior(table, 0, diagonals)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from annulus_tate import cli
+from annulus_tate import cli, khovanov, tate
 from annulus_tate.tate import Verdict
 
 
@@ -31,6 +31,12 @@ def test_akh_golden_cover(runner):
     assert report["ranks"] == {
         "0,0,-2": 1, "0,2,0": 1, "0,4,2": 1, "1,4,0": 1, "2,4,0": 1, "2,6,0": 1,
     }
+
+
+def test_version_needs_no_installed_metadata(runner):
+    result = invoke(runner, ["--version"])
+    assert result.exit_code == 0
+    assert result.output == "annulus-tate, version 0.1.0\n"
 
 
 def test_akh_unknot(runner):
@@ -80,10 +86,36 @@ def test_periodic_theory_flag(runner):
 
 
 def test_periodic_window_override(runner):
-    result = invoke(
-        runner, ["periodic", "--braid", "1", "--strands", "2", "--window", "11"]
+    # the Tate complex is computed exactly, so there is no window to override
+    result = runner.invoke(
+        cli.main, ["periodic", "--braid", "1", "--strands", "2", "--window", "11"]
     )
-    assert json.loads(result.output)["ok"] is True
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_periodic_report_is_schema_2_without_window(runner):
+    report = json.loads(invoke(runner, ["periodic", "--braid", "1", "--strands", "2"]).output)
+    assert report["schema"] == 2
+    assert report["input"] == {"braid": "1", "strands": 2, "theory": "both"}
+
+
+def test_periodic_builds_each_complex_once(runner, monkeypatch):
+    calls = []
+    build = khovanov.build_complex
+
+    def counting(diagram, theory, resolutions=None):
+        calls.append((diagram, theory))
+        return build(diagram, theory, resolutions)
+
+    monkeypatch.setattr(khovanov, "build_complex", counting)
+    monkeypatch.setattr(tate, "build_complex", counting)
+    result = invoke(
+        runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
+    )
+    assert result.exit_code == 0
+    # quotient and cover, AKh and Kh: congruences reuse the cover table
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_periodic_failure_exits_nonzero(runner, monkeypatch):
@@ -165,6 +197,19 @@ def test_cache_env_var_overrides(runner, tmp_path, monkeypatch):
     assert not flag_dir.exists()
 
 
+def test_truncated_cache_entry_is_a_miss(runner, tmp_path):
+    args = ["akh", "--braid", "1", "--strands", "2", "--cache-dir", str(tmp_path)]
+    first = invoke(runner, args)
+    (entry,) = tmp_path.iterdir()
+    entry.write_bytes(entry.read_bytes()[:40])
+    second = invoke(runner, args)
+    assert second.exit_code == 0
+    assert json.loads(second.output)["ranks"] == json.loads(first.output)["ranks"]
+    # the recomputed report replaced the torn entry, with no leftovers
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+    assert json.loads(entry.read_bytes()) == json.loads(second.output)
+
+
 def test_corpus_empty_bounds(runner):
     result = invoke(runner, ["corpus", "--max-strands", "0", "--max-length", "2"])
     report = json.loads(result.output)
@@ -185,6 +230,41 @@ def test_corpus_small_bounds(runner, tmp_path):
     assert report["counts"] == {"words": 4, "passed": 4, "failed": 0}
     words = [w["braid"] for w in report["words"]]
     assert words == ["", "", "1", "-1"]  # strands ascending, then length, then letters
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,cpus,expected", [("100000", 8, 4), ("3", 2, 2)])
+def test_corpus_pool_size_is_clamped(runner, monkeypatch, jobs, cpus, expected):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    result = invoke(
+        runner, ["corpus", "--max-strands", "2", "--max-length", "1", "--jobs", jobs]
+    )
+    assert json.loads(result.output)["counts"]["words"] == 4
+    assert RecordingPool.sizes == [expected]
+
+
+def test_corpus_rejects_nonpositive_jobs(runner):
+    result = runner.invoke(cli.main, ["corpus", "--jobs", "0"])
+    assert result.exit_code == 2
 
 
 def test_corpus_bounds_guards(runner):

@@ -1,17 +1,15 @@
 import pytest
 
+from annulus_tate import cube
 from annulus_tate.cube import hamming
 from annulus_tate.khovanov import Theory, build_complex
 from annulus_tate.links import BraidWord, close_braid, double_cover, parse_braid_word
 from annulus_tate.tate import (
     PeriodicRun,
-    WindowTooSmall,
-    build_tate,
+    TateBicomplex,
+    _port_circle_map,
     check_equivariance,
-    default_window,
     hv_pages,
-    minimum_window,
-    tau_sharp,
     tau_table,
     total_diagonal_ranks,
     verify_cascade,
@@ -23,12 +21,39 @@ from annulus_tate.tate import (
     vh_pages,
 )
 
+from conftest import WindowedTate
+
 SIGMA1 = parse_braid_word("1", 2)
 
 
 def hopf_cover(theory=Theory.AKH):
     cover, pairing = double_cover(SIGMA1)
     return build_complex(cover, theory), pairing
+
+
+def hopf_tate(theory=Theory.AKH) -> TateBicomplex:
+    gc, pairing = hopf_cover(theory)
+    return TateBicomplex(cover=gc, tau=tau_table(gc, pairing))
+
+
+def tau_sharp(gc, pairing, g: int) -> int:
+    """Image of one generator under the chain involution, transported
+    circle by circle (oracle for ``tau_table``)."""
+    n = pairing.quotient_crossings
+    width = gc.diagram.n_crossings
+    m = gc.diagram.strands
+    beta = gc.vertex_of[g]
+    labels = gc.labels_of[g]
+    tbeta = cube.swap_halves(beta, width) if n else beta
+    res, tres = gc.resolutions[beta], gc.resolutions[tbeta]
+    target_circle = _port_circle_map(tres)
+    tlabels = 0
+    for ci, circle in enumerate(res.circles):
+        level, strand = divmod(circle.min_port, m)
+        mapped = pairing.shift_level(level) * m + strand
+        if (labels >> ci) & 1:
+            tlabels |= 1 << target_circle[mapped]
+    return gc.index(tbeta, tlabels)
 
 
 def test_tau_moves_single_circle_label():
@@ -54,6 +79,14 @@ def test_tau_is_involution_on_all_generators():
     tau = tau_table(gc, pairing)
     assert len(tau) == 12
     assert all(tau[tau[g]] == g for g in range(12))
+
+
+def test_tau_table_matches_per_generator_transport():
+    for text, m in [("1", 2), ("1 -2", 3), ("1 1 -1", 2)]:
+        cover, pairing = double_cover(parse_braid_word(text, m))
+        gc = build_complex(cover, Theory.AKH)
+        tau = tau_table(gc, pairing)
+        assert tau == [tau_sharp(gc, pairing, g) for g in range(gc.n_generators)]
 
 
 def test_tau_requires_cover_diagram():
@@ -91,70 +124,65 @@ def test_equivariance_empty_cover():
     assert report.n_equivariant == gc.n_generators
 
 
+def test_folded_tate_is_a_complex_on_the_cover_generators():
+    b = hopf_tate()
+    assert b.n_generators == 12
+    blocks = b.blocks()
+    assert sum(len(members) for _, members in blocks) == 12
+    n_free = sum(1 for g, tg in enumerate(b.tau) if tg != g)
+    n_arrows = sum(C.n_arrows() for C, _ in blocks)
+    assert n_arrows == b.cover.n_arrows() + 2 * n_free
+    for C, _ in blocks:
+        C.check_d_squared()
+
+
 def test_build_tate_window_and_total_differential():
     gc, pairing = hopf_cover()
-    b = build_tate(gc, pairing, window=7)
-    assert b.n_generators == 12 * 7
-    assert b.interior_columns() == [3]
-    full = b.make_filtered(
+    oracle = WindowedTate(gc, tau_table(gc, pairing), window=7)
+    assert oracle.columns == [3]
+    for C, _ in oracle.blocks(
         lambda g, t: gc.gi[g] + t, lambda g, t: (gc.gj[g], gc.gk[g])
-    )
-    full.check_d_squared()
-    full.check_nonnegative()
+    ):
+        C.check_d_squared()
+        C.check_nonnegative()
 
 
 def test_build_tate_rejects_small_window():
     gc, pairing = hopf_cover()
-    assert minimum_window(gc.i_span()) == 7
-    with pytest.raises(WindowTooSmall):
-        build_tate(gc, pairing, window=6)
+    assert gc.i_span() == 2
+    # interior columns need a window of at least 2 * span + 3
+    with pytest.raises(ValueError):
+        WindowedTate(gc, tau_table(gc, pairing), window=6)
 
 
 def test_default_window_has_three_interior_columns():
     gc, pairing = hopf_cover()
-    b = build_tate(gc, pairing)
-    assert b.window == default_window(2) == 9
-    assert len(b.interior_columns()) == 3
+    oracle = WindowedTate(gc, tau_table(gc, pairing))
+    assert oracle.window == 9
+    assert oracle.columns == [3, 4, 5]
 
 
 def test_hv_pages_hopf():
-    gc, pairing = hopf_cover()
-    b = build_tate(gc, pairing)
-    hv = hv_pages(b)
+    hv = hv_pages(hopf_tate())
     assert hv.odd_pages_ok
-    # page 1 is generated by the equivariant generators in every interior column
-    page1 = hv.pages.table(1)
-    for t in hv.interior_columns:
-        count = sum(r for key, r in page1.items() if key[-1] == t)
-        assert count == 6
+    # page 1 is generated by the equivariant generators of one column
+    assert hv.pages.total(1) == 6
     # the limit page carries the quotient ranks along (2j - k, k)
-    final, constant = hv.interior_table(hv.pages.max_page)
-    assert not constant
     by_jk = {}
-    for (i, j, k), r in final.items():
-        if r:
-            by_jk[(j, k)] = by_jk.get((j, k), 0) + r
+    for (i, j, k), r in hv.pages.table(hv.pages.max_page).items():
+        by_jk[(j, k)] = by_jk.get((j, k), 0) + r
     assert by_jk == {(4, 2): 1, (2, 0): 1, (0, -2): 1, (6, 0): 1}
 
 
 def test_hv_e1_equals_e2():
-    gc, pairing = hopf_cover()
-    hv = hv_pages(build_tate(gc, pairing))
-    one, c1 = hv.interior_table(1)
-    two, c2 = hv.interior_table(2)
-    assert not c1 and not c2
-    assert one == two
+    hv = hv_pages(hopf_tate())
+    assert hv.pages.table(1) == hv.pages.table(2)
 
 
 def test_vh_pages_interior_columns_carry_cover_homology():
-    gc, pairing = hopf_cover()
-    b = build_tate(gc, pairing)
-    vh = vh_pages(b)
+    vh = vh_pages(hopf_tate())
     assert vh.e1_ok
-    page1 = vh.pages.table(1)
-    for t in vh.interior_columns:
-        column_total = sum(r for key, r in page1.items() if key[0] == t)
-        assert column_total == 6
+    assert vh.pages.total(1) == 6
     totals = [vh.pages.total(r) for r in range(vh.pages.max_page + 1)]
     assert all(x >= y for x, y in zip(totals, totals[1:]))
 
@@ -162,32 +190,34 @@ def test_vh_pages_interior_columns_carry_cover_homology():
 def test_vh_pages_no_crossings():
     cover, pairing = double_cover(parse_braid_word("", 1))
     gc = build_complex(cover, Theory.AKH)
-    b = build_tate(gc, pairing)
-    vh = vh_pages(b)
+    vh = vh_pages(TateBicomplex(cover=gc, tau=tau_table(gc, pairing)))
     assert vh.e1_ok
     assert vh.pages.table(0) == vh.pages.table(1)
 
 
 def test_interior_diagonals_independent_of_window():
     for text, m in [("1", 2), ("-1 2", 3)]:
-        word = parse_braid_word(text, m)
-        cover, pairing = double_cover(word)
-        gc = build_complex(cover, Theory.AKH)
-        span = gc.i_span()
-        small = build_tate(gc, pairing, window=default_window(span))
-        large = build_tate(gc, pairing, window=default_window(span) + 2)
+        run = PeriodicRun(parse_braid_word(text, m))
+        b = run.tate(Theory.AKH)
+        folded = total_diagonal_ranks(b)
+        span = b.cover.i_span()
+        for window in (2 * span + 5, 2 * span + 7):
+            assert WindowedTate(b.cover, b.tau, window).diagonals() == folded
+        # the limit page of the row filtration, summed over i, agrees
+        summed = {}
+        for key, r in run.hv(Theory.AKH).pages.table(99).items():
+            summed[key[1:]] = summed.get(key[1:], 0) + r
+        assert summed == folded
 
-        def interior_common(b):
-            table = total_diagonal_ranks(b)
-            values = {}
-            diags = set(b.interior_diagonals())
-            for (d, j, k), r in table.items():
-                if d in diags and r:
-                    values.setdefault((j, k), set()).add(r)
-            assert all(len(v) == 1 for v in values.values())
-            return {key: v.pop() for key, v in values.items()}
 
-        assert interior_common(small) == interior_common(large)
+@pytest.mark.parametrize(
+    "braid,strands", [("1 1 1 1", 2), ("1 -1 1 -1", 2), ("1 2 -1 -2", 3)]
+)
+def test_folded_blocks_square_to_zero(braid, strands):
+    run = PeriodicRun(parse_braid_word(braid, strands))
+    for theory in (Theory.AKH, Theory.KH):
+        for C, _ in run.tate(theory).blocks():
+            C.check_d_squared()
 
 
 def test_e2_correspondence_sigma1():
@@ -212,11 +242,7 @@ def test_e2_specific_d2_arrow():
     src = lift[gq.index(0, 0b01)]  # v+ v- at the braid-like vertex
     tgt = lift[gq.index(1, 0b0)]  # w- at the turnback vertex
     assert gcov.vertex_of[src] == 0b00 and gcov.vertex_of[tgt] == 0b11
-    interior = hv.interior_columns
-    pairs = [(t, t - 1) for t in interior if t - 1 in interior]
-    assert pairs
-    for t, t1 in pairs:
-        assert (src, t, tgt, t1) in hv.d2_observed
+    assert (src, tgt) in hv.d2_observed
 
 
 def test_e2_correspondence_empty_word():
