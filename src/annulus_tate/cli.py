@@ -21,7 +21,7 @@ import click
 from . import __version__, decat
 from .cube import format_bits, parse_bits, resolve
 from .khovanov import Theory, total_rank
-from .links import BraidError, BraidWord, close_braid, parse_braid_word
+from .links import BraidError, BraidWord, DiagramTooLarge, close_braid, parse_braid_word
 from .tate import (
     PeriodicRun,
     Verdict,
@@ -161,12 +161,16 @@ def _report(config: dict, build_report) -> dict:
 
 
 def _emit(ctx, config: dict, build_report, fmt: str, cache_flag: str | None) -> None:
-    """Compute (or fetch) the report, print it, exit nonzero on failure."""
+    """Compute (or fetch) the report, print it, exit nonzero on failure.
+    A diagram over the size guards is refused with a one-line error."""
     cache = _cache_dir(cache_flag)
     key = _cache_key(config)
     report = _cache_load(cache, key)
     if report is None:
-        report = _report(config, build_report)
+        try:
+            report = _report(config, build_report)
+        except DiagramTooLarge as exc:
+            raise click.ClickException(str(exc)) from None
         _cache_store(cache, key, _payload(report))
     if fmt == "json":
         click.echo(_payload(report).decode(), nl=False)
@@ -279,7 +283,7 @@ def cmd_resolve(ctx, braid, strands, alpha, fmt, cache_dir):
 def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
     verdicts: list[Verdict] = []
     if theory in ("both", "akh"):
-        eq = check_equivariance(run.cover_complex(Theory.AKH), run.pairing)
+        eq = check_equivariance(run.cover_complex(Theory.AKH), run.tau)
         verdicts += [
             Verdict(
                 "equivariance-akh", eq.ok,
@@ -291,7 +295,7 @@ def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
             verify_rank_inequality(run),
         ]
     if theory in ("both", "kh"):
-        eq = check_equivariance(run.cover_complex(Theory.KH), run.pairing)
+        eq = check_equivariance(run.cover_complex(Theory.KH), run.tau)
         verdicts += [
             Verdict(
                 "equivariance-kh", eq.ok,

@@ -253,17 +253,32 @@ class Generator:
     k: int
 
 
-def gradings(res: Resolution, labels: int, n_pos: int, n_neg: int) -> tuple[int, int, int]:
-    """The (i, j, k) gradings of a labeled resolution."""
+def vertex_gradings(
+    res: Resolution, n_pos: int, n_neg: int, labels=None
+) -> tuple[int, list[int], list[int]]:
+    """The i grading of a resolution and the j and k gradings of each
+    labeling in the sequence ``labels`` (default: all, ascending).
+
+    j counts "+" circles, k the "+" minus the "-" nontrivial circles, so
+    both are read from popcounts against per-vertex constants.
+    """
     weight = hamming(res.vertex)
-    plus = hamming(labels)
-    p = 2 * plus - res.n_circles
-    k = 0
+    nontrivial = 0
     for idx, circle in enumerate(res.circles):
         if not circle.trivial:
-            k += 1 if (labels >> idx) & 1 else -1
-    i = weight - n_neg
-    j = p + weight + n_pos - 2 * n_neg
+            nontrivial |= 1 << idx
+    if labels is None:
+        labels = range(1 << res.n_circles)
+    j_min = weight + n_pos - 2 * n_neg - res.n_circles
+    k_min = -nontrivial.bit_count()
+    js = [j_min + 2 * lab.bit_count() for lab in labels]
+    ks = [k_min + 2 * (lab & nontrivial).bit_count() for lab in labels]
+    return weight - n_neg, js, ks
+
+
+def gradings(res: Resolution, labels: int, n_pos: int, n_neg: int) -> tuple[int, int, int]:
+    """The (i, j, k) gradings of a labeled resolution."""
+    i, (j,), (k,) = vertex_gradings(res, n_pos, n_neg, (labels,))
     return i, j, k
 
 
@@ -271,8 +286,8 @@ def enumerate_generators(res: Resolution, n_pos: int, n_neg: int) -> list[Genera
     """All 2^|circles| labeled generators of a resolution, labels ascending."""
     if res.n_circles > MAX_CIRCLES:
         raise OverflowError(f"{res.n_circles} circles exceeds the {MAX_CIRCLES}-circle guard")
-    out = []
-    for labels in range(1 << res.n_circles):
-        i, j, k = gradings(res, labels, n_pos, n_neg)
-        out.append(Generator(vertex=res.vertex, labels=labels, i=i, j=j, k=k))
-    return out
+    i, js, ks = vertex_gradings(res, n_pos, n_neg)
+    return [
+        Generator(vertex=res.vertex, labels=labels, i=i, j=j, k=k)
+        for labels, (j, k) in enumerate(zip(js, ks))
+    ]

@@ -83,6 +83,40 @@ class FilteredComplex:
         self.out[src] |= 1 << tgt
         self.inc[tgt] |= 1 << src
 
+    @classmethod
+    def from_rows(
+        cls, fdeg: list[int], aux: list[tuple], targets: Iterable[Iterable[int]]
+    ) -> "FilteredComplex":
+        """The complex on generators 0..n-1 with filtration degrees
+        ``fdeg``, auxiliary gradings ``aux`` and an arrow x -> t for every
+        t in ``targets[x]``.
+
+        Each ``out`` and ``inc`` row is assembled once, highest bit first,
+        instead of being stored back after every arrow as ``add_arrow``
+        does; a repeated arrow raises.
+        """
+        C = cls()
+        n = len(fdeg)
+        C.fdeg = list(fdeg)
+        C.aux = list(aux)
+        sources: list[list[int]] = [[] for _ in range(n)]
+        for x, row in enumerate(targets):
+            bits = 0
+            ts = sorted(row, reverse=True)
+            for t in ts:
+                bits |= 1 << t
+                sources[t].append(x)
+            if len(set(ts)) != len(ts):
+                raise FilteredComplexError(f"repeated arrow from {x}")
+            C.out.append(bits)
+        for xs in sources:
+            bits = 0
+            for x in reversed(xs):
+                bits |= 1 << x
+            C.inc.append(bits)
+        C.alive = (1 << n) - 1
+        return C
+
     # -- queries -------------------------------------------------------
 
     def is_alive(self, g: int) -> bool:

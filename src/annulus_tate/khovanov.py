@@ -17,11 +17,22 @@ and the Khovanov merge/split (ignoring triviality):
 
 Every AKh arrow preserves (j, k) and raises i by 1; Kh arrows preserve j
 and shift k by 0 or -2.
+
+The complex is built in one pass per cube edge.  Gradings are read per
+vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
+table from the labels of its participating circles to their images,
+applied at once to every labeling of the other circles, whose transport
+is tabulated per edge.  d^2 = 0 is checked on every built complex, and
+``_blocks`` splits it into engine complexes along the gradings every
+arrow preserves, assembling each bitset row once.  A diagram whose
+blocks would need more than ``MAX_ENGINE_BYTES`` of bitsets is refused
+with ``DiagramTooLarge`` before any arrow is built.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import cube
@@ -74,78 +85,67 @@ class GradedComplex:
     def arrow_set(self) -> set[tuple[int, int]]:
         return set(self.arrows())
 
-    def to_filtered(self, fdeg, aux) -> FilteredComplex:
-        """Engine complex with fdeg(g) / aux(g) computed per generator."""
-        C = FilteredComplex()
-        for g in range(self.n_generators):
-            C.add_generator(fdeg(g), aux(g))
-        for src, tgt in self.arrows():
-            C.add_arrow(src, tgt)
-        return C
-
     def check_d_squared(self) -> None:
-        from collections import Counter
-
-        for x in range(self.n_generators):
-            paths: Counter = Counter()
-            for y in self.out[x]:
-                for z in self.out[y]:
-                    paths[z] += 1
-            odd = [z for z, n in paths.items() if n % 2]
-            if odd:
-                raise FilteredComplexError(f"d^2 != 0 at generator {x}")
-
-
-def _transport(edge: cube.EdgeType, labels: int) -> int:
-    base = 0
-    for si, ti in edge.correspondence.items():
-        if (labels >> si) & 1:
-            base |= 1 << ti
-    return base
+        """Raise unless d^2 = 0: sorted, the targets of each generator's
+        targets must pair off as equal neighbours, so that every length-2
+        path has a partner with the same ends."""
+        out = self.out
+        for x, row in enumerate(out):
+            paths: list[int] = []
+            for y in row:
+                paths += out[y]
+            paths.sort()
+            if paths[::2] != paths[1::2]:
+                odd = sorted(z for z, n in Counter(paths).items() if n % 2)
+                raise FilteredComplexError(
+                    f"d^2 != 0 at generator {x}: it reaches {odd[:5]} an odd number of times"
+                )
 
 
-def _merge_targets(theory: Theory, edge: cube.EdgeType, labels: int) -> list[int]:
-    c1, c2 = edge.source_circles  # nontrivial first for type D
-    d0 = edge.target_circles[0]
-    l1 = (labels >> c1) & 1
-    l2 = (labels >> c2) & 1
-    base = _transport(edge, labels)
-    if theory is Theory.KH or edge.annular_class == "F":
-        if l1 and l2:
-            return [base | (1 << d0)]
-        if l1 or l2:
-            return [base]
-        return []
-    if edge.annular_class == "D":
-        # c1 is the nontrivial circle, c2 the trivial one.
-        return [base | (l1 << d0)] if l2 else []
-    if edge.annular_class == "E":
-        return [base] if l1 != l2 else []
-    raise cube.UnclassifiableEdge(edge.annular_class)
+# Engine rows cost O(block size) bits each, so a block of n generators
+# needs about n^2 / 4 bytes for its ``out`` and ``inc`` bitsets.
+MAX_ENGINE_BYTES = 2 << 30
 
 
-def _split_targets(theory: Theory, edge: cube.EdgeType, labels: int) -> list[int]:
-    c0 = edge.source_circles[0]
-    d1, d2 = edge.target_circles  # nontrivial first for type A
-    l0 = (labels >> c0) & 1
-    base = _transport(edge, labels)
-    if theory is Theory.KH or edge.annular_class == "C":
-        if l0:
-            return [base | (1 << d1), base | (1 << d2)]
-        return [base]
-    if edge.annular_class == "A":
-        # the trivial offspring is labeled "-" either way
-        return [base | (l0 << d1)]
-    if edge.annular_class == "B":
-        return [base | (1 << d1), base | (1 << d2)] if l0 else []
-    raise cube.UnclassifiableEdge(edge.annular_class)
+def _edge_rule(theory: Theory, edge: cube.EdgeType) -> dict[int, list[int]]:
+    """One edge map, by the labels of the participating circles.
 
-
-def edge_targets(theory: Theory, edge: cube.EdgeType, labels: int) -> list[int]:
-    """Target label masks of one edge map applied to one source labeling."""
+    Maps each "+"-mask of the source participating circles to the "+"-masks
+    of the target participating circles it is sent to (an empty list is
+    the zero map); the other circles keep their labels.
+    """
     if edge.kind == "merge":
-        return _merge_targets(theory, edge, labels)
-    return _split_targets(theory, edge, labels)
+        c1, c2 = edge.source_circles  # nontrivial first for type D
+        b1, b2, d0 = 1 << c1, 1 << c2, 1 << edge.target_circles[0]
+        if theory is Theory.KH or edge.annular_class == "F":
+            return {b1 | b2: [d0], b1: [0], b2: [0]}
+        if edge.annular_class == "D":
+            # c1 is the nontrivial circle, c2 the trivial one.
+            return {b2: [0], b1 | b2: [d0]}
+        if edge.annular_class == "E":
+            return {b1: [0], b2: [0]}
+    else:
+        b0 = 1 << edge.source_circles[0]
+        d1, d2 = (1 << c for c in edge.target_circles)  # nontrivial first for type A
+        if theory is Theory.KH or edge.annular_class == "C":
+            return {b0: [d1, d2], 0: [0]}
+        if edge.annular_class == "A":
+            # the trivial offspring is labeled "-" either way
+            return {0: [0], b0: [d1]}
+        if edge.annular_class == "B":
+            return {b0: [d1, d2]}
+    raise cube.UnclassifiableEdge(edge.annular_class)
+
+
+def _transport_table(edge: cube.EdgeType) -> tuple[list[int], list[int]]:
+    """Source labelings with every participating circle "-", ascending,
+    and their target labelings, built one circle at a time by doubling."""
+    rest, image = [0], [0]
+    for si, ti in edge.correspondence.items():
+        bit, tbit = 1 << si, 1 << ti
+        rest += [lab | bit for lab in rest]
+        image += [lab | tbit for lab in image]
+    return rest, image
 
 
 def build_complex(
@@ -153,7 +153,11 @@ def build_complex(
     theory: Theory,
     resolutions: list[cube.Resolution] | None = None,
 ) -> GradedComplex:
-    """Build the full cube-of-chains complex and verify d^2 = 0."""
+    """Build the full cube-of-chains complex and verify d^2 = 0.
+
+    Raises DiagramTooLarge before building any arrow when the engine
+    blocks would need more than MAX_ENGINE_BYTES.
+    """
     c = diagram.n_crossings
     if c > MAX_CROSSINGS:
         raise DiagramTooLarge(f"{c} crossings exceeds the {MAX_CROSSINGS}-crossing guard")
@@ -162,25 +166,26 @@ def build_complex(
     if resolutions is None:
         resolutions = [cube.resolve(diagram, a) for a in range(1 << c)]
 
-    offsets, total = [], 0
-    for res in resolutions:
+    offsets, vertex_of, labels_of, gi, gj, gk = [], [], [], [], [], []
+    for alpha, res in enumerate(resolutions):
         if res.n_circles > cube.MAX_CIRCLES:
             raise OverflowError(f"{res.n_circles} circles exceeds the guard")
-        offsets.append(total)
-        total += 1 << res.n_circles
+        size = 1 << res.n_circles
+        offsets.append(len(gi))
+        i, js, ks = cube.vertex_gradings(res, n_pos, n_neg)
+        vertex_of += [alpha] * size
+        labels_of += range(size)
+        gi += [i] * size
+        gj += js
+        gk += ks
+    total = len(gi)
 
-    vertex_of = [0] * total
-    labels_of = [0] * total
-    gi = [0] * total
-    gj = [0] * total
-    gk = [0] * total
-    for alpha, res in enumerate(resolutions):
-        off = offsets[alpha]
-        for labels in range(1 << res.n_circles):
-            g = off + labels
-            vertex_of[g] = alpha
-            labels_of[g] = labels
-            gi[g], gj[g], gk[g] = cube.gradings(res, labels, n_pos, n_neg)
+    needed = sum(n * n for n in Counter(_block_keys(theory, gj, gk)).values()) // 4
+    if needed > MAX_ENGINE_BYTES:
+        raise DiagramTooLarge(
+            f"the {c}-crossing diagram needs about {needed / 2**30:.1f} GiB for its "
+            f"{theory.value} blocks, over the {MAX_ENGINE_BYTES / 2**30:.0f} GiB limit"
+        )
 
     out: list[list[int]] = [[] for _ in range(total)]
     for alpha in range(1 << c):
@@ -191,10 +196,15 @@ def build_complex(
                 continue
             alpha2 = alpha | (1 << b)
             edge = cube.classify_resolutions(res_a, resolutions[alpha2])
+            rule = _edge_rule(theory, edge)
+            rest, image = _transport_table(edge)
             tgt_off = offsets[alpha2]
-            for labels in range(1 << res_a.n_circles):
-                for tlabels in edge_targets(theory, edge, labels):
-                    out[src_off + labels].append(tgt_off + tlabels)
+            for plus, tplus in rule.items():
+                rows = [out[src_off + (lab | plus)] for lab in rest]
+                for tp in tplus:
+                    base = tgt_off + tp
+                    for row, t in zip(rows, image):
+                        row.append(base + t)
 
     gc = GradedComplex(
         diagram=diagram,
@@ -213,38 +223,52 @@ def build_complex(
     return gc
 
 
-def _blocks(
-    gc: GradedComplex, fdeg=None, aux=None, arrows=None
-) -> list[tuple[FilteredComplex, list[int]]]:
-    """Split into engine complexes along the gradings every arrow preserves:
-    (j, k) for AKh, j for Kh.
+def _block_keys(theory: Theory, gj: list[int], gk: list[int]) -> list[tuple]:
+    """The gradings every arrow preserves: (j, k) for AKh, (j,) for Kh."""
+    if theory is Theory.AKH:
+        return list(zip(gj, gk))
+    return [(j,) for j in gj]
 
-    ``fdeg(g)`` sets the filtration degree (default i) and ``aux(g)`` the
-    auxiliary gradings (default the block key); ``arrows`` defaults to the
-    complex's own.  Returns (complex, members) pairs, where members[x] is
-    the generator of ``gc`` at engine index x.
+
+def _blocks(
+    gc: GradedComplex,
+    fdeg: list[int] | None = None,
+    aux: list[tuple] | None = None,
+    row_of=None,
+) -> list[tuple[FilteredComplex, list[int]]]:
+    """Split into engine complexes along the block keys, in one pass.
+
+    ``fdeg[g]`` is the filtration degree (default i) and ``aux[g]`` the
+    auxiliary gradings (default the block key) of generator g, and
+    ``row_of(g)`` lists its arrow targets (default ``gc.out[g]``); it is
+    called once per generator, a block at a time.  Returns (complex,
+    members) pairs, where members[x] is the generator of ``gc`` at engine
+    index x.
     """
-    if gc.theory is Theory.AKH:
-        block_of = lambda g: (gc.gj[g], gc.gk[g])
-    else:
-        block_of = lambda g: (gc.gj[g],)
-    fdeg = fdeg or gc.gi.__getitem__
-    aux = aux or block_of
-    blocks: dict[tuple, tuple[FilteredComplex, list[int]]] = {}
-    local: list[int] = [0] * gc.n_generators
-    for g in range(gc.n_generators):
-        key = block_of(g)
-        if key not in blocks:
-            blocks[key] = (FilteredComplex(), [])
-        C, members = blocks[key]
-        local[g] = C.add_generator(fdeg(g), aux(g))
+    keys = _block_keys(gc.theory, gc.gj, gc.gk)
+    fdeg = gc.gi if fdeg is None else fdeg
+    aux = keys if aux is None else aux
+    row_of = gc.out.__getitem__ if row_of is None else row_of
+    ids: dict[tuple, int] = {}
+    block_of = [ids.setdefault(key, len(ids)) for key in keys]
+    groups: list[list[int]] = [[] for _ in ids]
+    local: list[int] = []
+    for g, b in enumerate(block_of):
+        members = groups[b]
+        local.append(len(members))
         members.append(g)
-    for src, tgt in gc.arrows() if arrows is None else arrows:
-        key = block_of(src)
-        if block_of(tgt) != key:
+    blocks = []
+    for b, members in enumerate(groups):
+        rows = [row_of(g) for g in members]
+        if {block_of[y] for row in rows for y in row} - {b}:
             raise FilteredComplexError("arrow leaves its grading block")
-        blocks[key][0].add_arrow(local[src], local[tgt])
-    return list(blocks.values())
+        C = FilteredComplex.from_rows(
+            [fdeg[g] for g in members],
+            [aux[g] for g in members],
+            ([local[y] for y in row] for row in rows),
+        )
+        blocks.append((C, members))
+    return blocks
 
 
 def homology_of(gc: GradedComplex) -> dict[tuple, int]:
@@ -277,7 +301,5 @@ def k_filtration_pages(
         kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
         max_page = kspan + 2
 
-    blocks = _blocks(
-        gc, fdeg=lambda g: -gc.gk[g], aux=lambda g: (gc.gi[g], gc.gj[g])
-    )
+    blocks = _blocks(gc, fdeg=[-k for k in gc.gk], aux=list(zip(gc.gi, gc.gj)))
     return PageTable.merge((spectral_pages(C, max_page) for C, _ in blocks), max_page)

@@ -21,7 +21,8 @@ class BraidError(ValueError):
 
 
 class DiagramTooLarge(ValueError):
-    """Diagram exceeds the crossing-count guard."""
+    """Diagram exceeds a size guard: the crossing count, or the engine
+    memory that ``khovanov.build_complex`` estimates for its blocks."""
 
 
 @dataclass(frozen=True)

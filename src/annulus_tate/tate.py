@@ -102,11 +102,10 @@ class EquivarianceReport:
         )
 
 
-def check_equivariance(gc: GradedComplex, pairing: CoverPairing) -> EquivarianceReport:
-    """Verify that the involution is grading-preserving, squares to the
-    identity, commutes with the differential, and fixes generators only at
-    even Hamming weight."""
-    tau = tau_table(gc, pairing)
+def check_equivariance(gc: GradedComplex, tau: list[int]) -> EquivarianceReport:
+    """Verify that the involution ``tau`` (from :func:`tau_table`) is
+    grading-preserving, squares to the identity, commutes with the
+    differential, and fixes generators only at even Hamming weight."""
     rng = range(gc.n_generators)
     involution_ok = all(tau[tau[g]] == g for g in rng)
     gradings_ok = all(
@@ -149,19 +148,17 @@ class TateBicomplex:
     def n_generators(self) -> int:
         return self.cover.n_generators
 
-    def arrows(self):
-        """Cover arrows (theta^0), then the theta^1 arrows g -> g and
-        g -> tau g of every non-equivariant g."""
-        yield from self.cover.arrows()
-        for g, tg in enumerate(self.tau):
-            if tg != g:
-                yield g, g
-                yield g, tg
+    def row(self, g: int) -> list[int]:
+        """Arrow targets of g: the cover arrows (theta^0), then the theta^1
+        arrows g -> g and g -> tau g if g is not equivariant."""
+        tg = self.tau[g]
+        row = self.cover.out[g]
+        return row + [g, tg] if tg != g else row
 
     def blocks(self) -> list[tuple[FilteredComplex, list[int]]]:
         """Engine complexes per (j, k) (AKh) or j (Kh) block, filtered by i;
         members[x] is the cover generator at engine index x."""
-        return _blocks(self.cover, arrows=self.arrows())
+        return _blocks(self.cover, row_of=self.row)
 
 
 @dataclass

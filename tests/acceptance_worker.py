@@ -18,7 +18,7 @@ from annulus_tate.tate import (
     vh_pages,
 )
 
-from conftest import WindowedTate, dense_homology_of
+from conftest import WindowedTate, builder_matches_reference, dense_homology_of
 
 
 def _grading_shifts_ok(gc) -> bool:
@@ -79,8 +79,8 @@ def compute_word_result(args: tuple[str, int]) -> dict:
 
     odd_pages_ok = run.hv(Theory.AKH).odd_pages_ok and run.hv(Theory.KH).odd_pages_ok
 
-    eq_akh = check_equivariance(run.cover_complex(Theory.AKH), run.pairing)
-    eq_kh = check_equivariance(run.cover_complex(Theory.KH), run.pairing)
+    eq_akh = check_equivariance(run.cover_complex(Theory.AKH), run.tau)
+    eq_kh = check_equivariance(run.cover_complex(Theory.KH), run.tau)
 
     oracle_ok = True
     for gc in (
@@ -91,6 +91,16 @@ def compute_word_result(args: tuple[str, int]) -> dict:
     ):
         if homology_of(gc) != dense_homology_of(gc):
             oracle_ok = False
+
+    builder_ok = all(
+        builder_matches_reference(gc)
+        for gc in (
+            run.quotient_complex(Theory.AKH),
+            run.quotient_complex(Theory.KH),
+            run.cover_complex(Theory.AKH),
+            run.cover_complex(Theory.KH),
+        )
+    )
 
     gradings_ok = all(
         _grading_shifts_ok(gc)
@@ -140,6 +150,7 @@ def compute_word_result(args: tuple[str, int]) -> dict:
         "congruences_ok": congruences.ok,
         "equivariance_ok": eq_akh.ok and eq_kh.ok,
         "oracle_ok": oracle_ok,
+        "builder_ok": builder_ok,
         "gradings_ok": gradings_ok,
         "euler_ok": euler_ok,
         "tate_oracle_ok": tate_oracle_ok,

@@ -138,6 +138,13 @@ def test_criterion_9_property_suite(corpus_results):
     _report("9 property-suite", ok)
 
 
+def test_builder_matches_reference(corpus_results):
+    # quotient and cover complexes of both theories against the per-label
+    # reference builder and the path-counting d^2 check
+    ok = all(r["builder_ok"] for r in corpus_results)
+    _report("builder-reference", ok)
+
+
 def test_unproven_cases_recorded(corpus_results):
     # outside the proven family the Kh-side Tate outcomes are recorded, not
     # asserted; report how the conjecture fared on this corpus

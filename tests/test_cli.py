@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from annulus_tate import cli, khovanov, tate
+from annulus_tate.links import parse_braid_word
 from annulus_tate.tate import Verdict
 
 
@@ -116,6 +117,42 @@ def test_periodic_builds_each_complex_once(runner, monkeypatch):
     assert result.exit_code == 0
     # quotient and cover, AKh and Kh: congruences reuse the cover table
     assert len(calls) == len(set(calls)) == 4
+
+
+def test_periodic_computes_tau_once(runner, monkeypatch):
+    tables = []
+    table = tate.tau_table
+
+    def counting(gc, pairing):
+        tables.append(table(gc, pairing))
+        return tables[-1]
+
+    monkeypatch.setattr(tate, "tau_table", counting)
+    result = invoke(
+        runner, ["periodic", "--braid", "1 -2", "--strands", "3", "--theory", "both"]
+    )
+    assert result.exit_code == 0
+    assert len(tables) == 1
+    # tau depends only on the resolutions, so the AKh table serves Kh too
+    run = tate.PeriodicRun(parse_braid_word("1 -2", 3))
+    assert table(run.cover_complex(khovanov.Theory.KH), run.pairing) == run.tau == tables[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["periodic", "--braid", "1 1 1 1 1 1", "--strands", "2"],
+        ["akh", "--braid", " ".join(["1"] * 23), "--strands", "2"],
+    ],
+    ids=["periodic-12x-cover", "akh-23x"],
+)
+def test_oversize_input_is_refused_in_one_line(runner, args):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
 
 
 def test_periodic_failure_exits_nonzero(runner, monkeypatch):

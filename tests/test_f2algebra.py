@@ -64,12 +64,25 @@ def test_cancel_missing_arrow_raises():
 
 def test_cancel_preserves_graded_homology():
     gc = build_complex(close_braid(parse_braid_word("1 1", 2)), Theory.AKH)
-    C = gc.to_filtered(lambda g: gc.gi[g], lambda g: (gc.gj[g], gc.gk[g]))
+    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), gc.out)
     before = homology_ranks(C)
     src, tgt = next(iter(C.arrows()))
     C.cancel_arrow(src, tgt)
     C.check_d_squared()
     assert homology_ranks(C) == before
+
+
+def test_from_rows_matches_arrow_by_arrow_construction():
+    C, (x, b, a, z) = bipartite_square()
+    D = FilteredComplex.from_rows(
+        [0, 0, 1, 1], [("src",), ("src",), ("snk",), ("snk",)], [[a, z], [z, a], [], []]
+    )
+    assert (D.fdeg, D.aux, D.out, D.inc, D.alive) == (C.fdeg, C.aux, C.out, C.inc, C.alive)
+
+
+def test_from_rows_rejects_a_repeated_arrow():
+    with pytest.raises(FilteredComplexError, match="repeated arrow from 0"):
+        FilteredComplex.from_rows([0, 1], [(), ()], [[1, 1], []])
 
 
 def test_homology_zero_differential():
@@ -82,7 +95,7 @@ def test_homology_zero_differential():
 
 def test_homology_of_hopf_complex_total_rank():
     gc = build_complex(close_braid(parse_braid_word("1 1", 2)), Theory.AKH)
-    C = gc.to_filtered(lambda g: gc.gi[g], lambda g: (gc.gj[g], gc.gk[g]))
+    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), gc.out)
     table = homology_ranks(C)
     assert sum(table.values()) == 6
 
@@ -221,7 +234,7 @@ def test_spectral_pages_two_row_example():
 
 def test_spectral_pages_page_zero_is_chain_ranks():
     gc = build_complex(close_braid(parse_braid_word("1 1", 2)), Theory.AKH)
-    C = gc.to_filtered(lambda g: gc.gi[g], lambda g: (gc.gj[g], gc.gk[g]))
+    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), gc.out)
     pages = spectral_pages(C, max_page=3)
     assert pages.table(0) == rank_table(C)
     assert pages.table(3) == homology_ranks(C)

@@ -1,13 +1,19 @@
 import pytest
 
+from annulus_tate import cube, khovanov
+from annulus_tate.cube import resolve
+from annulus_tate.f2algebra import FilteredComplexError
 from annulus_tate.khovanov import (
     Theory,
+    _blocks,
     build_complex,
     homology,
     k_filtration_pages,
     total_rank,
 )
-from annulus_tate.links import DiagramTooLarge, close_braid, parse_braid_word
+from annulus_tate.links import DiagramTooLarge, close_braid, double_cover, parse_braid_word
+
+from conftest import builder_matches_reference, counted_d_squared_vanishes
 
 STAB = close_braid(parse_braid_word("1", 2))
 HOPF = close_braid(parse_braid_word("1 1", 2))
@@ -146,3 +152,73 @@ def test_k_filtration_totals_monotone():
     totals = [pages.total(r) for r in range(pages.max_page + 1)]
     assert all(x >= y for x, y in zip(totals, totals[1:]))
     assert totals[1] == 6  # AKh total
+
+
+# seed-0 words of the benchmark: the covers of the periodic-len4 words and
+# the 10-crossing ranks-10x closures
+REFERENCE_WORDS = [
+    ("1 1 1 1", 2, True), ("1 -1 1 -1", 2, True), ("1 2 -1 -2", 3, True),
+    ("1 1 1 1 1 1 1 1 1 1", 2, False), ("1 -1 1 -1 1 1 -1 1 -1 1", 2, False),
+]
+
+
+@pytest.mark.parametrize(
+    "braid,strands,cover", REFERENCE_WORDS,
+    ids=[f"{'cover of ' if c else ''}{w}/{m}" for w, m, c in REFERENCE_WORDS],
+)
+def test_builder_matches_reference(braid, strands, cover):
+    word = parse_braid_word(braid, strands)
+    diagram = double_cover(word)[0] if cover else close_braid(word)
+    resolutions = [resolve(diagram, a) for a in range(1 << diagram.n_crossings)]
+    for theory in (Theory.AKH, Theory.KH):
+        assert builder_matches_reference(build_complex(diagram, theory, resolutions))
+
+
+def test_d_squared_check_catches_a_missing_arrow():
+    gc = build_complex(close_braid(parse_braid_word("1 1 1", 2)), Theory.KH)
+    # drop an arrow x -> y whose target has arrows of its own
+    x, y = next((x, y) for x, y in gc.arrows() if gc.out[y])
+    gc.out[x].remove(y)
+    assert not counted_d_squared_vanishes(gc.out)
+    with pytest.raises(FilteredComplexError, match=f"at generator {x}"):
+        gc.check_d_squared()
+
+
+def test_blocks_reject_an_arrow_between_blocks():
+    gc = build_complex(HOPF, Theory.AKH)
+    x = 0
+    y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
+    rows = [list(row) for row in gc.out]
+    rows[x].append(y)
+    with pytest.raises(FilteredComplexError, match="leaves its grading block"):
+        _blocks(gc, row_of=rows.__getitem__)
+
+
+def test_blocks_partition_the_generators():
+    gc = build_complex(close_braid(parse_braid_word("1 -2 1", 3)), Theory.AKH)
+    blocks = _blocks(gc)
+    members = sorted(g for _, block in blocks for g in block)
+    assert members == list(range(gc.n_generators))
+    assert sum(C.n_arrows() for C, _ in blocks) == gc.n_arrows()
+    for C, block in blocks:
+        assert C.n_generators() == len(block)
+        for x, g in enumerate(block):
+            assert C.grading_key(x) == (gc.gi[g], gc.gj[g], gc.gk[g])
+            assert sorted(block[t] for t in C.targets(x)) == sorted(gc.out[g])
+
+
+def test_unclassifiable_edge_is_raised(monkeypatch):
+    bogus = cube.EdgeType(
+        kind="merge", annular_class="A", source_circles=(0, 1),
+        target_circles=(0,), correspondence={},
+    )
+    monkeypatch.setattr(cube, "classify_resolutions", lambda source, target: bogus)
+    with pytest.raises(cube.UnclassifiableEdge):
+        build_complex(HOPF, Theory.AKH)
+
+
+def test_engine_memory_guard(monkeypatch):
+    # a one-byte budget refuses any block of more than two generators
+    monkeypatch.setattr(khovanov, "MAX_ENGINE_BYTES", 1)
+    with pytest.raises(DiagramTooLarge, match="GiB"):
+        build_complex(HOPF, Theory.AKH)

@@ -98,7 +98,7 @@ def test_tau_requires_cover_diagram():
 
 def test_equivariance_hopf_akh():
     gc, pairing = hopf_cover()
-    report = check_equivariance(gc, pairing)
+    report = check_equivariance(gc, tau_table(gc, pairing))
     assert report.ok
     assert report.commutes and report.involution_ok
     assert report.n_equivariant == 6
@@ -113,13 +113,13 @@ def test_equivariance_hopf_akh():
 
 def test_equivariance_hopf_kh():
     gc, pairing = hopf_cover(Theory.KH)
-    assert check_equivariance(gc, pairing).ok
+    assert check_equivariance(gc, tau_table(gc, pairing)).ok
 
 
 def test_equivariance_empty_cover():
     cover, pairing = double_cover(parse_braid_word("", 2))
     gc = build_complex(cover, Theory.AKH)
-    report = check_equivariance(gc, pairing)
+    report = check_equivariance(gc, tau_table(gc, pairing))
     assert report.ok
     assert report.n_equivariant == gc.n_generators
 
