@@ -21,11 +21,8 @@ from .links import (
 from .cube import (
     Circle,
     EdgeType,
-    Generator,
     Resolution,
     classify_edge,
-    enumerate_generators,
-    gradings,
     resolve,
 )
 from .f2algebra import (
@@ -45,7 +42,6 @@ from .khovanov import (
     total_rank,
 )
 from .tate import (
-    EquivarianceReport,
     PeriodicRun,
     TateBicomplex,
     Verdict,
@@ -55,6 +51,7 @@ from .tate import (
     total_diagonal_ranks,
     verify_cascade,
     verify_collapse,
+    verify_congruences,
     verify_diagonals,
     verify_e2_correspondence,
     verify_khtate_limit,

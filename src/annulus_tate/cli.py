@@ -20,7 +20,7 @@ import click
 
 from . import __version__, decat
 from .cube import format_bits, parse_bits, resolve
-from .khovanov import Theory, total_rank
+from .khovanov import Theory, homology, total_rank
 from .links import BraidError, BraidWord, DiagramTooLarge, close_braid, parse_braid_word
 from .tate import (
     PeriodicRun,
@@ -28,6 +28,7 @@ from .tate import (
     check_equivariance,
     verify_cascade,
     verify_collapse,
+    verify_congruences,
     verify_diagonals,
     verify_e2_correspondence,
     verify_khtate_limit,
@@ -217,8 +218,7 @@ def _homology_command(name: str, theory: Theory, doc: str):
         config = _config(name, braid=word.as_text(), strands=strands)
 
         def build():
-            run = PeriodicRun(word)
-            table = run.quotient_homology(theory)
+            table = homology(close_braid(word), theory)
             body = {
                 "ranks": _rank_table_json(table),
                 "total_rank": total_rank(table),
@@ -283,44 +283,21 @@ def cmd_resolve(ctx, braid, strands, alpha, fmt, cache_dir):
 def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
     verdicts: list[Verdict] = []
     if theory in ("both", "akh"):
-        eq = check_equivariance(run.cover_complex(Theory.AKH), run.tau)
         verdicts += [
-            Verdict(
-                "equivariance-akh", eq.ok,
-                {"equivariant_generators": eq.n_equivariant},
-            ),
+            check_equivariance(run.complex("cover", Theory.AKH), run.tau),
             verify_e2_correspondence(run),
             verify_collapse(run, Theory.AKH),
             verify_diagonals(run),
             verify_rank_inequality(run),
         ]
     if theory in ("both", "kh"):
-        eq = check_equivariance(run.cover_complex(Theory.KH), run.tau)
         verdicts += [
-            Verdict(
-                "equivariance-kh", eq.ok,
-                {"equivariant_generators": eq.n_equivariant},
-            ),
+            check_equivariance(run.complex("cover", Theory.KH), run.tau),
             verify_collapse(run, Theory.KH),
             verify_khtate_limit(run),
             verify_cascade(run),
         ]
-    cong = decat.check_congruences(
-        run.word,
-        quotient_ranks=run.quotient_homology(Theory.AKH),
-        cover_ranks=run.cover_homology(Theory.AKH),
-    )
-    verdicts.append(
-        Verdict(
-            "congruences", cong.ok,
-            {
-                "graded_ok": cong.graded_ok,
-                "murasugi_ok": cong.murasugi_ok,
-                "jones_ok": cong.jones_ok,
-            },
-        )
-    )
-    return verdicts
+    return verdicts + [verify_congruences(run)]
 
 
 def _periodic_body(word: BraidWord, theory: str) -> tuple[dict, bool]:

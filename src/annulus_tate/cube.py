@@ -242,22 +242,12 @@ def classify_edge(diagram: AnnularDiagram, alpha: int, alpha_prime: int) -> Edge
 MAX_CIRCLES = 24
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A labeled resolution: bit c of ``labels`` is 1 when circle c is "+"."""
-
-    vertex: int
-    labels: int
-    i: int
-    j: int
-    k: int
-
-
 def vertex_gradings(
-    res: Resolution, n_pos: int, n_neg: int, labels=None
+    res: Resolution, n_pos: int, n_neg: int
 ) -> tuple[int, list[int], list[int]]:
-    """The i grading of a resolution and the j and k gradings of each
-    labeling in the sequence ``labels`` (default: all, ascending).
+    """The i grading of a resolution and the j and k gradings of each of
+    its labelings, label bitmasks ascending (bit c is 1 when circle c is
+    "+").
 
     j counts "+" circles, k the "+" minus the "-" nontrivial circles, so
     both are read from popcounts against per-vertex constants.
@@ -267,27 +257,9 @@ def vertex_gradings(
     for idx, circle in enumerate(res.circles):
         if not circle.trivial:
             nontrivial |= 1 << idx
-    if labels is None:
-        labels = range(1 << res.n_circles)
+    labels = range(1 << res.n_circles)
     j_min = weight + n_pos - 2 * n_neg - res.n_circles
     k_min = -nontrivial.bit_count()
     js = [j_min + 2 * lab.bit_count() for lab in labels]
     ks = [k_min + 2 * (lab & nontrivial).bit_count() for lab in labels]
     return weight - n_neg, js, ks
-
-
-def gradings(res: Resolution, labels: int, n_pos: int, n_neg: int) -> tuple[int, int, int]:
-    """The (i, j, k) gradings of a labeled resolution."""
-    i, (j,), (k,) = vertex_gradings(res, n_pos, n_neg, (labels,))
-    return i, j, k
-
-
-def enumerate_generators(res: Resolution, n_pos: int, n_neg: int) -> list[Generator]:
-    """All 2^|circles| labeled generators of a resolution, labels ascending."""
-    if res.n_circles > MAX_CIRCLES:
-        raise OverflowError(f"{res.n_circles} circles exceeds the {MAX_CIRCLES}-circle guard")
-    i, js, ks = vertex_gradings(res, n_pos, n_neg)
-    return [
-        Generator(vertex=res.vertex, labels=labels, i=i, j=j, k=k)
-        for labels, (j, k) in enumerate(zip(js, ks))
-    ]

@@ -250,13 +250,11 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of) -> bool:
     return acted
 
 
-def homology_ranks(C: FilteredComplex, validate: bool = False) -> dict[tuple, int]:
+def homology_ranks(C: FilteredComplex) -> dict[tuple, int]:
     """Homology ranks per grading, by cancelling until no arrows remain."""
     work = C.copy()
     full = (1 << len(work.fdeg)) - 1
     _sweep_cancel(work, lambda x: full)
-    if validate:
-        work.check_d_squared()
     if work.n_arrows():
         raise FilteredComplexError("cancellation finished with arrows left")
     return rank_table(work)
@@ -319,17 +317,17 @@ def cancel_shift_level(
     return _sweep_cancel(work, lambda x: masks.get(work.fdeg[x] + r, 0))
 
 
-def spectral_pages(C: FilteredComplex, max_page: int, validate: bool = False) -> PageTable:
+def spectral_pages(C: FilteredComplex, max_page: int) -> PageTable:
     """Pages of the filtration spectral sequence by shift-ordered cancellation.
 
     Page r is the complex surviving after every arrow of filtration shift
     < r has been cancelled, lexicographically by (shift, source, target);
     d^r consists of the arrows of shift exactly r on that page.  Choose
-    ``max_page`` larger than the i-span to reach the limit term.
+    ``max_page`` larger than the i-span to reach the limit term.  Raises
+    FilteredComplexError on an arrow that lowers the filtration.
     """
     work = C.copy()
-    if validate:
-        work.check_nonnegative()
+    work.check_nonnegative()
     masks = degree_masks(work)
     pages = PageTable(max_page=max_page)
     for r in range(max_page + 1):

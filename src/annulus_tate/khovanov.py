@@ -82,9 +82,6 @@ class GradedComplex:
             return 0
         return max(self.gi) - min(self.gi)
 
-    def arrow_set(self) -> set[tuple[int, int]]:
-        return set(self.arrows())
-
     def check_d_squared(self) -> None:
         """Raise unless d^2 = 0: sorted, the targets of each generator's
         targets must pair off as equal neighbours, so that every length-2
@@ -155,8 +152,9 @@ def build_complex(
 ) -> GradedComplex:
     """Build the full cube-of-chains complex and verify d^2 = 0.
 
-    Raises DiagramTooLarge before building any arrow when the engine
-    blocks would need more than MAX_ENGINE_BYTES.
+    Raises DiagramTooLarge before building any arrow, at the first cube
+    vertex where the engine blocks of the vertices so far would need more
+    than MAX_ENGINE_BYTES.
     """
     c = diagram.n_crossings
     if c > MAX_CROSSINGS:
@@ -164,15 +162,29 @@ def build_complex(
     n_pos, n_neg = diagram.n_pos, diagram.n_neg
 
     if resolutions is None:
-        resolutions = [cube.resolve(diagram, a) for a in range(1 << c)]
+        # resolved one vertex at a time, so an oversize cube is refused early
+        resolutions = (cube.resolve(diagram, a) for a in range(1 << c))
 
-    offsets, vertex_of, labels_of, gi, gj, gk = [], [], [], [], [], []
+    resolved, offsets, vertex_of, labels_of, gi, gj, gk = [], [], [], [], [], [], []
+    sizes: Counter = Counter()
+    squares = 0  # sum of squared block sizes
     for alpha, res in enumerate(resolutions):
         if res.n_circles > cube.MAX_CIRCLES:
             raise OverflowError(f"{res.n_circles} circles exceeds the guard")
         size = 1 << res.n_circles
+        resolved.append(res)
         offsets.append(len(gi))
         i, js, ks = cube.vertex_gradings(res, n_pos, n_neg)
+        for key, n in Counter(_block_keys(theory, js, ks)).items():
+            squares += n * (2 * sizes[key] + n)
+            sizes[key] += n
+        if squares // 4 > MAX_ENGINE_BYTES:
+            raise DiagramTooLarge(
+                f"the {c}-crossing diagram needs more than the "
+                f"{MAX_ENGINE_BYTES / 2**30:.0f} GiB limit for its {theory.value} blocks: "
+                f"{alpha + 1:,} of its {1 << c:,} cube vertices already need "
+                f"{squares / 4 / 2**30:.1f} GiB"
+            )
         vertex_of += [alpha] * size
         labels_of += range(size)
         gi += [i] * size
@@ -180,22 +192,15 @@ def build_complex(
         gk += ks
     total = len(gi)
 
-    needed = sum(n * n for n in Counter(_block_keys(theory, gj, gk)).values()) // 4
-    if needed > MAX_ENGINE_BYTES:
-        raise DiagramTooLarge(
-            f"the {c}-crossing diagram needs about {needed / 2**30:.1f} GiB for its "
-            f"{theory.value} blocks, over the {MAX_ENGINE_BYTES / 2**30:.0f} GiB limit"
-        )
-
     out: list[list[int]] = [[] for _ in range(total)]
     for alpha in range(1 << c):
-        res_a = resolutions[alpha]
+        res_a = resolved[alpha]
         src_off = offsets[alpha]
         for b in range(c):
             if (alpha >> b) & 1:
                 continue
             alpha2 = alpha | (1 << b)
-            edge = cube.classify_resolutions(res_a, resolutions[alpha2])
+            edge = cube.classify_resolutions(res_a, resolved[alpha2])
             rule = _edge_rule(theory, edge)
             rest, image = _transport_table(edge)
             tgt_off = offsets[alpha2]
@@ -209,7 +214,7 @@ def build_complex(
     gc = GradedComplex(
         diagram=diagram,
         theory=theory,
-        resolutions=resolutions,
+        resolutions=resolved,
         offsets=offsets,
         n_generators=total,
         vertex_of=vertex_of,
@@ -288,18 +293,16 @@ def total_rank(table: dict[tuple, int]) -> int:
     return sum(table.values())
 
 
-def k_filtration_pages(
-    diagram: AnnularDiagram, max_page: int | None = None
-) -> PageTable:
-    """Spectral sequence of the k-grading filtration on the Kh complex.
+def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
+    """Spectral sequence of the k-grading filtration on the Kh complex, to
+    page k-span + 2.
 
     Filtration degree is -k so shifts are nonnegative; page keys are
     (-k, i, j).  Page 1 carries the AKh ranks, the last page the Kh ranks.
     """
     gc = build_complex(diagram, Theory.KH)
-    if max_page is None:
-        kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
-        max_page = kspan + 2
+    kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
+    max_page = kspan + 2
 
     blocks = _blocks(gc, fdeg=[-k for k in gc.gk], aux=list(zip(gc.gi, gc.gj)))
     return PageTable.merge((spectral_pages(C, max_page) for C, _ in blocks), max_page)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import cube
+from . import cube, decat
 from .f2algebra import (
     FilteredComplex,
     PageTable,
@@ -38,6 +38,23 @@ from .khovanov import (
     total_rank,
 )
 from .links import BraidWord, CoverPairing, close_braid, double_cover
+
+
+@dataclass
+class Verdict:
+    """One verification outcome.
+
+    ``passed`` is True/False for an asserted check and None when the check
+    ran outside its proven family and the outcome is recorded as data.
+    """
+
+    name: str
+    passed: bool | None
+    details: dict = field(default_factory=dict)
+
+    @property
+    def failed(self) -> bool:
+        return self.passed is False
 
 
 # ---------------------------------------------------------------------------
@@ -80,52 +97,30 @@ def tau_table(gc: GradedComplex, pairing: CoverPairing) -> list[int]:
     return tau
 
 
-@dataclass
-class EquivarianceReport:
-    """Structural checks of the chain involution against one theory."""
-
-    theory: Theory
-    n_generators: int
-    n_equivariant: int
-    involution_ok: bool
-    gradings_ok: bool
-    commutes: bool
-    even_weight_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.involution_ok
-            and self.gradings_ok
-            and self.commutes
-            and self.even_weight_ok
-        )
-
-
-def check_equivariance(gc: GradedComplex, tau: list[int]) -> EquivarianceReport:
-    """Verify that the involution ``tau`` (from :func:`tau_table`) is
-    grading-preserving, squares to the identity, commutes with the
-    differential, and fixes generators only at even Hamming weight."""
+def check_equivariance(gc: GradedComplex, tau: list[int]) -> Verdict:
+    """The ``equivariance-<theory>`` verdict: the involution ``tau`` (from
+    :func:`tau_table`) squares to the identity, preserves the gradings,
+    commutes with the differential (it maps the targets of each generator
+    x onto the targets of tau x), and fixes generators only at even
+    Hamming weight."""
     rng = range(gc.n_generators)
-    involution_ok = all(tau[tau[g]] == g for g in rng)
-    gradings_ok = all(
-        gc.gi[g] == gc.gi[tau[g]]
-        and gc.gj[g] == gc.gj[tau[g]]
-        and gc.gk[g] == gc.gk[tau[g]]
-        for g in rng
-    )
-    arrow_set = gc.arrow_set()
-    commutes = all((tau[x], tau[y]) in arrow_set for x, y in arrow_set)
+    out = gc.out
     fixed = [g for g in rng if tau[g] == g]
-    even_weight_ok = all(cube.hamming(gc.vertex_of[g]) % 2 == 0 for g in fixed)
-    return EquivarianceReport(
-        theory=gc.theory,
-        n_generators=gc.n_generators,
-        n_equivariant=len(fixed),
-        involution_ok=involution_ok,
-        gradings_ok=gradings_ok,
-        commutes=commutes,
-        even_weight_ok=even_weight_ok,
+    passed = (
+        all(tau[tau[g]] == g for g in rng)
+        and all(
+            gc.gi[g] == gc.gi[tau[g]]
+            and gc.gj[g] == gc.gj[tau[g]]
+            and gc.gk[g] == gc.gk[tau[g]]
+            for g in rng
+        )
+        and all({tau[y] for y in out[x]} == set(out[tau[x]]) for x in rng)
+        and all(cube.hamming(gc.vertex_of[g]) % 2 == 0 for g in fixed)
+    )
+    return Verdict(
+        name=f"equivariance-{gc.theory.value}",
+        passed=passed,
+        details={"equivariant_generators": len(fixed)},
     )
 
 
@@ -194,16 +189,16 @@ def _tau_sweep(C: FilteredComplex, members: list[int], tau: list[int]) -> bool:
     return acted
 
 
-def hv_pages(b: TateBicomplex, max_page: int | None = None) -> HvPages:
-    """Spectral sequence of the row-wise (i) filtration.
+def hv_pages(b: TateBicomplex) -> HvPages:
+    """Spectral sequence of the row-wise (i) filtration, to page
+    max(3, i-span + 2), past the largest shift.
 
     Page 0 is cancelled tau-arrows-first (then the lexicographic sweep
     finishes the shift-0 level); rank tables are order-independent, and
     the intermediate state after the tau sweep is exactly where the
     induced length-2 differentials are read off.
     """
-    if max_page is None:
-        max_page = max(3, b.cover.i_span() + 2)
+    max_page = max(3, b.cover.i_span() + 2)
     gi = b.cover.gi
     observed: set[tuple[int, int]] = set()
     strays: list[int] = []
@@ -252,12 +247,13 @@ class VhPages:
     e1_ok: bool
 
 
-def vh_pages(b: TateBicomplex, max_page: int = 2) -> VhPages:
-    """Spectral sequence of the column-wise (t) filtration.
+def vh_pages(b: TateBicomplex) -> VhPages:
+    """Spectral sequence of the column-wise (t) filtration, pages 0-2.
 
     An arrow g -> g' moves a = 1 + i(g) - i(g') columns, so page r cancels
     the arrows that shift i by 1 - r.
     """
+    max_page = 2
     tables = []
     for C, _ in b.blocks():
         masks = degree_masks(C)
@@ -285,80 +281,50 @@ def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
 # verification harness
 
 
-@dataclass
-class Verdict:
-    """One verification outcome.
-
-    ``passed`` is True/False for an asserted check and None when the check
-    ran outside its proven family and the outcome is recorded as data.
-    """
-
-    name: str
-    passed: bool | None
-    details: dict = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        return self.passed is False
-
-
 class PeriodicRun:
-    """Shared computations for one quotient braid word."""
+    """Shared computations for one quotient braid word.
+
+    Complexes and their homology are cached per (side, theory), where side
+    is "quotient" (the closure of the word) or "cover" (its 2-periodic
+    double cover).
+    """
 
     def __init__(self, word: BraidWord) -> None:
         self.word = word
         self.quotient_diagram = close_braid(word)
         self.cover_diagram, self.pairing = double_cover(word)
-        self._quotient_res: list | None = None
-        self._cover_res: list | None = None
         self._complexes: dict = {}
         self._homology: dict = {}
         self._hv: dict = {}
 
-    def quotient_complex(self, theory: Theory) -> GradedComplex:
-        key = ("quotient", theory)
+    def complex(self, side: str, theory: Theory) -> GradedComplex:
+        key = (side, theory)
         if key not in self._complexes:
-            if self._quotient_res is None:
-                c = self.quotient_diagram.n_crossings
-                self._quotient_res = [
-                    cube.resolve(self.quotient_diagram, a) for a in range(1 << c)
-                ]
+            diagram = {
+                "quotient": self.quotient_diagram,
+                "cover": self.cover_diagram,
+            }[side]
+            # the other theory's complex, if built, has resolved every vertex
+            other = self._complexes.get(
+                (side, Theory.KH if theory is Theory.AKH else Theory.AKH)
+            )
             self._complexes[key] = build_complex(
-                self.quotient_diagram, theory, self._quotient_res
+                diagram, theory, other.resolutions if other else None
             )
         return self._complexes[key]
 
-    def cover_complex(self, theory: Theory) -> GradedComplex:
-        key = ("cover", theory)
-        if key not in self._complexes:
-            if self._cover_res is None:
-                c = self.cover_diagram.n_crossings
-                self._cover_res = [
-                    cube.resolve(self.cover_diagram, a) for a in range(1 << c)
-                ]
-            self._complexes[key] = build_complex(
-                self.cover_diagram, theory, self._cover_res
-            )
-        return self._complexes[key]
-
-    def quotient_homology(self, theory: Theory) -> dict[tuple, int]:
-        key = ("quotient", theory)
+    def homology(self, side: str, theory: Theory) -> dict[tuple, int]:
+        key = (side, theory)
         if key not in self._homology:
-            self._homology[key] = homology_of(self.quotient_complex(theory))
-        return self._homology[key]
-
-    def cover_homology(self, theory: Theory) -> dict[tuple, int]:
-        key = ("cover", theory)
-        if key not in self._homology:
-            self._homology[key] = homology_of(self.cover_complex(theory))
+            self._homology[key] = homology_of(self.complex(side, theory))
         return self._homology[key]
 
     @cached_property
     def tau(self) -> list[int]:
-        return tau_table(self.cover_complex(Theory.AKH), self.pairing)
+        return tau_table(self.complex("cover", Theory.AKH), self.pairing)
 
     def tate(self, theory: Theory) -> TateBicomplex:
-        return TateBicomplex(cover=self.cover_complex(theory), tau=self.tau)
+        return TateBicomplex(cover=self.complex("cover", theory), tau=self.tau)
 
     def hv(self, theory: Theory) -> HvPages:
         if theory not in self._hv:
@@ -371,12 +337,6 @@ class PeriodicRun:
         return self.word.n_pos <= 1 or self.word.n_neg <= 1
 
 
-def _as_run(word_or_run) -> PeriodicRun:
-    if isinstance(word_or_run, PeriodicRun):
-        return word_or_run
-    return PeriodicRun(word_or_run)
-
-
 def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
     """Map quotient generator -> its equivariant lift; list any defects.
 
@@ -384,8 +344,8 @@ def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
     label transport goes through the port projection (level mod n, strand).
     """
     problems: list[str] = []
-    gq = run.quotient_complex(Theory.AKH)
-    gcov = run.cover_complex(Theory.AKH)
+    gq = run.complex("quotient", Theory.AKH)
+    gcov = run.complex("cover", Theory.AKH)
     tau = run.tau
     n = run.pairing.quotient_crossings
     m = run.quotient_diagram.strands
@@ -426,13 +386,12 @@ def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
     return lift, problems
 
 
-def verify_e2_correspondence(word_or_run) -> Verdict:
+def verify_e2_correspondence(run: PeriodicRun) -> Verdict:
     """Check the equivariant-generator bijection, its grading relations,
     and that the induced length-2 differentials reproduce the quotient
     differential."""
-    run = _as_run(word_or_run)
-    gq = run.quotient_complex(Theory.AKH)
-    gcov = run.cover_complex(Theory.AKH)
+    gq = run.complex("quotient", Theory.AKH)
+    gcov = run.complex("cover", Theory.AKH)
     tau = run.tau
 
     lift, problems = _lift_table(run)
@@ -475,11 +434,11 @@ def _check_d2_arrows(run: PeriodicRun, lift: dict[int, int]) -> tuple[bool, dict
     quotient differential transported along the lift."""
     hv = run.hv(Theory.AKH)
     observed = hv.d2_observed
-    gq = run.quotient_complex(Theory.AKH)
+    gq = run.complex("quotient", Theory.AKH)
     expected = {(lift[u], lift[v]) for u, v in gq.arrows()}
     ok = not hv.d2_strays and observed == expected
     detail = {
-        "d2_arrows_per_column": len(gq.arrow_set()),
+        "d2_arrows_per_column": gq.n_arrows(),
         "stray_survivors": hv.d2_strays[:10],
         "d2_missing": sorted(expected - observed)[:10],
         "d2_extra": sorted(observed - expected)[:10],
@@ -487,11 +446,10 @@ def _check_d2_arrows(run: PeriodicRun, lift: dict[int, int]) -> tuple[bool, dict
     return ok, detail
 
 
-def verify_collapse(word_or_run, theory: Theory) -> Verdict:
+def verify_collapse(run: PeriodicRun, theory: Theory) -> Verdict:
     """Check that page-3 ranks equal final-page ranks and that odd pages
     never move; asserted for AKh always, for Kh only on the proven
     at-most-one-positive / at-most-one-negative family."""
-    run = _as_run(word_or_run)
     hv = run.hv(theory)
     collapse_ok = hv.pages.table(3) == hv.pages.table(hv.pages.max_page)
     observed = collapse_ok and hv.odd_pages_ok
@@ -515,11 +473,10 @@ def _jk_totals(table: dict[tuple, int]) -> dict[tuple[int, int], int]:
     return out
 
 
-def verify_rank_inequality(word_or_run) -> Verdict:
+def verify_rank_inequality(run: PeriodicRun) -> Verdict:
     """rk AKh^{j,k}(L) <= rk AKh^{2j-k,k}(cover) at every (j, k)."""
-    run = _as_run(word_or_run)
-    quot = _jk_totals(run.quotient_homology(Theory.AKH))
-    cover = _jk_totals(run.cover_homology(Theory.AKH))
+    quot = _jk_totals(run.homology("quotient", Theory.AKH))
+    cover = _jk_totals(run.homology("cover", Theory.AKH))
     failures = []
     for (j, k), r in sorted(quot.items()):
         if r > cover.get((2 * j - k, k), 0):
@@ -558,12 +515,11 @@ def _diagonal_table_from_pages(hv: HvPages) -> dict[tuple, int]:
     return out
 
 
-def verify_diagonals(word_or_run) -> Verdict:
+def verify_diagonals(run: PeriodicRun) -> Verdict:
     """Total-homology ranks of the AKh Tate complex at (J, k) equal the
     i-summed quotient rank at ((J+k)/2, k), and vanish for J + k odd."""
-    run = _as_run(word_or_run)
     table = _diagonal_table_from_pages(run.hv(Theory.AKH))
-    expected = _quotient_diagonal_expectation(run.quotient_homology(Theory.AKH))
+    expected = _quotient_diagonal_expectation(run.homology("quotient", Theory.AKH))
     failures = []
     for key in sorted(set(table) | set(expected)):
         J, k = key
@@ -582,14 +538,13 @@ def verify_diagonals(word_or_run) -> Verdict:
     )
 
 
-def verify_khtate_limit(word_or_run) -> Verdict:
+def verify_khtate_limit(run: PeriodicRun) -> Verdict:
     """Kh Tate total homology at cover quantum grading J equals the
     quotient AKh rank summed over the (2j-k, k) fibre of J; asserted on the
     proven family, recorded otherwise."""
-    run = _as_run(word_or_run)
     table = _diagonal_table_from_pages(run.hv(Theory.KH))
     expected: dict[tuple, int] = {}
-    for (i, j, k), r in run.quotient_homology(Theory.AKH).items():
+    for (i, j, k), r in run.homology("quotient", Theory.AKH).items():
         key = (2 * j - k,)
         expected[key] = expected.get(key, 0) + r
     failures = []
@@ -609,15 +564,14 @@ def verify_khtate_limit(word_or_run) -> Verdict:
     )
 
 
-def verify_cascade(word_or_run) -> Verdict:
+def verify_cascade(run: PeriodicRun) -> Verdict:
     """Total-rank cascade AKh(cover) >= Kh(cover) >= AKh(L) >= Kh(L), with
     the two k-filtration inequalities also checked per (i, j); asserted on
     the proven family, recorded otherwise."""
-    run = _as_run(word_or_run)
-    a_cover = run.cover_homology(Theory.AKH)
-    k_cover = run.cover_homology(Theory.KH)
-    a_quot = run.quotient_homology(Theory.AKH)
-    k_quot = run.quotient_homology(Theory.KH)
+    a_cover = run.homology("cover", Theory.AKH)
+    k_cover = run.homology("cover", Theory.KH)
+    a_quot = run.homology("quotient", Theory.AKH)
+    k_quot = run.homology("quotient", Theory.KH)
     totals = [
         total_rank(a_cover),
         total_rank(k_cover),
@@ -644,5 +598,24 @@ def verify_cascade(word_or_run) -> Verdict:
             "per_grading_ok": per_grading_ok,
             "asserted": asserted,
             "observed_ok": observed,
+        },
+    )
+
+
+def verify_congruences(run: PeriodicRun) -> Verdict:
+    """The three mod-2 congruences between the decategorified AKh tables of
+    the quotient and the cover (:func:`decat.check_congruences`)."""
+    cong = decat.check_congruences(
+        run.word,
+        quotient_ranks=run.homology("quotient", Theory.AKH),
+        cover_ranks=run.homology("cover", Theory.AKH),
+    )
+    return Verdict(
+        name="congruences",
+        passed=cong.ok,
+        details={
+            "graded_ok": cong.graded_ok,
+            "murasugi_ok": cong.murasugi_ok,
+            "jones_ok": cong.jones_ok,
         },
     )

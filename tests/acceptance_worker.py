@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from annulus_tate.khovanov import Theory, homology_of, total_rank
 from annulus_tate.links import parse_braid_word
-from annulus_tate.decat import check_congruences, homology_poly, state_sum, MINUS_ONE
+from annulus_tate.decat import homology_poly, state_sum, MINUS_ONE
 from annulus_tate.tate import (
     PeriodicRun,
     check_equivariance,
     total_diagonal_ranks,
     verify_cascade,
     verify_collapse,
+    verify_congruences,
     verify_diagonals,
     verify_e2_correspondence,
     verify_khtate_limit,
@@ -62,10 +63,10 @@ def compute_word_result(args: tuple[str, int]) -> dict:
     word = parse_braid_word(braid, strands)
     run = PeriodicRun(word)
 
-    quotient_akh = run.quotient_homology(Theory.AKH)
-    cover_akh = run.cover_homology(Theory.AKH)
-    quotient_kh = run.quotient_homology(Theory.KH)
-    cover_kh = run.cover_homology(Theory.KH)
+    quotient_akh = run.homology("quotient", Theory.AKH)
+    cover_akh = run.homology("cover", Theory.AKH)
+    quotient_kh = run.homology("quotient", Theory.KH)
+    cover_kh = run.homology("cover", Theory.KH)
 
     e2 = verify_e2_correspondence(run)
     collapse_akh = verify_collapse(run, Theory.AKH)
@@ -74,43 +75,25 @@ def compute_word_result(args: tuple[str, int]) -> dict:
     collapse_kh = verify_collapse(run, Theory.KH)
     khtate = verify_khtate_limit(run)
     cascade = verify_cascade(run)
-    congruences = check_congruences(word, quotient_ranks=quotient_akh,
-                                    cover_ranks=cover_akh)
+    congruences = verify_congruences(run)
 
     odd_pages_ok = run.hv(Theory.AKH).odd_pages_ok and run.hv(Theory.KH).odd_pages_ok
 
-    eq_akh = check_equivariance(run.cover_complex(Theory.AKH), run.tau)
-    eq_kh = check_equivariance(run.cover_complex(Theory.KH), run.tau)
+    eq_akh = check_equivariance(run.complex("cover", Theory.AKH), run.tau)
+    eq_kh = check_equivariance(run.complex("cover", Theory.KH), run.tau)
 
+    complexes = [
+        run.complex(side, theory)
+        for side in ("quotient", "cover")
+        for theory in (Theory.AKH, Theory.KH)
+    ]
     oracle_ok = True
-    for gc in (
-        run.quotient_complex(Theory.AKH),
-        run.quotient_complex(Theory.KH),
-        run.cover_complex(Theory.AKH),
-        run.cover_complex(Theory.KH),
-    ):
+    for gc in complexes:
         if homology_of(gc) != dense_homology_of(gc):
             oracle_ok = False
 
-    builder_ok = all(
-        builder_matches_reference(gc)
-        for gc in (
-            run.quotient_complex(Theory.AKH),
-            run.quotient_complex(Theory.KH),
-            run.cover_complex(Theory.AKH),
-            run.cover_complex(Theory.KH),
-        )
-    )
-
-    gradings_ok = all(
-        _grading_shifts_ok(gc)
-        for gc in (
-            run.quotient_complex(Theory.AKH),
-            run.quotient_complex(Theory.KH),
-            run.cover_complex(Theory.AKH),
-            run.cover_complex(Theory.KH),
-        )
-    )
+    builder_ok = all(builder_matches_reference(gc) for gc in complexes)
+    gradings_ok = all(_grading_shifts_ok(gc) for gc in complexes)
 
     euler_ok = True
     for diagram, table in (
@@ -147,8 +130,8 @@ def compute_word_result(args: tuple[str, int]) -> dict:
         "cascade": cascade.passed,
         "cascade_observed": cascade.details["observed_ok"],
         "cascade_totals": cascade.details["totals"],
-        "congruences_ok": congruences.ok,
-        "equivariance_ok": eq_akh.ok and eq_kh.ok,
+        "congruences_ok": congruences.passed,
+        "equivariance_ok": eq_akh.passed and eq_kh.passed,
         "oracle_ok": oracle_ok,
         "builder_ok": builder_ok,
         "gradings_ok": gradings_ok,

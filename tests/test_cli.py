@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from annulus_tate import cli, khovanov, tate
+from annulus_tate import cli, cube, khovanov, tate
 from annulus_tate.links import parse_braid_word
 from annulus_tate.tate import Verdict
 
@@ -52,6 +52,21 @@ def test_kh_trefoil(runner):
     assert report["total_rank"] == 6
 
 
+def test_akh_takes_any_closure_within_the_guards(runner):
+    # the 24-crossing double cover of a 12-letter word is never built
+    result = invoke(runner, ["akh", "--braid", " ".join(["1 2"] * 6), "--strands", "3"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["total_rank"] == 24
+    # a 12-crossing closure over the memory guard is refused by that guard
+    result = runner.invoke(
+        cli.main, ["akh", "--braid", " ".join(["1 -1"] * 6), "--strands", "2"]
+    )
+    assert result.exit_code == 1
+    assert result.output.startswith(
+        "Error: the 12-crossing diagram needs more than the 2 GiB limit for its akh blocks"
+    )
+
+
 @pytest.mark.parametrize(
     "braid,strands", [("2", "2"), ("0", "2"), ("x", "2")]
 )
@@ -67,23 +82,30 @@ def test_json_output_round_trips(runner):
     assert json.dumps(report, indent=2) + "\n" == result.output
 
 
+AKH_VERDICTS = [
+    "equivariance-akh", "e2-correspondence", "collapse-akh", "diagonal-ranks",
+    "rank-inequality",
+]
+KH_VERDICTS = ["equivariance-kh", "collapse-kh", "khtate-limit", "cascade"]
+
+
 def test_periodic_passes_and_reports(runner):
     result = invoke(runner, ["periodic", "--braid", "1", "--strands", "2"])
     assert result.exit_code == 0
     report = json.loads(result.output)
     names = [v["name"] for v in report["verdicts"]]
-    assert "e2-correspondence" in names and "cascade" in names
+    assert names == AKH_VERDICTS + KH_VERDICTS + ["congruences"]
     assert all(v["passed"] is not False for v in report["verdicts"])
     assert report["ok"] is True
 
 
 def test_periodic_theory_flag(runner):
-    result = invoke(
-        runner, ["periodic", "--braid", "1", "--strands", "2", "--theory", "akh"]
-    )
-    report = json.loads(result.output)
-    names = {v["name"] for v in report["verdicts"]}
-    assert "collapse-akh" in names and "collapse-kh" not in names
+    for theory, expected in (("akh", AKH_VERDICTS), ("kh", KH_VERDICTS)):
+        result = invoke(
+            runner, ["periodic", "--braid", "1", "--strands", "2", "--theory", theory]
+        )
+        names = [v["name"] for v in json.loads(result.output)["verdicts"]]
+        assert names == expected + ["congruences"]
 
 
 def test_periodic_window_override(runner):
@@ -119,6 +141,23 @@ def test_periodic_builds_each_complex_once(runner, monkeypatch):
     assert len(calls) == len(set(calls)) == 4
 
 
+def test_periodic_resolves_each_vertex_once(runner, monkeypatch):
+    calls = []
+    resolve = cube.resolve
+
+    def counting(diagram, alpha):
+        calls.append((diagram, alpha))
+        return resolve(diagram, alpha)
+
+    monkeypatch.setattr(cube, "resolve", counting)
+    result = invoke(
+        runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
+    )
+    assert result.exit_code == 0
+    # 2^2 quotient and 2^4 cover vertices, shared by both theories
+    assert len(calls) == len(set(calls)) == 2**2 + 2**4
+
+
 def test_periodic_computes_tau_once(runner, monkeypatch):
     tables = []
     table = tate.tau_table
@@ -135,7 +174,8 @@ def test_periodic_computes_tau_once(runner, monkeypatch):
     assert len(tables) == 1
     # tau depends only on the resolutions, so the AKh table serves Kh too
     run = tate.PeriodicRun(parse_braid_word("1 -2", 3))
-    assert table(run.cover_complex(khovanov.Theory.KH), run.pairing) == run.tau == tables[0]
+    kh_cover = run.complex("cover", khovanov.Theory.KH)
+    assert table(kh_cover, run.pairing) == run.tau == tables[0]
 
 
 @pytest.mark.parametrize(
@@ -143,8 +183,9 @@ def test_periodic_computes_tau_once(runner, monkeypatch):
     [
         ["periodic", "--braid", "1 1 1 1 1 1", "--strands", "2"],
         ["akh", "--braid", " ".join(["1"] * 23), "--strands", "2"],
+        ["akh", "--braid", " ".join(["1 -1"] * 11), "--strands", "2"],
     ],
-    ids=["periodic-12x-cover", "akh-23x"],
+    ids=["periodic-12x-cover", "akh-23x", "akh-22x"],
 )
 def test_oversize_input_is_refused_in_one_line(runner, args):
     result = runner.invoke(cli.main, args)

@@ -5,14 +5,14 @@ import pytest
 from annulus_tate.cube import (
     classify_edge,
     classify_resolutions,
-    enumerate_generators,
     format_bits,
-    gradings,
     hamming,
     parse_bits,
     resolve,
     swap_halves,
+    vertex_gradings,
 )
+from annulus_tate.khovanov import Theory, build_complex
 from annulus_tate.links import BraidWord, close_braid, parse_braid_word
 
 HOPF = close_braid(parse_braid_word("1 1", 2))
@@ -87,22 +87,22 @@ def test_edge_correspondence_keeps_port_sets():
 
 def test_gradings_examples():
     # annular Hopf at the braid-like vertex, both circles labeled "+"
-    assert gradings(resolve(HOPF, 0b00), 0b11, n_pos=2, n_neg=0) == (0, 4, 2)
-    # annular unknot
-    assert gradings(resolve(UNKNOT, 0), 0b1, 0, 0) == (0, 1, 1)
-    assert gradings(resolve(UNKNOT, 0), 0b0, 0, 0) == (0, -1, -1)
+    i, js, ks = vertex_gradings(resolve(HOPF, 0b00), n_pos=2, n_neg=0)
+    assert (i, js[0b11], ks[0b11]) == (0, 4, 2)
+    # annular unknot, labels "-" then "+"
+    assert vertex_gradings(resolve(UNKNOT, 0), 0, 0) == (0, [-1, 1], [-1, 1])
     # stabilized unknot, mixed labels
-    assert gradings(resolve(STAB, 0), 0b01, 1, 0) == (0, 1, 0)
-    assert gradings(resolve(STAB, 0), 0b10, 1, 0) == (0, 1, 0)
+    i, js, ks = vertex_gradings(resolve(STAB, 0), 1, 0)
+    assert (i, js[0b01], ks[0b01]) == (i, js[0b10], ks[0b10]) == (0, 1, 0)
 
 
 def test_enumerate_generators_counts_and_parity():
     res = resolve(HOPF, 0b00)
-    gens = enumerate_generators(res, 2, 0)
-    assert len(gens) == 4
+    _, js, ks = vertex_gradings(res, 2, 0)
+    assert len(js) == len(ks) == 4
     trivial = sum(1 for c in res.circles if c.trivial)
     parity = (trivial + hamming(res.vertex) + 2) % 2
-    assert all((g.j - g.k) % 2 == parity for g in gens)
+    assert all((j - k) % 2 == parity for j, k in zip(js, ks))
 
 
 def test_seam_counts_sum_to_strand_count():
@@ -149,7 +149,7 @@ def test_merge_split_counts_are_path_independent():
 
 
 def test_circle_overflow_guard():
-    res = resolve(close_braid(BraidWord(26, ())), 0)
-    assert res.n_circles == 26
+    diagram = close_braid(BraidWord(26, ()))
+    assert resolve(diagram, 0).n_circles == 26
     with pytest.raises(OverflowError):
-        enumerate_generators(res, 0, 0)
+        build_complex(diagram, Theory.AKH)

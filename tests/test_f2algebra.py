@@ -224,7 +224,7 @@ def test_spectral_pages_two_row_example():
     d = C.add_generator(1)
     C.add_arrow(a, b)  # shift 0
     C.add_arrow(c, d)  # shift 1
-    pages = spectral_pages(C, max_page=2, validate=True)
+    pages = spectral_pages(C, max_page=2)
     assert pages.total(0) == 4
     assert pages.total(1) == 2
     assert pages.total(2) == 0
@@ -248,7 +248,7 @@ def test_spectral_pages_rejects_negative_shift():
     y = C.add_generator(0)
     C.add_arrow(x, y)
     with pytest.raises(FilteredComplexError):
-        spectral_pages(C, max_page=1, validate=True)
+        spectral_pages(C, max_page=1)
 
 
 def test_empty_complex_edge_cases():

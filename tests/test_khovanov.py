@@ -63,8 +63,8 @@ def test_kh_arrow_set_contains_akh_arrows():
     for d in (STAB, HOPF, close_braid(parse_braid_word("1 -2 1", 3))):
         akh = build_complex(d, Theory.AKH)
         kh = build_complex(d, Theory.KH)
-        akh_arrows = akh.arrow_set()
-        kh_arrows = kh.arrow_set()
+        akh_arrows = set(akh.arrows())
+        kh_arrows = set(kh.arrows())
         assert akh_arrows <= kh_arrows
         for src, tgt in kh_arrows - akh_arrows:
             assert kh.gk[tgt] - kh.gk[src] == -2
@@ -218,7 +218,17 @@ def test_unclassifiable_edge_is_raised(monkeypatch):
 
 
 def test_engine_memory_guard(monkeypatch):
-    # a one-byte budget refuses any block of more than two generators
+    # a one-byte budget refuses any block of more than two generators, at
+    # the first vertex that fills one, before the rest of the cube is resolved
     monkeypatch.setattr(khovanov, "MAX_ENGINE_BYTES", 1)
-    with pytest.raises(DiagramTooLarge, match="GiB"):
+    resolved = []
+    resolve = cube.resolve
+
+    def counting(diagram, alpha):
+        resolved.append(alpha)
+        return resolve(diagram, alpha)
+
+    monkeypatch.setattr(cube, "resolve", counting)
+    with pytest.raises(DiagramTooLarge, match="2 of its 4 cube vertices"):
         build_complex(HOPF, Theory.AKH)
+    assert resolved == [0, 1]

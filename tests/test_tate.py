@@ -98,10 +98,10 @@ def test_tau_requires_cover_diagram():
 
 def test_equivariance_hopf_akh():
     gc, pairing = hopf_cover()
-    report = check_equivariance(gc, tau_table(gc, pairing))
-    assert report.ok
-    assert report.commutes and report.involution_ok
-    assert report.n_equivariant == 6
+    verdict = check_equivariance(gc, tau_table(gc, pairing))
+    assert verdict.name == "equivariance-akh"
+    assert verdict.passed
+    assert verdict.details == {"equivariant_generators": 6}
     tau = tau_table(gc, pairing)
     by_vertex = {}
     for g in range(gc.n_generators):
@@ -113,15 +113,33 @@ def test_equivariance_hopf_akh():
 
 def test_equivariance_hopf_kh():
     gc, pairing = hopf_cover(Theory.KH)
-    assert check_equivariance(gc, tau_table(gc, pairing)).ok
+    verdict = check_equivariance(gc, tau_table(gc, pairing))
+    assert verdict.name == "equivariance-kh" and verdict.passed
+
+
+@pytest.mark.parametrize("theory", [Theory.AKH, Theory.KH])
+def test_equivariance_catches_a_broken_differential_or_involution(theory):
+    gc, pairing = hopf_cover(theory)
+    tau = tau_table(gc, pairing)
+    assert check_equivariance(gc, tau).passed
+    # one arrow removed from a row: tau no longer commutes with d
+    x = next(g for g, row in enumerate(gc.out) if row and tau[g] != g)
+    dropped = gc.out[x].pop()
+    assert not check_equivariance(gc, tau).passed
+    gc.out[x].append(dropped)
+    # two tau entries swapped
+    a, b = [g for g in range(gc.n_generators) if tau[g] != g][:2]
+    broken = list(tau)
+    broken[a], broken[b] = tau[b], tau[a]
+    assert not check_equivariance(gc, broken).passed
 
 
 def test_equivariance_empty_cover():
     cover, pairing = double_cover(parse_braid_word("", 2))
     gc = build_complex(cover, Theory.AKH)
-    report = check_equivariance(gc, tau_table(gc, pairing))
-    assert report.ok
-    assert report.n_equivariant == gc.n_generators
+    verdict = check_equivariance(gc, tau_table(gc, pairing))
+    assert verdict.passed
+    assert verdict.details["equivariant_generators"] == gc.n_generators
 
 
 def test_folded_tate_is_a_complex_on_the_cover_generators():
@@ -233,8 +251,8 @@ def test_e2_specific_d2_arrow():
     # the type-E quotient arrow v+v- -> w- lifts to a length-2 differential
     run = PeriodicRun(SIGMA1)
     hv = run.hv(Theory.AKH)
-    gq = run.quotient_complex(Theory.AKH)
-    gcov = run.cover_complex(Theory.AKH)
+    gq = run.complex("quotient", Theory.AKH)
+    gcov = run.complex("cover", Theory.AKH)
     from annulus_tate.tate import _lift_table
 
     lift, problems = _lift_table(run)
@@ -307,7 +325,3 @@ def test_hv_pages_cached_on_run():
     run = PeriodicRun(SIGMA1)
     assert run.hv(Theory.AKH) is run.hv(Theory.AKH)
 
-
-def test_verify_accepts_bare_words():
-    assert verify_rank_inequality(SIGMA1).passed
-    assert verify_diagonals(parse_braid_word("", 1)).passed
