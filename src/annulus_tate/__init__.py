@@ -15,14 +15,12 @@ from .links import (
     DiagramTooLarge,
     close_braid,
     double_cover,
-    mirror,
     parse_braid_word,
 )
 from .cube import (
     Circle,
     EdgeType,
     Resolution,
-    classify_edge,
     resolve,
 )
 from .f2algebra import (

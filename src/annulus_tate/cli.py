@@ -10,6 +10,8 @@ config returns the cached report byte for byte.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import gc
 import hashlib
 import json
 import os
@@ -80,6 +82,28 @@ def _page_table_json(pages) -> dict:
 
 def _verdict_json(v: Verdict) -> dict:
     return {"name": v.name, "passed": v.passed, "details": _jsonify(v.details)}
+
+
+def _without_gc(compute):
+    """``compute`` with the cyclic garbage collector paused while it runs.
+
+    A word's complexes hold one list per generator and form no reference
+    cycles, so collections would only traverse them over and over.  They
+    are freed when ``compute`` returns, before the collector's previous
+    state is restored.
+    """
+
+    @functools.wraps(compute)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return compute(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _load_word(braid: str, strands: int) -> BraidWord:
@@ -217,6 +241,7 @@ def _homology_command(name: str, theory: Theory, doc: str):
         word = _load_word(braid, strands)
         config = _config(name, braid=word.as_text(), strands=strands)
 
+        @_without_gc
         def build():
             table = homology(close_braid(word), theory)
             body = {
@@ -300,6 +325,7 @@ def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
     return verdicts + [verify_congruences(run)]
 
 
+@_without_gc
 def _periodic_body(word: BraidWord, theory: str) -> tuple[dict, bool]:
     run = PeriodicRun(word)
     verdicts = _periodic_verdicts(run, theory)

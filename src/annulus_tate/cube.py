@@ -73,7 +73,8 @@ class Circle:
 class Resolution:
     """A complete smoothing of a diagram at one cube vertex.
 
-    Circles are listed in canonical order: ascending minimal port id.
+    Circles are listed in canonical order: ascending minimal port id, so
+    circle 0 is the circle through port 0.
     """
 
     vertex: int
@@ -226,17 +227,6 @@ def classify_resolutions(source: Resolution, target: Resolution) -> EdgeType:
         target_circles=tgt_part,
         correspondence=correspondence,
     )
-
-
-def classify_edge(diagram: AnnularDiagram, alpha: int, alpha_prime: int) -> EdgeType:
-    """Classify a cube edge given by a bit increment alpha -> alpha_prime."""
-    diff = alpha ^ alpha_prime
-    if hamming(diff) != 1 or not (alpha_prime & diff):
-        raise ValueError(
-            f"{format_bits(alpha_prime, diagram.n_crossings)} is not a bit increment "
-            f"from {format_bits(alpha, diagram.n_crossings)}"
-        )
-    return classify_resolutions(resolve(diagram, alpha), resolve(diagram, alpha_prime))
 
 
 MAX_CIRCLES = 24

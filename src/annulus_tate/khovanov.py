@@ -18,6 +18,15 @@ and the Khovanov merge/split (ignoring triviality):
 Every AKh arrow preserves (j, k) and raises i by 1; Kh arrows preserve j
 and shift k by 0 or -2.
 
+Kh ranks are computed from the reduced complex: the generators whose
+marked circle, circle 0 (the one through port 0), is labeled "-" span a
+subcomplex with half the generators, and over F2 its homology h gives
+Kh^{i,j} = h^{i,j} + h^{i,j-2} (Kh = reduced Kh (x) V, Shumakovitch,
+"Torsion of the Khovanov homology", Fund. Math. 2014; reduced Kh as the
+marked-"-" subcomplex, Khovanov, "Patterns in knot cohomology I",
+Experiment. Math. 2003).  The full Kh complex is still built for the
+Tate side, where the deck rotation fixes no basepoint.
+
 The complex is built in one pass per cube edge.  Gradings are read per
 vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
 table from the labels of its participating circles to their images,
@@ -51,7 +60,10 @@ class GradedComplex:
 
     Generators are indexed consecutively: all labelings of vertex 0, then
     of vertex 1, and so on, with label bitmasks ascending.  ``out[g]``
-    lists arrow targets in construction order.
+    lists arrow targets in construction order.  A ``reduced`` complex
+    keeps only the labelings with circle 0 "-", the one at index
+    ``offsets[vertex] + (labels >> 1)``.  ``edges`` holds the classified
+    cube edges, source vertex ascending, then crossing.
     """
 
     diagram: AnnularDiagram
@@ -65,9 +77,11 @@ class GradedComplex:
     gj: list[int]
     gk: list[int]
     out: list[list[int]] = field(repr=False)
+    edges: list[cube.EdgeType] = field(repr=False)
+    reduced: bool = False
 
     def index(self, vertex: int, labels: int) -> int:
-        return self.offsets[vertex] + labels
+        return self.offsets[vertex] + (labels >> self.reduced)
 
     def arrows(self):
         for src in range(self.n_generators):
@@ -134,31 +148,75 @@ def _edge_rule(theory: Theory, edge: cube.EdgeType) -> dict[int, list[int]]:
     raise cube.UnclassifiableEdge(edge.annular_class)
 
 
-def _transport_table(edge: cube.EdgeType) -> tuple[list[int], list[int]]:
+def _transport_table(edge: cube.EdgeType, reduced: bool) -> tuple[list[int], list[int]]:
     """Source labelings with every participating circle "-", ascending,
-    and their target labelings, built one circle at a time by doubling."""
+    and their target labelings, built one circle at a time by doubling.
+
+    ``reduced`` keeps circle 0 "-" and returns labelings shifted right by
+    one, the reduced index offsets.
+    """
     rest, image = [0], [0]
     for si, ti in edge.correspondence.items():
-        bit, tbit = 1 << si, 1 << ti
+        if reduced:
+            if si == 0:
+                continue
+            if ti == 0:
+                raise FilteredComplexError(
+                    f"arrow leaves the reduced complex: circle {si} is carried onto circle 0"
+                )
+        bit, tbit = 1 << si >> reduced, 1 << ti >> reduced
         rest += [lab | bit for lab in rest]
         image += [lab | tbit for lab in image]
     return rest, image
+
+
+def _cube_edges(c: int):
+    """The edges alpha -> alpha | 1 << b of a c-cube, alpha ascending, then b."""
+    return (
+        (alpha, alpha | 1 << b) for alpha in range(1 << c) for b in range(c)
+        if not (alpha >> b) & 1
+    )
+
+
+def _classify_edges(resolutions: list[cube.Resolution], c: int) -> list[cube.EdgeType]:
+    """Every cube edge, classified, in ``_cube_edges`` order.
+
+    Equal edge types are one shared object: a 10-crossing cube has 5,120
+    edges but about a hundred types.
+    """
+    types: dict[tuple, cube.EdgeType] = {}
+    edges = []
+    for alpha, alpha2 in _cube_edges(c):
+        edge = cube.classify_resolutions(resolutions[alpha], resolutions[alpha2])
+        key = (
+            edge.kind, edge.annular_class, edge.source_circles,
+            edge.target_circles, tuple(edge.correspondence.items()),
+        )
+        edges.append(types.setdefault(key, edge))
+    return edges
 
 
 def build_complex(
     diagram: AnnularDiagram,
     theory: Theory,
     resolutions: list[cube.Resolution] | None = None,
+    edges: list[cube.EdgeType] | None = None,
+    reduced: bool = False,
 ) -> GradedComplex:
-    """Build the full cube-of-chains complex and verify d^2 = 0.
+    """Build the cube-of-chains complex and verify d^2 = 0.
 
-    Raises DiagramTooLarge before building any arrow, at the first cube
-    vertex where the engine blocks of the vertices so far would need more
-    than MAX_ENGINE_BYTES.
+    ``resolutions`` and ``edges`` (as kept by ``GradedComplex``) are reused
+    when given.  ``reduced`` builds the Kh subcomplex where circle 0
+    is "-", raising FilteredComplexError if an arrow leaves it.  Raises
+    DiagramTooLarge before building any arrow, at the first cube vertex
+    where the engine blocks of the vertices so far would need more than
+    MAX_ENGINE_BYTES.
     """
     c = diagram.n_crossings
     if c > MAX_CROSSINGS:
         raise DiagramTooLarge(f"{c} crossings exceeds the {MAX_CROSSINGS}-crossing guard")
+    if reduced and theory is not Theory.KH:
+        raise ValueError("only the Kh complex has a reduced form")
     n_pos, n_neg = diagram.n_pos, diagram.n_neg
 
     if resolutions is None:
@@ -171,45 +229,50 @@ def build_complex(
     for alpha, res in enumerate(resolutions):
         if res.n_circles > cube.MAX_CIRCLES:
             raise OverflowError(f"{res.n_circles} circles exceeds the guard")
-        size = 1 << res.n_circles
+        size = 1 << res.n_circles >> reduced
         resolved.append(res)
         offsets.append(len(gi))
         i, js, ks = cube.vertex_gradings(res, n_pos, n_neg)
+        if reduced:
+            js, ks = js[::2], ks[::2]
         for key, n in Counter(_block_keys(theory, js, ks)).items():
             squares += n * (2 * sizes[key] + n)
             sizes[key] += n
         if squares // 4 > MAX_ENGINE_BYTES:
             raise DiagramTooLarge(
                 f"the {c}-crossing diagram needs more than the "
-                f"{MAX_ENGINE_BYTES / 2**30:.0f} GiB limit for its {theory.value} blocks: "
+                f"{MAX_ENGINE_BYTES / 2**30:.0f} GiB limit for its "
+                f"{'reduced ' if reduced else ''}{theory.value} blocks: "
                 f"{alpha + 1:,} of its {1 << c:,} cube vertices already need "
                 f"{squares / 4 / 2**30:.1f} GiB"
             )
         vertex_of += [alpha] * size
-        labels_of += range(size)
+        labels_of += range(0, size << reduced, 1 << reduced)
         gi += [i] * size
         gj += js
         gk += ks
     total = len(gi)
 
+    if edges is None:
+        edges = _classify_edges(resolved, c)
     out: list[list[int]] = [[] for _ in range(total)]
-    for alpha in range(1 << c):
-        res_a = resolved[alpha]
-        src_off = offsets[alpha]
-        for b in range(c):
-            if (alpha >> b) & 1:
+    for (alpha, alpha2), edge in zip(_cube_edges(c), edges, strict=True):
+        rule = _edge_rule(theory, edge)
+        rest, image = _transport_table(edge, reduced)
+        src_off, tgt_off = offsets[alpha], offsets[alpha2]
+        for plus, tplus in rule.items():
+            if reduced and plus & 1:
                 continue
-            alpha2 = alpha | (1 << b)
-            edge = cube.classify_resolutions(res_a, resolved[alpha2])
-            rule = _edge_rule(theory, edge)
-            rest, image = _transport_table(edge)
-            tgt_off = offsets[alpha2]
-            for plus, tplus in rule.items():
-                rows = [out[src_off + (lab | plus)] for lab in rest]
-                for tp in tplus:
-                    base = tgt_off + tp
-                    for row, t in zip(rows, image):
-                        row.append(base + t)
+            rows = [out[src_off + (lab | plus >> reduced)] for lab in rest]
+            for tp in tplus:
+                if reduced and tp & 1:
+                    raise FilteredComplexError(
+                        f"arrow leaves the reduced complex: edge {alpha} -> {alpha2} "
+                        "labels circle 0 \"+\""
+                    )
+                base = tgt_off + (tp >> reduced)
+                for row, t in zip(rows, image):
+                    row.append(base + t)
 
     gc = GradedComplex(
         diagram=diagram,
@@ -223,6 +286,8 @@ def build_complex(
         gj=gj,
         gk=gk,
         out=out,
+        edges=edges,
+        reduced=reduced,
     )
     gc.check_d_squared()
     return gc
@@ -277,16 +342,27 @@ def _blocks(
 
 
 def homology_of(gc: GradedComplex) -> dict[tuple, int]:
-    """Graded homology ranks: keys (i, j, k) for AKh, (i, j) for Kh."""
+    """Graded homology ranks: keys (i, j, k) for AKh, (i, j) for Kh.
+
+    A reduced complex, with homology h, gives the Kh ranks
+    h^{i,j} + h^{i,j-2}.
+    """
     table: dict[tuple, int] = {}
     for C, _ in _blocks(gc):
         table.update(homology_ranks(C))
+    if gc.reduced:
+        table = {
+            (i, j): table.get((i, j), 0) + table.get((i, j - 2), 0)
+            for i, j0 in table
+            for j in (j0, j0 + 2)
+        }
     return table
 
 
 def homology(diagram: AnnularDiagram, theory: Theory) -> dict[tuple, int]:
-    """Rank table of AKh (keys (i, j, k)) or Kh (keys (i, j)) over F2."""
-    return homology_of(build_complex(diagram, theory))
+    """Rank table of AKh (keys (i, j, k)) or Kh (keys (i, j), from the
+    reduced complex) over F2."""
+    return homology_of(build_complex(diagram, theory, reduced=theory is Theory.KH))
 
 
 def total_rank(table: dict[tuple, int]) -> int:

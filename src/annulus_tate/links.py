@@ -143,8 +143,3 @@ def double_cover(word: BraidWord) -> tuple[AnnularDiagram, CoverPairing]:
     """Closure of the doubled word w.w and the crossing pairing i <-> i + n."""
     cover = close_braid(word.repeated())
     return cover, CoverPairing(quotient_crossings=len(word))
-
-
-def mirror(word: BraidWord) -> BraidWord:
-    """Mirror image: every letter sign flipped."""
-    return BraidWord(word.strands, tuple(-g for g in word.letters))

@@ -286,37 +286,41 @@ class PeriodicRun:
 
     Complexes and their homology are cached per (side, theory), where side
     is "quotient" (the closure of the word) or "cover" (its 2-periodic
-    double cover).
+    double cover).  Every build on a side reuses the resolutions and
+    classified edges of its first build.  Kh tables come from the reduced
+    complex, which is not kept.
     """
 
     def __init__(self, word: BraidWord) -> None:
         self.word = word
         self.quotient_diagram = close_braid(word)
         self.cover_diagram, self.pairing = double_cover(word)
+        self._cubes: dict = {}
         self._complexes: dict = {}
         self._homology: dict = {}
         self._hv: dict = {}
 
+    def _build(self, side: str, theory: Theory, reduced: bool = False) -> GradedComplex:
+        """A new complex of ``side``, on the side's shared cube."""
+        diagram = {"quotient": self.quotient_diagram, "cover": self.cover_diagram}[side]
+        gc = build_complex(diagram, theory, *self._cubes.get(side, ()), reduced=reduced)
+        self._cubes.setdefault(side, (gc.resolutions, gc.edges))
+        return gc
+
     def complex(self, side: str, theory: Theory) -> GradedComplex:
         key = (side, theory)
         if key not in self._complexes:
-            diagram = {
-                "quotient": self.quotient_diagram,
-                "cover": self.cover_diagram,
-            }[side]
-            # the other theory's complex, if built, has resolved every vertex
-            other = self._complexes.get(
-                (side, Theory.KH if theory is Theory.AKH else Theory.AKH)
-            )
-            self._complexes[key] = build_complex(
-                diagram, theory, other.resolutions if other else None
-            )
+            self._complexes[key] = self._build(side, theory)
         return self._complexes[key]
 
     def homology(self, side: str, theory: Theory) -> dict[tuple, int]:
         key = (side, theory)
         if key not in self._homology:
-            self._homology[key] = homology_of(self.complex(side, theory))
+            if theory is Theory.KH:
+                gc = self._build(side, theory, reduced=True)
+            else:
+                gc = self.complex(side, theory)
+            self._homology[key] = homology_of(gc)
         return self._homology[key]
 
     @cached_property

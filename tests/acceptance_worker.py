@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from annulus_tate.khovanov import Theory, homology_of, total_rank
+from annulus_tate.khovanov import Theory, build_complex, homology_of, total_rank
 from annulus_tate.links import parse_braid_word
 from annulus_tate.decat import homology_poly, state_sum, MINUS_ONE
 from annulus_tate.tate import (
@@ -19,7 +19,12 @@ from annulus_tate.tate import (
     vh_pages,
 )
 
-from conftest import WindowedTate, builder_matches_reference, dense_homology_of
+from conftest import (
+    WindowedTate,
+    builder_matches_reference,
+    dense_homology_of,
+    reduced_matches_full,
+)
 
 
 def _grading_shifts_ok(gc) -> bool:
@@ -91,8 +96,18 @@ def compute_word_result(args: tuple[str, int]) -> dict:
     for gc in complexes:
         if homology_of(gc) != dense_homology_of(gc):
             oracle_ok = False
+    # the run's Kh tables come from the reduced complexes
+    for side, kh in (("quotient", quotient_kh), ("cover", cover_kh)):
+        if kh != dense_homology_of(run.complex(side, Theory.KH)):
+            oracle_ok = False
 
     builder_ok = all(builder_matches_reference(gc) for gc in complexes)
+    for side in ("quotient", "cover"):
+        full = run.complex(side, Theory.KH)
+        reduced = build_complex(
+            full.diagram, Theory.KH, full.resolutions, full.edges, reduced=True
+        )
+        builder_ok = builder_ok and reduced_matches_full(reduced, full)
     gradings_ok = all(_grading_shifts_ok(gc) for gc in complexes)
 
     euler_ok = True

@@ -28,6 +28,25 @@ def corpus_words() -> list[BraidWord]:
     return words
 
 
+def mirror(word: BraidWord) -> BraidWord:
+    """Mirror image: every letter sign flipped."""
+    return BraidWord(word.strands, tuple(-g for g in word.letters))
+
+
+def classify_edge(diagram: AnnularDiagram, alpha: int, alpha_prime: int) -> cube.EdgeType:
+    """Classify a cube edge given by a bit increment alpha -> alpha_prime,
+    resolving both ends afresh."""
+    diff = alpha ^ alpha_prime
+    if cube.hamming(diff) != 1 or not (alpha_prime & diff):
+        raise ValueError(
+            f"{cube.format_bits(alpha_prime, diagram.n_crossings)} is not a bit increment "
+            f"from {cube.format_bits(alpha, diagram.n_crossings)}"
+        )
+    return cube.classify_resolutions(
+        cube.resolve(diagram, alpha), cube.resolve(diagram, alpha_prime)
+    )
+
+
 # -- reference cube builder (oracle path): one edge map call per source
 # labeling, gradings circle by circle, and d^2 counted over length-2 paths
 
@@ -144,6 +163,31 @@ def builder_matches_reference(gc: GradedComplex) -> bool:
         (gc.out, gc.gi, gc.gj, gc.gk) == (out, gi, gj, gk)
         and counted_d_squared_vanishes(out)
     )
+
+
+def reduced_matches_full(reduced: GradedComplex, full: GradedComplex) -> bool:
+    """The reduced Kh complex is the full one restricted to the labelings
+    with circle 0 "-": same gradings, same arrows in the same order, and
+    no arrow of such a labeling reaches one with circle 0 "+"."""
+    index = {}
+    for g in range(full.n_generators):
+        labels = full.labels_of[g]
+        if not labels & 1:
+            index[g] = reduced.index(full.vertex_of[g], labels)
+    if sorted(index.values()) != list(range(reduced.n_generators)):
+        return False
+    for g, r in index.items():
+        if any(y not in index for y in full.out[g]):
+            return False
+        if (
+            [index[y] for y in full.out[g]] != reduced.out[r]
+            or (full.gi[g], full.gj[g], full.gk[g])
+            != (reduced.gi[r], reduced.gj[r], reduced.gk[r])
+            or (full.vertex_of[g], full.labels_of[g])
+            != (reduced.vertex_of[r], reduced.labels_of[r])
+        ):
+            return False
+    return True
 
 
 def dense_homology_of(gc: GradedComplex) -> dict[tuple, int]:

@@ -127,9 +127,9 @@ def test_periodic_builds_each_complex_once(runner, monkeypatch):
     calls = []
     build = khovanov.build_complex
 
-    def counting(diagram, theory, resolutions=None):
-        calls.append((diagram, theory))
-        return build(diagram, theory, resolutions)
+    def counting(diagram, theory, *shared, reduced=False):
+        calls.append((diagram, theory, reduced))
+        return build(diagram, theory, *shared, reduced=reduced)
 
     monkeypatch.setattr(khovanov, "build_complex", counting)
     monkeypatch.setattr(tate, "build_complex", counting)
@@ -137,8 +137,14 @@ def test_periodic_builds_each_complex_once(runner, monkeypatch):
         runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
     )
     assert result.exit_code == 0
-    # quotient and cover, AKh and Kh: congruences reuse the cover table
-    assert len(calls) == len(set(calls)) == 4
+    # quotient AKh and reduced Kh; cover AKh, Kh (for the Tate side) and
+    # reduced Kh: congruences reuse the cover table
+    assert len(calls) == len(set(calls)) == 5
+    assert {(d.n_crossings, t, r) for d, t, r in calls} == {
+        (2, khovanov.Theory.AKH, False), (2, khovanov.Theory.KH, True),
+        (4, khovanov.Theory.AKH, False), (4, khovanov.Theory.KH, False),
+        (4, khovanov.Theory.KH, True),
+    }
 
 
 def test_periodic_resolves_each_vertex_once(runner, monkeypatch):
@@ -154,8 +160,60 @@ def test_periodic_resolves_each_vertex_once(runner, monkeypatch):
         runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
     )
     assert result.exit_code == 0
-    # 2^2 quotient and 2^4 cover vertices, shared by both theories
+    # 2^2 quotient and 2^4 cover vertices, shared by every build
     assert len(calls) == len(set(calls)) == 2**2 + 2**4
+
+
+def test_periodic_classifies_each_edge_once(runner, monkeypatch):
+    calls = []
+    classify = cube.classify_resolutions
+
+    def counting(source, target):
+        calls.append((source, target))
+        return classify(source, target)
+
+    monkeypatch.setattr(cube, "classify_resolutions", counting)
+    result = invoke(
+        runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
+    )
+    assert result.exit_code == 0
+    # 2 * 2 quotient and 4 * 2^3 cover edges, shared by every build
+    assert len(calls) == len(set(calls)) == 2 * 2 + 4 * 2**3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kh", "--braid", "1 -1 1 -1 1 1 -1 1", "--strands", "2"],
+        ["periodic", "--braid", "1 -1 1 1", "--strands", "2"],
+    ],
+    ids=["kh", "periodic"],
+)
+def test_word_computation_pauses_the_gc_and_restores_it(runner, args):
+    import gc
+
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        assert invoke(runner, args).exit_code == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert gc.isenabled()
+    # collections outside the paused computation (the report's JSON) are
+    # far fewer than the dozens its rows would trigger
+    assert len(collections) <= 2
+    gc.disable()
+    try:
+        assert invoke(runner, args).exit_code == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_periodic_computes_tau_once(runner, monkeypatch):

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from annulus_tate.cube import (
-    classify_edge,
     classify_resolutions,
     format_bits,
     hamming,
@@ -14,6 +13,8 @@ from annulus_tate.cube import (
 )
 from annulus_tate.khovanov import Theory, build_complex
 from annulus_tate.links import BraidWord, close_braid, parse_braid_word
+
+from conftest import classify_edge
 
 HOPF = close_braid(parse_braid_word("1 1", 2))
 STAB = close_braid(parse_braid_word("1", 2))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annulus_tate import cube, khovanov
 from annulus_tate.cube import resolve
@@ -8,12 +9,26 @@ from annulus_tate.khovanov import (
     _blocks,
     build_complex,
     homology,
+    homology_of,
     k_filtration_pages,
     total_rank,
 )
-from annulus_tate.links import DiagramTooLarge, close_braid, double_cover, parse_braid_word
+from annulus_tate.links import (
+    BraidWord,
+    DiagramTooLarge,
+    close_braid,
+    double_cover,
+    parse_braid_word,
+)
 
-from conftest import builder_matches_reference, counted_d_squared_vanishes
+from conftest import (
+    builder_matches_reference,
+    corpus_words,
+    counted_d_squared_vanishes,
+    dense_homology_of,
+    mirror,
+    reduced_matches_full,
+)
 
 STAB = close_braid(parse_braid_word("1", 2))
 HOPF = close_braid(parse_braid_word("1 1", 2))
@@ -232,3 +247,155 @@ def test_engine_memory_guard(monkeypatch):
     with pytest.raises(DiagramTooLarge, match="2 of its 4 cube vertices"):
         build_complex(HOPF, Theory.AKH)
     assert resolved == [0, 1]
+
+
+# -- Kh from the reduced complex
+
+
+def _kh_from_reduced_ranks(h: dict[tuple, int]) -> dict[tuple, int]:
+    """Kh^{i,j} = h^{i,j} + h^{i,j-2}, written out key by key."""
+    table: dict[tuple, int] = {}
+    for (i, j), r in h.items():
+        for key in ((i, j), (i, j + 2)):
+            table[key] = table.get(key, 0) + r
+    return table
+
+
+def _full_and_reduced(diagram):
+    full = build_complex(diagram, Theory.KH)
+    return full, build_complex(diagram, Theory.KH, full.resolutions, full.edges, reduced=True)
+
+
+def test_unknot_kh_from_the_reduced_complex():
+    full, reduced = _full_and_reduced(UNKNOT)
+    assert (full.n_generators, reduced.n_generators, reduced.n_arrows()) == (2, 1, 0)
+    assert homology(UNKNOT, Theory.KH) == {(0, -1): 1, (0, 1): 1}
+
+
+def test_reduced_kh_matches_full_and_dense_on_small_words():
+    words = [w for w in corpus_words() if len(w) <= 3]
+    assert len(words) == 15 + 85
+    for word in words:
+        full, reduced = _full_and_reduced(close_braid(word))
+        assert reduced.n_generators * 2 == full.n_generators
+        assert reduced_matches_full(reduced, full), word
+        kh = homology_of(reduced)
+        assert kh == homology_of(full) == dense_homology_of(full), word
+        assert homology(close_braid(word), Theory.KH) == kh
+
+
+@pytest.mark.parametrize("braid", [w for w, _, cover in REFERENCE_WORDS if not cover])
+def test_reduced_kh_on_ten_crossings(braid):
+    full, reduced = _full_and_reduced(close_braid(parse_braid_word(braid, 2)))
+    assert (full.n_generators, reduced.n_generators) == (59_052, 29_526)
+    assert reduced.n_arrows() == 132_868
+    assert reduced_matches_full(reduced, full)
+    kh = homology_of(reduced)
+    # the dense oracle on the reduced complex; on the full one it takes 5 s
+    assert kh == homology_of(full) == _kh_from_reduced_ranks(dense_homology_of(reduced))
+
+
+def test_circle_zero_contains_port_zero():
+    for word in corpus_words():
+        if len(word) > 3:
+            continue
+        for diagram in (close_braid(word), double_cover(word)[0]):
+            for alpha in range(1 << diagram.n_crossings):
+                assert 0 in resolve(diagram, alpha).circles[0].ports
+
+
+def test_reduced_build_refuses_an_arrow_onto_circle_zero_plus(monkeypatch):
+    rule = khovanov._edge_rule
+
+    def leaky(theory, edge):
+        # every image also labels target circle 0 "+"
+        return {plus: [tp | 1 for tp in tps] for plus, tps in rule(theory, edge).items()}
+
+    with monkeypatch.context() as m:
+        m.setattr(khovanov, "_edge_rule", leaky)
+        with pytest.raises(FilteredComplexError, match="leaves the reduced complex"):
+            build_complex(HOPF, Theory.KH, reduced=True)
+    # an edge that carries a "-"-marked circle 1 onto circle 0
+    onto_zero = cube.EdgeType(
+        kind="split", annular_class="C", source_circles=(0,),
+        target_circles=(1, 2), correspondence={1: 0},
+    )
+    monkeypatch.setattr(cube, "classify_resolutions", lambda source, target: onto_zero)
+    with pytest.raises(FilteredComplexError, match="leaves the reduced complex"):
+        build_complex(HOPF, Theory.KH, reduced=True)
+
+
+def test_only_kh_has_a_reduced_complex():
+    with pytest.raises(ValueError, match="reduced"):
+        build_complex(HOPF, Theory.AKH, reduced=True)
+
+
+def test_kh_memory_guard_counts_reduced_blocks(monkeypatch):
+    # the one-byte budget of test_engine_memory_guard: the full Kh blocks of
+    # the Hopf link pass it at vertex 2, the reduced ones only at vertex 3
+    monkeypatch.setattr(khovanov, "MAX_ENGINE_BYTES", 1)
+    resolved = []
+    resolve = cube.resolve
+
+    def counting(diagram, alpha):
+        resolved.append(alpha)
+        return resolve(diagram, alpha)
+
+    monkeypatch.setattr(cube, "resolve", counting)
+    with pytest.raises(DiagramTooLarge, match=" kh blocks: 2 of its 4 cube vertices"):
+        build_complex(HOPF, Theory.KH)
+    assert resolved == [0, 1]
+    resolved.clear()
+    with pytest.raises(DiagramTooLarge, match="reduced kh blocks: 3 of its 4 cube vertices"):
+        homology(HOPF, Theory.KH)
+    assert resolved == [0, 1, 2]
+
+
+# -- invariance properties of Kh: a wrong j-shift or a wrong marked circle
+# breaks them
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _alphabet(strands: int) -> list[int]:
+    return [g for a in range(1, strands) for g in (a, -a)]
+
+
+def _words(strands: list[int], max_letters: int):
+    def on(m: int):
+        if m == 1:
+            return st.just(BraidWord(1, ()))
+        letters = st.lists(st.sampled_from(_alphabet(m)), max_size=max_letters)
+        return letters.map(lambda word: BraidWord(m, tuple(word)))
+
+    return st.sampled_from(strands).flatmap(on)
+
+
+def _kh(word: BraidWord) -> dict[tuple, int]:
+    return homology(close_braid(word), Theory.KH)
+
+
+@PROPERTY
+@given(_words([1, 2, 3], 4))
+def test_mirror_negates_both_kh_gradings(word):
+    assert _kh(mirror(word)) == {(-i, -j): r for (i, j), r in _kh(word).items()}
+
+
+@PROPERTY
+@given(_words([1, 2], 3), st.sampled_from([1, -1]))
+def test_markov_stabilization_keeps_kh(word, sign):
+    m = word.strands
+    assert _kh(BraidWord(m + 1, word.letters + (sign * m,))) == _kh(word)
+
+
+@PROPERTY
+@given(_words([2, 3], 4), st.integers(0, 3), st.data())
+def test_conjugation_keeps_kh(word, turn, data):
+    letters = word.letters
+    turn = turn % len(letters) if letters else 0
+    rotated = BraidWord(word.strands, letters[turn:] + letters[:turn])
+    assert _kh(rotated) == _kh(word)
+    if len(letters) <= 2:
+        g = data.draw(st.sampled_from(_alphabet(word.strands)))
+        assert _kh(BraidWord(word.strands, (g, *letters, -g))) == _kh(word)

@@ -9,9 +9,10 @@ from annulus_tate.links import (
     DiagramTooLarge,
     close_braid,
     double_cover,
-    mirror,
     parse_braid_word,
 )
+
+from conftest import mirror
 
 
 def test_parse_positive_word():
@@ -97,6 +98,7 @@ def test_mirror_is_involution():
 
 def test_mirror_preserves_total_kh_rank():
     w = parse_braid_word("1 1 1", 2)
-    lhs = total_rank(homology(close_braid(w), Theory.KH))
-    rhs = total_rank(homology(close_braid(mirror(w)), Theory.KH))
-    assert lhs == rhs == 6
+    table = homology(close_braid(w), Theory.KH)
+    mirrored = homology(close_braid(mirror(w)), Theory.KH)
+    assert total_rank(table) == total_rank(mirrored) == 6
+    assert mirrored == {(-i, -j): r for (i, j), r in table.items()}
