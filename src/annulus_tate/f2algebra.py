@@ -190,21 +190,25 @@ class FilteredComplex:
         """Cancel the arrow k -> l, toggling x -> y for all x -> l, k -> y.
 
         Returns the (predecessor, successor) masks that were toggled
-        against each other.  Homology ranks at every grading are
-        preserved.
+        against each other; neither contains k or l.  Homology ranks at
+        every grading are preserved.  A self-loop k -> k is not an
+        invertible pair and raises MissingArrowError.
         """
-        bit_k, bit_l = 1 << k, 1 << l
-        if not (self.alive & bit_k and self.alive & bit_l and self.out[k] & bit_l):
+        pair = (1 << k) | (1 << l)
+        if k == l or self.alive & pair != pair or not (self.out[k] >> l) & 1:
             raise MissingArrowError(f"no arrow {k}->{l} to cancel")
-        preds = self.inc[l] & self.alive & ~bit_k
-        succs = self.out[k] & self.alive & ~bit_l
-        self.alive &= ~(bit_k | bit_l)
+        self.alive ^= pair
+        alive = self.alive
+        preds = self.inc[l] & alive
+        succs = self.out[k] & alive
         if succs:
+            out = self.out
             for x in _bits(preds):
-                self.out[x] ^= succs
+                out[x] ^= succs
         if preds:
+            inc = self.inc
             for y in _bits(succs):
-                self.inc[y] ^= preds
+                inc[y] ^= preds
         return preds, succs
 
 
@@ -213,9 +217,10 @@ def rank_table(C: FilteredComplex) -> dict[tuple, int]:
     return dict(Counter(C.grading_key(g) for g in C.generators()))
 
 
-def _sweep_cancel(work: FilteredComplex, target_mask_of) -> bool:
+def _sweep_cancel(work: FilteredComplex, target_mask_of=None) -> bool:
     """Cancel, in lexicographic (source, target) order, every arrow whose
-    targets ``target_mask_of(x)`` allows; returns True if anything acted.
+    targets ``target_mask_of(x)`` allows (every arrow when it is None);
+    returns True if anything acted.
 
     A min-heap of candidate sources keeps the order exact: cancelling can
     only create eligible arrows at the predecessors of the cancelled
@@ -225,16 +230,20 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of) -> bool:
     """
     acted = False
     out = work.out
-    heap = []
-    for x in _bits(work.alive):
-        if out[x] & work.alive & target_mask_of(x):
-            heap.append(x)
+    alive = work.alive
+    if target_mask_of is None:
+        heap = [x for x in _bits(alive) if out[x] & alive]
+    else:
+        heap = [x for x in _bits(alive) if out[x] & alive & target_mask_of(x)]
     heapq.heapify(heap)
     while heap:
         x = heapq.heappop(heap)
-        if not work.is_alive(x):
+        alive = work.alive
+        if not (alive >> x) & 1:
             continue
-        m = out[x] & work.alive & target_mask_of(x)
+        m = out[x] & alive
+        if target_mask_of is not None:
+            m &= target_mask_of(x)
         if not m:
             continue
         l = (m & -m).bit_length() - 1
@@ -251,10 +260,10 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of) -> bool:
 
 
 def homology_ranks(C: FilteredComplex) -> dict[tuple, int]:
-    """Homology ranks per grading, by cancelling until no arrows remain."""
+    """Homology ranks per grading, by cancelling until no arrows remain.
+    ``C`` itself is left as it was."""
     work = C.copy()
-    full = (1 << len(work.fdeg)) - 1
-    _sweep_cancel(work, lambda x: full)
+    _sweep_cancel(work)
     if work.n_arrows():
         raise FilteredComplexError("cancellation finished with arrows left")
     return rank_table(work)

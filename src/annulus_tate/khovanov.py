@@ -31,11 +31,14 @@ The complex is built in one pass per cube edge.  Gradings are read per
 vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
 table from the labels of its participating circles to their images,
 applied at once to every labeling of the other circles, whose transport
-is tabulated per edge.  d^2 = 0 is checked on every built complex, and
-``_blocks`` splits it into engine complexes along the gradings every
-arrow preserves, assembling each bitset row once.  A diagram whose
-blocks would need more than ``MAX_ENGINE_BYTES`` of bitsets is refused
-with ``DiagramTooLarge`` before any arrow is built.
+is tabulated once per distinct edge type.  d^2 = 0 is checked on every
+built complex, and ``_blocks`` splits it into engine complexes along the
+gradings every arrow preserves, assembling each bitset row once.  It
+yields the blocks one at a time, and every consumer cancels a block and
+drops it before the next is built, so the largest block, not the sum of
+all blocks, sets the memory peak.  A diagram whose blocks would need more
+than ``MAX_ENGINE_BYTES`` of bitsets in all is refused with
+``DiagramTooLarge`` before any arrow is built.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import cube
 from .f2algebra import FilteredComplex, FilteredComplexError, PageTable, homology_ranks, spectral_pages
@@ -114,7 +118,9 @@ class GradedComplex:
 
 
 # Engine rows cost O(block size) bits each, so a block of n generators
-# needs about n^2 / 4 bytes for its ``out`` and ``inc`` bitsets.
+# needs about n^2 / 4 bytes for its ``out`` and ``inc`` bitsets.  Blocks
+# are built and cancelled one at a time, so only the largest is held at
+# once; the guard still sums n^2 / 4 over all blocks, a conservative bound.
 MAX_ENGINE_BYTES = 2 << 30
 
 
@@ -256,9 +262,11 @@ def build_complex(
     if edges is None:
         edges = _classify_edges(resolved, c)
     out: list[list[int]] = [[] for _ in range(total)]
+    maps: dict[int, tuple] = {}  # per distinct edge object: rule, transport
     for (alpha, alpha2), edge in zip(_cube_edges(c), edges, strict=True):
-        rule = _edge_rule(theory, edge)
-        rest, image = _transport_table(edge, reduced)
+        if id(edge) not in maps:
+            maps[id(edge)] = (_edge_rule(theory, edge), *_transport_table(edge, reduced))
+        rule, rest, image = maps[id(edge)]
         src_off, tgt_off = offsets[alpha], offsets[alpha2]
         for plus, tplus in rule.items():
             if reduced and plus & 1:
@@ -305,15 +313,17 @@ def _blocks(
     fdeg: list[int] | None = None,
     aux: list[tuple] | None = None,
     row_of=None,
-) -> list[tuple[FilteredComplex, list[int]]]:
-    """Split into engine complexes along the block keys, in one pass.
+) -> Iterator[tuple[FilteredComplex, list[int]]]:
+    """Split into engine complexes along the block keys, one block at a time.
 
     ``fdeg[g]`` is the filtration degree (default i) and ``aux[g]`` the
     auxiliary gradings (default the block key) of generator g, and
     ``row_of(g)`` lists its arrow targets (default ``gc.out[g]``); it is
-    called once per generator, a block at a time.  Returns (complex,
+    called once per generator, a block at a time.  Yields (complex,
     members) pairs, where members[x] is the generator of ``gc`` at engine
-    index x.
+    index x.  A block is built only when the next pair is asked for and
+    the generator keeps no reference to it, so a consumer that drops each
+    complex before asking for the next holds one block's bitsets at a time.
     """
     keys = _block_keys(gc.theory, gc.gj, gc.gk)
     fdeg = gc.gi if fdeg is None else fdeg
@@ -327,18 +337,19 @@ def _blocks(
         members = groups[b]
         local.append(len(members))
         members.append(g)
-    blocks = []
-    for b, members in enumerate(groups):
+
+    def engine_block(b: int, members: list[int]) -> FilteredComplex:
         rows = [row_of(g) for g in members]
         if {block_of[y] for row in rows for y in row} - {b}:
             raise FilteredComplexError("arrow leaves its grading block")
-        C = FilteredComplex.from_rows(
+        return FilteredComplex.from_rows(
             [fdeg[g] for g in members],
             [aux[g] for g in members],
             ([local[y] for y in row] for row in rows),
         )
-        blocks.append((C, members))
-    return blocks
+
+    for b, members in enumerate(groups):
+        yield engine_block(b, members), members
 
 
 def homology_of(gc: GradedComplex) -> dict[tuple, int]:
@@ -350,6 +361,7 @@ def homology_of(gc: GradedComplex) -> dict[tuple, int]:
     table: dict[tuple, int] = {}
     for C, _ in _blocks(gc):
         table.update(homology_ranks(C))
+        del C  # before the next block is built
     if gc.reduced:
         table = {
             (i, j): table.get((i, j), 0) + table.get((i, j - 2), 0)
@@ -380,5 +392,8 @@ def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
     kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
     max_page = kspan + 2
 
-    blocks = _blocks(gc, fdeg=[-k for k in gc.gk], aux=list(zip(gc.gi, gc.gj)))
-    return PageTable.merge((spectral_pages(C, max_page) for C, _ in blocks), max_page)
+    tables = []
+    for C, _ in _blocks(gc, fdeg=[-k for k in gc.gk], aux=list(zip(gc.gi, gc.gj))):
+        tables.append(spectral_pages(C, max_page))
+        del C  # before the next block is built
+    return PageTable.merge(tables, max_page)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 from . import cube, decat
 from .f2algebra import (
@@ -150,9 +151,10 @@ class TateBicomplex:
         row = self.cover.out[g]
         return row + [g, tg] if tg != g else row
 
-    def blocks(self) -> list[tuple[FilteredComplex, list[int]]]:
-        """Engine complexes per (j, k) (AKh) or j (Kh) block, filtered by i;
-        members[x] is the cover generator at engine index x."""
+    def blocks(self) -> Iterator[tuple[FilteredComplex, list[int]]]:
+        """Engine complexes per (j, k) (AKh) or j (Kh) block, filtered by i,
+        built one at a time as ``khovanov._blocks`` yields them; members[x]
+        is the cover generator at engine index x."""
         return _blocks(self.cover, row_of=self.row)
 
 
@@ -222,6 +224,7 @@ def hv_pages(b: TateBicomplex) -> HvPages:
             pt.ranks[r] = rank_table(C)
             pt.d_nonzero[r] = cancel_shift_level(C, r, masks)
         tables.append(pt)
+        del C, masks  # before the next block is built
 
     pages = PageTable.merge(tables, max_page)
     odd_failures = [
@@ -262,6 +265,7 @@ def vh_pages(b: TateBicomplex) -> VhPages:
             pt.ranks[r] = rank_table(C)
             pt.d_nonzero[r] = cancel_shift_level(C, 1 - r, masks)
         tables.append(pt)
+        del C, masks  # before the next block is built
     pages = PageTable.merge(tables, max_page)
     cover_table = {k: r for k, r in homology_of(b.cover).items() if r}
     return VhPages(pages=pages, e1_ok=pages.table(1) == cover_table)
@@ -274,6 +278,7 @@ def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
     for C, _ in b.blocks():
         for key, rank in homology_ranks(C).items():
             table[key[1:]] = table.get(key[1:], 0) + rank
+        del C  # before the next block is built
     return table
 
 

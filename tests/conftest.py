@@ -1,3 +1,4 @@
+import gc as pygc
 import itertools
 
 import pytest
@@ -14,6 +15,21 @@ from annulus_tate.f2algebra import (
 from annulus_tate import cube
 from annulus_tate.khovanov import GradedComplex, Theory
 from annulus_tate.links import AnnularDiagram, BraidWord
+
+
+def watch_block_builds(monkeypatch) -> list[int]:
+    """Patch ``FilteredComplex.from_rows`` to record, at each call, how many
+    engine complexes are alive; returns the list it appends to."""
+    pygc.collect()
+    live: list[int] = []
+    build = FilteredComplex.from_rows.__func__
+
+    def from_rows(cls, *args):
+        live.append(sum(isinstance(o, FilteredComplex) for o in pygc.get_objects()))
+        return build(cls, *args)
+
+    monkeypatch.setattr(FilteredComplex, "from_rows", classmethod(from_rows))
+    return live
 
 
 def corpus_words() -> list[BraidWord]:
@@ -206,14 +222,7 @@ def dense_homology_of(gc: GradedComplex) -> dict[tuple, int]:
         if not targets:
             ranks[(key, i)] = 0
             continue
-        tindex = {g: col for col, g in enumerate(targets)}
-        matrix = []
-        for g in gens:
-            row = [0] * len(targets)
-            for y in gc.out[g]:
-                row[tindex[y]] ^= 1
-            matrix.append(row)
-        ranks[(key, i)] = dense_rank(matrix)
+        ranks[(key, i)] = dense_rank(_dense_rows(gc, gens, targets))
 
     table: dict[tuple, int] = {}
     for (key, i), gens in groups.items():
@@ -221,6 +230,17 @@ def dense_homology_of(gc: GradedComplex) -> dict[tuple, int]:
         if h:
             table[(i, *key)] = h
     return table
+
+
+def _dense_rows(gc: GradedComplex, gens: list[int], targets: list[int]):
+    """The 0/1 rows of the differential from ``gens`` to ``targets``, one
+    at a time, so that only the eliminated rows are kept."""
+    tindex = {g: col for col, g in enumerate(targets)}
+    for g in gens:
+        row = [0] * len(targets)
+        for y in gc.out[g]:
+            row[tindex[y]] ^= 1
+        yield row
 
 
 def _block_key(gc: GradedComplex):

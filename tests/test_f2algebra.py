@@ -62,6 +62,27 @@ def test_cancel_missing_arrow_raises():
         C.cancel_arrow(b, z)
 
 
+def test_cancel_refuses_a_self_loop():
+    # 0 -> 0 is an arrow of the complex but not an invertible pair:
+    # cancelling it would remove one generator and change the Euler
+    # characteristic
+    C = FilteredComplex.from_rows([0, 0, 1], [(), (), ()], [[0, 2], [0], []])
+    before = (list(C.out), list(C.inc), C.alive)
+    with pytest.raises(MissingArrowError):
+        C.cancel_arrow(0, 0)
+    assert (C.out, C.inc, C.alive) == before
+
+
+def test_cancel_masks_leave_out_both_ends():
+    # a -> b with self-loops on both ends, c -> b and a -> d: the masks
+    # toggled against each other are {c} and {d} only
+    a, b, c, d = range(4)
+    C = FilteredComplex.from_rows([0] * 4, [()] * 4, [[a, b, d], [b], [b], []])
+    assert C.cancel_arrow(a, b) == (1 << c, 1 << d)
+    assert sorted(C.generators()) == [c, d]
+    assert list(C.arrows()) == [(c, d)]
+
+
 def test_cancel_preserves_graded_homology():
     gc = build_complex(close_braid(parse_braid_word("1 1", 2)), Theory.AKH)
     C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), gc.out)
@@ -192,6 +213,18 @@ def revlex_homology_ranks(C: FilteredComplex) -> dict[tuple, int]:
         preds, _ = work.cancel_arrow(x, m.bit_length() - 1)
         x = max(x, preds.bit_length() - 1)
     return rank_table(work)
+
+
+def test_homology_ranks_leaves_its_argument_unchanged():
+    rnd = random.Random(7)
+    for _ in range(10):
+        C = random_valid_complex(rnd)
+        arrows = list(C.arrows())
+        if arrows:
+            C.cancel_arrow(*arrows[0])  # dead rows must stay as they are too
+        before = (list(C.out), list(C.inc), C.alive)
+        homology_ranks(C)
+        assert (C.out, C.inc, C.alive) == before
 
 
 def test_homology_order_independence():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +30,7 @@ from conftest import (
     dense_homology_of,
     mirror,
     reduced_matches_full,
+    watch_block_builds,
 )
 
 STAB = close_braid(parse_braid_word("1", 2))
@@ -206,12 +209,12 @@ def test_blocks_reject_an_arrow_between_blocks():
     rows = [list(row) for row in gc.out]
     rows[x].append(y)
     with pytest.raises(FilteredComplexError, match="leaves its grading block"):
-        _blocks(gc, row_of=rows.__getitem__)
+        list(_blocks(gc, row_of=rows.__getitem__))
 
 
 def test_blocks_partition_the_generators():
     gc = build_complex(close_braid(parse_braid_word("1 -2 1", 3)), Theory.AKH)
-    blocks = _blocks(gc)
+    blocks = list(_blocks(gc))
     members = sorted(g for _, block in blocks for g in block)
     assert members == list(range(gc.n_generators))
     assert sum(C.n_arrows() for C, _ in blocks) == gc.n_arrows()
@@ -220,6 +223,45 @@ def test_blocks_partition_the_generators():
         for x, g in enumerate(block):
             assert C.grading_key(x) == (gc.gi[g], gc.gj[g], gc.gk[g])
             assert sorted(block[t] for t in C.targets(x)) == sorted(gc.out[g])
+
+
+@pytest.mark.parametrize("theory", [Theory.AKH, Theory.KH])
+def test_homology_of_builds_each_block_after_the_last_is_gone(monkeypatch, theory):
+    gc = build_complex(close_braid(parse_braid_word("1 -2 1 -2", 3)), theory)
+    expected = homology_of(gc)
+    live = watch_block_builds(monkeypatch)
+    assert homology_of(gc) == expected
+    assert len(live) >= 3 and live == [0] * len(live)
+
+
+def test_k_filtration_pages_builds_each_block_after_the_last_is_gone(monkeypatch):
+    expected = k_filtration_pages(HOPF).ranks
+    live = watch_block_builds(monkeypatch)
+    assert k_filtration_pages(HOPF).ranks == expected
+    assert len(live) >= 3 and live == [0] * len(live)
+
+
+@pytest.mark.parametrize("theory, reduced", [
+    (Theory.AKH, False), (Theory.KH, False), (Theory.KH, True),
+])
+def test_edge_maps_are_computed_once_per_distinct_edge(monkeypatch, theory, reduced):
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(khovanov, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_edge_rule", "_transport_table"):
+        monkeypatch.setattr(khovanov, name, counting(name))
+    gc = build_complex(close_braid(parse_braid_word("1 1 -1 1 1", 2)), theory, reduced=reduced)
+    distinct = len({id(edge) for edge in gc.edges})
+    assert distinct < len(gc.edges) == 80
+    assert calls == {"_edge_rule": distinct, "_transport_table": distinct}
 
 
 def test_unclassifiable_edge_is_raised(monkeypatch):

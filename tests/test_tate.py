@@ -21,7 +21,7 @@ from annulus_tate.tate import (
     vh_pages,
 )
 
-from conftest import WindowedTate
+from conftest import WindowedTate, watch_block_builds
 
 SIGMA1 = parse_braid_word("1", 2)
 
@@ -145,13 +145,22 @@ def test_equivariance_empty_cover():
 def test_folded_tate_is_a_complex_on_the_cover_generators():
     b = hopf_tate()
     assert b.n_generators == 12
-    blocks = b.blocks()
+    blocks = list(b.blocks())
     assert sum(len(members) for _, members in blocks) == 12
     n_free = sum(1 for g, tg in enumerate(b.tau) if tg != g)
     n_arrows = sum(C.n_arrows() for C, _ in blocks)
     assert n_arrows == b.cover.n_arrows() + 2 * n_free
     for C, _ in blocks:
         C.check_d_squared()
+
+
+@pytest.mark.parametrize("pages", [hv_pages, vh_pages, total_diagonal_ranks])
+def test_tate_pages_build_each_block_after_the_last_is_gone(monkeypatch, pages):
+    b = PeriodicRun(parse_braid_word("1 1", 2)).tate(Theory.AKH)
+    expected = pages(b)
+    live = watch_block_builds(monkeypatch)
+    assert pages(b) == expected
+    assert len(live) >= 3 and live == [0] * len(live)
 
 
 def test_build_tate_window_and_total_differential():
