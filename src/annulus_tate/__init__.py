@@ -28,7 +28,6 @@ from .f2algebra import (
     PageTable,
     dense_rank,
     homology_ranks,
-    spectral_pages,
 )
 from .khovanov import (
     GradedComplex,
@@ -36,7 +35,6 @@ from .khovanov import (
     build_complex,
     homology,
     homology_of,
-    k_filtration_pages,
     total_rank,
 )
 from .tate import (
@@ -46,7 +44,6 @@ from .tate import (
     check_equivariance,
     hv_pages,
     tau_table,
-    total_diagonal_ranks,
     verify_cascade,
     verify_collapse,
     verify_congruences,

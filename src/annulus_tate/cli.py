@@ -69,17 +69,6 @@ def _rank_table_json(table: dict[tuple, int]) -> dict[str, int]:
     }
 
 
-def _page_table_json(pages) -> dict:
-    out = {}
-    for r in range(pages.max_page + 1):
-        out[str(r)] = _rank_table_json(pages.ranks[r])
-    return {
-        "max_page": pages.max_page,
-        "ranks": out,
-        "d_nonzero": {str(r): pages.d_nonzero[r] for r in sorted(pages.d_nonzero)},
-    }
-
-
 def _verdict_json(v: Verdict) -> dict:
     return {"name": v.name, "passed": v.passed, "details": _jsonify(v.details)}
 
@@ -268,15 +257,15 @@ _homology_command("kh", Theory.KH, "Khovanov ranks per (i, j) over F2.")
 @click.pass_context
 def cmd_resolve(ctx, braid, strands, alpha, fmt, cache_dir):
     word = _load_word(braid, strands)
-    diagram = close_braid(word)
-    c = diagram.n_crossings
-    if alpha is None and c > MAX_RESOLVE_LISTING:
-        raise click.ClickException(
-            f"{c} crossings: pass --alpha to pick one of the 2^{c} resolutions"
-        )
     config = _config("resolve", braid=word.as_text(), strands=strands, alpha=alpha)
 
     def build():
+        diagram = close_braid(word)
+        c = diagram.n_crossings
+        if alpha is None and c > MAX_RESOLVE_LISTING:
+            raise click.ClickException(
+                f"{c} crossings: pass --alpha to pick one of the 2^{c} resolutions"
+            )
         if alpha is not None:
             try:
                 bits, width = parse_bits(alpha)

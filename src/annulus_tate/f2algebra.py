@@ -2,12 +2,13 @@
 
 Arrows are stored as adjacency bitsets keyed by generator index (one
 Python int per generator, bit y of ``out[x]`` meaning an arrow x -> y with
-coefficient 1).  Homology and spectral-sequence pages are computed by
-Gaussian cancellation: cancelling an arrow k -> l removes both endpoint
-generators and toggles an arrow x -> y for every pair x -> l, k -> y,
-which is a single XOR of the successor row into each predecessor row.
-Rank tables are independent of the cancellation order; bases are not, so
-only ranks are exposed.
+coefficient 1).  Complexes are built whole by ``FilteredComplex.from_rows``.
+Homology, and the pages of a filtration one shift level at a time, are
+computed by Gaussian cancellation in place: cancelling an arrow k -> l
+removes both endpoint generators and toggles an arrow x -> y for every
+pair x -> l, k -> y, which is a single XOR of the successor row into each
+predecessor row.  Rank tables are independent of the cancellation order;
+bases are not, so only ranks are exposed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ class MissingArrowError(KeyError):
 
 
 class FilteredComplexError(ValueError):
-    """Structural violation: d^2 != 0 or a negative filtration shift."""
+    """Structural violation of a complex, such as d^2 != 0, a repeated
+    arrow or an arrow that leaves its grading block."""
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -68,21 +70,6 @@ class FilteredComplex:
 
     # -- construction -------------------------------------------------
 
-    def add_generator(self, fdeg: int, aux: tuple = ()) -> int:
-        g = len(self.fdeg)
-        self.fdeg.append(fdeg)
-        self.aux.append(tuple(aux))
-        self.out.append(0)
-        self.inc.append(0)
-        self.alive |= 1 << g
-        return g
-
-    def add_arrow(self, src: int, tgt: int) -> None:
-        if (self.out[src] >> tgt) & 1:
-            raise FilteredComplexError(f"arrow {src}->{tgt} already present")
-        self.out[src] |= 1 << tgt
-        self.inc[tgt] |= 1 << src
-
     @classmethod
     def from_rows(
         cls, fdeg: list[int], aux: list[tuple], targets: Iterable[Iterable[int]]
@@ -91,9 +78,8 @@ class FilteredComplex:
         ``fdeg``, auxiliary gradings ``aux`` and an arrow x -> t for every
         t in ``targets[x]``.
 
-        Each ``out`` and ``inc`` row is assembled once, highest bit first,
-        instead of being stored back after every arrow as ``add_arrow``
-        does; a repeated arrow raises.
+        Each ``out`` and ``inc`` row is assembled once, highest bit first;
+        a repeated arrow raises.
         """
         C = cls()
         n = len(fdeg)
@@ -119,9 +105,6 @@ class FilteredComplex:
 
     # -- queries -------------------------------------------------------
 
-    def is_alive(self, g: int) -> bool:
-        return bool((self.alive >> g) & 1)
-
     def generators(self) -> Iterator[int]:
         return _bits(self.alive)
 
@@ -138,9 +121,6 @@ class FilteredComplex:
     def targets(self, src: int) -> Iterator[int]:
         return _bits(self.out[src] & self.alive)
 
-    def sources(self, tgt: int) -> Iterator[int]:
-        return _bits(self.inc[tgt] & self.alive)
-
     def arrows(self) -> Iterator[tuple[int, int]]:
         for src in self.generators():
             for tgt in self.targets(src):
@@ -148,9 +128,6 @@ class FilteredComplex:
 
     def n_arrows(self) -> int:
         return sum((self.out[g] & self.alive).bit_count() for g in self.generators())
-
-    def shift(self, src: int, tgt: int) -> int:
-        return self.fdeg[tgt] - self.fdeg[src]
 
     def grading_key(self, g: int) -> tuple:
         return (self.fdeg[g], *self.aux[g])
@@ -163,26 +140,6 @@ class FilteredComplex:
         dup.inc = list(self.inc)
         dup.alive = self.alive
         return dup
-
-    # -- validation ----------------------------------------------------
-
-    def check_d_squared(self) -> None:
-        """Raise unless d^2 vanishes (XOR of target rows is zero)."""
-        for x in self.generators():
-            acc = 0
-            for y in self.targets(x):
-                acc ^= self.out[y] & self.alive
-            if acc:
-                raise FilteredComplexError(
-                    f"d^2 != 0: generator {x} double-hits {list(_bits(acc))[:5]}"
-                )
-
-    def check_nonnegative(self) -> None:
-        for src, tgt in self.arrows():
-            if self.shift(src, tgt) < 0:
-                raise FilteredComplexError(
-                    f"arrow {src}->{tgt} shifts filtration by {self.shift(src, tgt)}"
-                )
 
     # -- cancellation ---------------------------------------------------
 
@@ -260,53 +217,39 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of=None) -> bool:
 
 
 def homology_ranks(C: FilteredComplex) -> dict[tuple, int]:
-    """Homology ranks per grading, by cancelling until no arrows remain.
-    ``C`` itself is left as it was."""
-    work = C.copy()
-    _sweep_cancel(work)
-    if work.n_arrows():
+    """Homology ranks per grading, by cancelling ``C`` in place until no
+    arrows remain; pass ``C.copy()`` to keep the complex."""
+    _sweep_cancel(C)
+    if C.n_arrows():
         raise FilteredComplexError("cancellation finished with arrows left")
-    return rank_table(work)
+    return rank_table(C)
 
 
 @dataclass
 class PageTable:
     """Spectral-sequence rank tables: page r -> grading key -> rank.
 
-    Keys are (filtration degree, *aux).  ``d_nonzero[r]`` records whether
-    any differential acted while page r was current.  Pages stabilize once
-    r exceeds the largest filtration shift, so ``table(r)`` clamps r to
-    ``max_page``.
+    Keys are (filtration degree, *aux).  Every page starts empty, and
+    blocks with disjoint keys add their ranks to it.  ``d_nonzero[r]``
+    records whether any differential acted while page r was current.
+    Pages stabilize once r exceeds the largest filtration shift, so
+    ``table(r)`` clamps r to ``max_page``.
     """
 
     max_page: int
-    ranks: dict[int, dict[tuple, int]] = field(default_factory=dict)
-    d_nonzero: dict[int, bool] = field(default_factory=dict)
+    ranks: dict[int, dict[tuple, int]] = field(init=False)
+    d_nonzero: dict[int, bool] = field(init=False)
+
+    def __post_init__(self) -> None:
+        pages = range(self.max_page + 1)
+        self.ranks = {r: {} for r in pages}
+        self.d_nonzero = dict.fromkeys(pages, False)
 
     def table(self, r: int) -> dict[tuple, int]:
         return self.ranks[min(r, self.max_page)]
 
-    def rank(self, r: int, key: tuple) -> int:
-        return self.table(r).get(key, 0)
-
     def total(self, r: int) -> int:
         return sum(self.table(r).values())
-
-    @classmethod
-    def merge(cls, tables: Iterable["PageTable"], max_page: int) -> "PageTable":
-        merged = cls(max_page=max_page)
-        for r in range(max_page + 1):
-            merged.ranks[r] = {}
-            merged.d_nonzero[r] = False
-        for pt in tables:
-            if pt.max_page != max_page:
-                raise ValueError("cannot merge page tables with different max_page")
-            for r in range(max_page + 1):
-                target = merged.ranks[r]
-                for gkey, rk in pt.ranks[r].items():
-                    target[gkey] = target.get(gkey, 0) + rk
-                merged.d_nonzero[r] = merged.d_nonzero[r] or pt.d_nonzero[r]
-        return merged
 
 
 def degree_masks(C: FilteredComplex) -> dict[int, int]:
@@ -324,25 +267,6 @@ def cancel_shift_level(
     """Cancel every arrow of filtration shift exactly r (mutating ``work``);
     returns True if anything acted."""
     return _sweep_cancel(work, lambda x: masks.get(work.fdeg[x] + r, 0))
-
-
-def spectral_pages(C: FilteredComplex, max_page: int) -> PageTable:
-    """Pages of the filtration spectral sequence by shift-ordered cancellation.
-
-    Page r is the complex surviving after every arrow of filtration shift
-    < r has been cancelled, lexicographically by (shift, source, target);
-    d^r consists of the arrows of shift exactly r on that page.  Choose
-    ``max_page`` larger than the i-span to reach the limit term.  Raises
-    FilteredComplexError on an arrow that lowers the filtration.
-    """
-    work = C.copy()
-    work.check_nonnegative()
-    masks = degree_masks(work)
-    pages = PageTable(max_page=max_page)
-    for r in range(max_page + 1):
-        pages.ranks[r] = rank_table(work)
-        pages.d_nonzero[r] = cancel_shift_level(work, r, masks)
-    return pages
 
 
 def dense_rank(matrix: Iterable[Iterable[int]]) -> int:

@@ -33,12 +33,12 @@ table from the labels of its participating circles to their images,
 applied at once to every labeling of the other circles, whose transport
 is tabulated once per distinct edge type.  d^2 = 0 is checked on every
 built complex, and ``_blocks`` splits it into engine complexes along the
-gradings every arrow preserves, assembling each bitset row once.  It
-yields the blocks one at a time, and every consumer cancels a block and
-drops it before the next is built, so the largest block, not the sum of
-all blocks, sets the memory peak.  A diagram whose blocks would need more
-than ``MAX_ENGINE_BYTES`` of bitsets in all is refused with
-``DiagramTooLarge`` before any arrow is built.
+gradings every arrow preserves, filtered by i, assembling each bitset
+row once.  It yields the blocks one at a time, and every consumer
+cancels a block in place and drops it before the next is built, so the
+largest block, not the sum of all blocks, sets the memory peak.  A
+diagram whose blocks would need more than ``MAX_ENGINE_BYTES`` of bitsets
+in all is refused with ``DiagramTooLarge`` before any arrow is built.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import cube
-from .f2algebra import FilteredComplex, FilteredComplexError, PageTable, homology_ranks, spectral_pages
+from .f2algebra import FilteredComplex, FilteredComplexError, homology_ranks
 from .links import MAX_CROSSINGS, AnnularDiagram, DiagramTooLarge
 
 
@@ -309,25 +309,20 @@ def _block_keys(theory: Theory, gj: list[int], gk: list[int]) -> list[tuple]:
 
 
 def _blocks(
-    gc: GradedComplex,
-    fdeg: list[int] | None = None,
-    aux: list[tuple] | None = None,
-    row_of=None,
+    gc: GradedComplex, row_of=None
 ) -> Iterator[tuple[FilteredComplex, list[int]]]:
     """Split into engine complexes along the block keys, one block at a time.
 
-    ``fdeg[g]`` is the filtration degree (default i) and ``aux[g]`` the
-    auxiliary gradings (default the block key) of generator g, and
-    ``row_of(g)`` lists its arrow targets (default ``gc.out[g]``); it is
-    called once per generator, a block at a time.  Yields (complex,
-    members) pairs, where members[x] is the generator of ``gc`` at engine
-    index x.  A block is built only when the next pair is asked for and
-    the generator keeps no reference to it, so a consumer that drops each
-    complex before asking for the next holds one block's bitsets at a time.
+    Each generator g is filtered by i and carries its block key as
+    auxiliary grading; ``row_of(g)`` lists its arrow targets (default
+    ``gc.out[g]``) and is called once per generator, a block at a time.
+    Yields (complex, members) pairs, where members[x] is the generator of
+    ``gc`` at engine index x.  A block is built only when the next pair is
+    asked for and the generator keeps no reference to it, so a consumer
+    that drops each complex before asking for the next holds one block's
+    bitsets at a time.
     """
     keys = _block_keys(gc.theory, gc.gj, gc.gk)
-    fdeg = gc.gi if fdeg is None else fdeg
-    aux = keys if aux is None else aux
     row_of = gc.out.__getitem__ if row_of is None else row_of
     ids: dict[tuple, int] = {}
     block_of = [ids.setdefault(key, len(ids)) for key in keys]
@@ -343,8 +338,8 @@ def _blocks(
         if {block_of[y] for row in rows for y in row} - {b}:
             raise FilteredComplexError("arrow leaves its grading block")
         return FilteredComplex.from_rows(
-            [fdeg[g] for g in members],
-            [aux[g] for g in members],
+            [gc.gi[g] for g in members],
+            [keys[g] for g in members],
             ([local[y] for y in row] for row in rows),
         )
 
@@ -360,7 +355,7 @@ def homology_of(gc: GradedComplex) -> dict[tuple, int]:
     """
     table: dict[tuple, int] = {}
     for C, _ in _blocks(gc):
-        table.update(homology_ranks(C))
+        table.update(homology_ranks(C))  # cancels C in place
         del C  # before the next block is built
     if gc.reduced:
         table = {
@@ -379,21 +374,3 @@ def homology(diagram: AnnularDiagram, theory: Theory) -> dict[tuple, int]:
 
 def total_rank(table: dict[tuple, int]) -> int:
     return sum(table.values())
-
-
-def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
-    """Spectral sequence of the k-grading filtration on the Kh complex, to
-    page k-span + 2.
-
-    Filtration degree is -k so shifts are nonnegative; page keys are
-    (-k, i, j).  Page 1 carries the AKh ranks, the last page the Kh ranks.
-    """
-    gc = build_complex(diagram, Theory.KH)
-    kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
-    max_page = kspan + 2
-
-    tables = []
-    for C, _ in _blocks(gc, fdeg=[-k for k in gc.gk], aux=list(zip(gc.gi, gc.gj))):
-        tables.append(spectral_pages(C, max_page))
-        del C  # before the next block is built
-    return PageTable.merge(tables, max_page)

@@ -27,7 +27,6 @@ from .f2algebra import (
     PageTable,
     cancel_shift_level,
     degree_masks,
-    homology_ranks,
     rank_table,
 )
 from .khovanov import (
@@ -172,7 +171,6 @@ class HvPages:
 
     pages: PageTable
     odd_pages_ok: bool
-    odd_page_failures: list
     d2_observed: set = field(default_factory=set)
     d2_strays: list = field(default_factory=list)
 
@@ -200,15 +198,13 @@ def hv_pages(b: TateBicomplex) -> HvPages:
     the intermediate state after the tau sweep is exactly where the
     induced length-2 differentials are read off.
     """
-    max_page = max(3, b.cover.i_span() + 2)
+    pages = PageTable(max_page=max(3, b.cover.i_span() + 2))
     gi = b.cover.gi
     observed: set[tuple[int, int]] = set()
     strays: list[int] = []
-    tables = []
     for C, members in b.blocks():
         masks = degree_masks(C)
-        pt = PageTable(max_page=max_page)
-        pt.ranks[0] = rank_table(C)
+        pages.ranks[0].update(rank_table(C))
         acted = _tau_sweep(C, members, b.tau)
         for src in C.generators():
             g1 = members[src]
@@ -218,24 +214,16 @@ def hv_pages(b: TateBicomplex) -> HvPages:
                 g2 = members[tgt]
                 if gi[g2] - gi[g1] == 2:
                     observed.add((g1, g2))
-        acted = cancel_shift_level(C, 0, masks) or acted
-        pt.d_nonzero[0] = acted
-        for r in range(1, max_page + 1):
-            pt.ranks[r] = rank_table(C)
-            pt.d_nonzero[r] = cancel_shift_level(C, r, masks)
-        tables.append(pt)
+        pages.d_nonzero[0] |= cancel_shift_level(C, 0, masks) or acted
+        for r in range(1, pages.max_page + 1):
+            pages.ranks[r].update(rank_table(C))
+            pages.d_nonzero[r] |= cancel_shift_level(C, r, masks)
         del C, masks  # before the next block is built
-
-    pages = PageTable.merge(tables, max_page)
-    odd_failures = [
-        (r, pages.table(r), pages.table(r + 1))
-        for r in range(1, max_page, 2)
-        if pages.table(r) != pages.table(r + 1)
-    ]
     return HvPages(
         pages=pages,
-        odd_pages_ok=not odd_failures,
-        odd_page_failures=odd_failures,
+        odd_pages_ok=all(
+            pages.table(r) == pages.table(r + 1) for r in range(1, pages.max_page, 2)
+        ),
         d2_observed=observed,
         d2_strays=sorted(strays),
     )
@@ -256,30 +244,15 @@ def vh_pages(b: TateBicomplex) -> VhPages:
     An arrow g -> g' moves a = 1 + i(g) - i(g') columns, so page r cancels
     the arrows that shift i by 1 - r.
     """
-    max_page = 2
-    tables = []
+    pages = PageTable(max_page=2)
     for C, _ in b.blocks():
         masks = degree_masks(C)
-        pt = PageTable(max_page=max_page)
-        for r in range(max_page + 1):
-            pt.ranks[r] = rank_table(C)
-            pt.d_nonzero[r] = cancel_shift_level(C, 1 - r, masks)
-        tables.append(pt)
+        for r in range(pages.max_page + 1):
+            pages.ranks[r].update(rank_table(C))
+            pages.d_nonzero[r] |= cancel_shift_level(C, 1 - r, masks)
         del C, masks  # before the next block is built
-    pages = PageTable.merge(tables, max_page)
     cover_table = {k: r for k, r in homology_of(b.cover).items() if r}
     return VhPages(pages=pages, e1_ok=pages.table(1) == cover_table)
-
-
-def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
-    """Total-complex homology ranks keyed (j, k) (AKh) or (j,) (Kh); they
-    are the same on every diagonal i + t."""
-    table: dict[tuple, int] = {}
-    for C, _ in b.blocks():
-        for key, rank in homology_ranks(C).items():
-            table[key[1:]] = table.get(key[1:], 0) + rank
-        del C  # before the next block is built
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +448,20 @@ def verify_collapse(run: PeriodicRun, theory: Theory) -> Verdict:
     )
 
 
-def _jk_totals(table: dict[tuple, int]) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for (i, j, k), r in table.items():
-        out[(j, k)] = out.get((j, k), 0) + r
+def _summed(table: dict[tuple, int], key_of) -> dict[tuple, int]:
+    """The ranks of ``table`` added up over the keys that ``key_of(*key)``
+    sends to the same key."""
+    out: dict[tuple, int] = {}
+    for key, rank in table.items():
+        new = key_of(*key)
+        out[new] = out.get(new, 0) + rank
     return out
 
 
 def verify_rank_inequality(run: PeriodicRun) -> Verdict:
     """rk AKh^{j,k}(L) <= rk AKh^{2j-k,k}(cover) at every (j, k)."""
-    quot = _jk_totals(run.homology("quotient", Theory.AKH))
-    cover = _jk_totals(run.homology("cover", Theory.AKH))
+    quot = _summed(run.homology("quotient", Theory.AKH), lambda i, j, k: (j, k))
+    cover = _summed(run.homology("cover", Theory.AKH), lambda i, j, k: (j, k))
     failures = []
     for (j, k), r in sorted(quot.items()):
         if r > cover.get((2 * j - k, k), 0):
@@ -502,33 +478,21 @@ def verify_rank_inequality(run: PeriodicRun) -> Verdict:
     )
 
 
-def _quotient_diagonal_expectation(
-    quotient_akh: dict[tuple, int]
-) -> dict[tuple[int, int], int]:
-    """Expected diagonal rank at cover grading (J, k):
-    the i-summed quotient rank at ((J + k) / 2, k)."""
-    out: dict[tuple[int, int], int] = {}
-    for (i, j, k), r in quotient_akh.items():
-        key = (2 * j - k, k)
-        out[key] = out.get(key, 0) + r
-    return out
-
-
 def _diagonal_table_from_pages(hv: HvPages) -> dict[tuple, int]:
     """Total-homology ranks per (j, k) (AKh) or (j,) (Kh), summed over i
     from the limit page: over a field the associated graded of the induced
     filtration has the same rank as the total homology in each degree."""
-    out: dict[tuple, int] = {}
-    for key, rank in hv.pages.table(hv.pages.max_page).items():
-        out[key[1:]] = out.get(key[1:], 0) + rank
-    return out
+    return _summed(hv.pages.table(hv.pages.max_page), lambda i, *key: key)
 
 
 def verify_diagonals(run: PeriodicRun) -> Verdict:
     """Total-homology ranks of the AKh Tate complex at (J, k) equal the
     i-summed quotient rank at ((J+k)/2, k), and vanish for J + k odd."""
     table = _diagonal_table_from_pages(run.hv(Theory.AKH))
-    expected = _quotient_diagonal_expectation(run.homology("quotient", Theory.AKH))
+    # at cover grading (J, k): the i-summed quotient rank at ((J + k) / 2, k)
+    expected = _summed(
+        run.homology("quotient", Theory.AKH), lambda i, j, k: (2 * j - k, k)
+    )
     failures = []
     for key in sorted(set(table) | set(expected)):
         J, k = key
@@ -552,10 +516,9 @@ def verify_khtate_limit(run: PeriodicRun) -> Verdict:
     quotient AKh rank summed over the (2j-k, k) fibre of J; asserted on the
     proven family, recorded otherwise."""
     table = _diagonal_table_from_pages(run.hv(Theory.KH))
-    expected: dict[tuple, int] = {}
-    for (i, j, k), r in run.homology("quotient", Theory.AKH).items():
-        key = (2 * j - k,)
-        expected[key] = expected.get(key, 0) + r
+    expected = _summed(
+        run.homology("quotient", Theory.AKH), lambda i, j, k: (2 * j - k,)
+    )
     failures = []
     for key in sorted(set(table) | set(expected)):
         if table.get(key, 0) != expected.get(key, 0):
@@ -590,9 +553,7 @@ def verify_cascade(run: PeriodicRun) -> Verdict:
     chain_ok = totals[0] >= totals[1] >= totals[2] >= totals[3]
 
     def filtration_ok(akh: dict, kh: dict) -> bool:
-        summed: dict[tuple[int, int], int] = {}
-        for (i, j, k), r in akh.items():
-            summed[(i, j)] = summed.get((i, j), 0) + r
+        summed = _summed(akh, lambda i, j, k: (i, j))
         return all(summed.get(key, 0) >= r for key, r in kh.items())
 
     per_grading_ok = filtration_ok(a_cover, k_cover) and filtration_ok(a_quot, k_quot)

@@ -8,7 +8,6 @@ from annulus_tate.decat import homology_poly, state_sum, MINUS_ONE
 from annulus_tate.tate import (
     PeriodicRun,
     check_equivariance,
-    total_diagonal_ranks,
     verify_cascade,
     verify_collapse,
     verify_congruences,
@@ -24,6 +23,7 @@ from conftest import (
     builder_matches_reference,
     dense_homology_of,
     reduced_matches_full,
+    total_diagonal_ranks,
 )
 
 

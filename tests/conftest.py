@@ -5,16 +5,19 @@ import pytest
 
 from annulus_tate.f2algebra import (
     FilteredComplex,
+    FilteredComplexError,
+    PageTable,
+    _bits,
     cancel_shift_level,
     degree_masks,
     dense_rank,
     homology_ranks,
     rank_table,
-    spectral_pages,
 )
 from annulus_tate import cube
-from annulus_tate.khovanov import GradedComplex, Theory
+from annulus_tate.khovanov import GradedComplex, Theory, _blocks, build_complex
 from annulus_tate.links import AnnularDiagram, BraidWord
+from annulus_tate.tate import TateBicomplex
 
 
 def watch_block_builds(monkeypatch) -> list[int]:
@@ -30,6 +33,85 @@ def watch_block_builds(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(FilteredComplex, "from_rows", classmethod(from_rows))
     return live
+
+
+# -- engine complexes: structure checks and filtration spectral sequences
+
+
+def check_d_squared(C: FilteredComplex) -> None:
+    """Raise unless d^2 vanishes on the alive generators (the XOR of the
+    target rows of each generator is zero)."""
+    for x in C.generators():
+        acc = 0
+        for y in C.targets(x):
+            acc ^= C.out[y] & C.alive
+        if acc:
+            raise FilteredComplexError(
+                f"d^2 != 0: generator {x} double-hits {list(_bits(acc))[:5]}"
+            )
+
+
+def check_nonnegative(C: FilteredComplex) -> None:
+    """Raise on an arrow that lowers the filtration degree."""
+    for src, tgt in C.arrows():
+        if C.fdeg[tgt] < C.fdeg[src]:
+            raise FilteredComplexError(
+                f"arrow {src}->{tgt} shifts filtration by {C.fdeg[tgt] - C.fdeg[src]}"
+            )
+
+
+def spectral_pages(C: FilteredComplex, max_page: int) -> PageTable:
+    """Pages of the filtration spectral sequence by shift-ordered cancellation.
+
+    Page r is the complex surviving after every arrow of filtration shift
+    < r has been cancelled, lexicographically by (shift, source, target);
+    d^r consists of the arrows of shift exactly r on that page.  Choose
+    ``max_page`` larger than the filtration span to reach the limit term.
+    ``C`` is left as it was.  Raises FilteredComplexError on an arrow that
+    lowers the filtration.
+    """
+    work = C.copy()
+    check_nonnegative(work)
+    masks = degree_masks(work)
+    pages = PageTable(max_page=max_page)
+    for r in range(max_page + 1):
+        pages.ranks[r] = rank_table(work)
+        pages.d_nonzero[r] = cancel_shift_level(work, r, masks)
+    return pages
+
+
+def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
+    """Spectral sequence of the k-grading filtration on the Kh complex, to
+    page k-span + 2.
+
+    Filtration degree is -k so shifts are nonnegative; page keys are
+    (-k, i, j).  Page 1 carries the AKh ranks, the last page the Kh ranks.
+    Each j block of the Kh complex is regraded and dropped before the next
+    is built.
+    """
+    gc = build_complex(diagram, Theory.KH)
+    kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
+    pages = PageTable(max_page=kspan + 2)
+    for C, members in _blocks(gc):
+        C.fdeg = [-gc.gk[g] for g in members]
+        C.aux = [(gc.gi[g], gc.gj[g]) for g in members]
+        block = spectral_pages(C, pages.max_page)
+        del C  # before the next block is built
+        for r in range(pages.max_page + 1):
+            pages.ranks[r].update(block.ranks[r])
+            pages.d_nonzero[r] |= block.d_nonzero[r]
+    return pages
+
+
+def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
+    """Total-complex homology ranks of the folded Tate complex keyed (j, k)
+    (AKh) or (j,) (Kh); they are the same on every diagonal i + t."""
+    table: dict[tuple, int] = {}
+    for C, _ in b.blocks():
+        for key, rank in homology_ranks(C).items():
+            table[key[1:]] = table.get(key[1:], 0) + rank
+        del C  # before the next block is built
+    return table
 
 
 def corpus_words() -> list[BraidWord]:

@@ -305,6 +305,15 @@ def test_resolve_guard_requires_alpha_for_large_diagrams(runner):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "0" * 23]], ids=["listing", "alpha"])
+def test_resolve_refuses_a_word_over_the_crossing_guard(runner, alpha):
+    braid = " ".join(["1"] * 23)
+    result = runner.invoke(cli.main, ["resolve", "--braid", braid, "--strands", "2", *alpha])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output == "Error: 23 crossings exceeds the 22-crossing guard\n"
+
+
 def test_resolve_alpha_width_mismatch(runner):
     result = runner.invoke(
         cli.main,

@@ -12,7 +12,6 @@ from annulus_tate.khovanov import (
     build_complex,
     homology,
     homology_of,
-    k_filtration_pages,
     total_rank,
 )
 from annulus_tate.links import (
@@ -28,6 +27,7 @@ from conftest import (
     corpus_words,
     counted_d_squared_vanishes,
     dense_homology_of,
+    k_filtration_pages,
     mirror,
     reduced_matches_full,
     watch_block_builds,
@@ -326,6 +326,40 @@ def test_reduced_kh_matches_full_and_dense_on_small_words():
         assert homology(close_braid(word), Theory.KH) == kh
 
 
+def _splits_off_v(kh: dict[tuple, int]) -> bool:
+    """Whether Kh^{i,j} = h^{i,j} + h^{i,j-2} for some h >= 0, as
+    Kh = reduced Kh (x) V requires: in each i, peeled from the bottom j
+    up, h(j) = Kh(j) - h(j - 2) is >= 0 and vanishes at the top j."""
+    for i in {i for i, _ in kh}:
+        js = [j for i2, j in kh if i2 == i]
+        h = {min(js) - 2: 0}
+        for j in range(min(js), max(js) + 1, 2):
+            h[j] = kh.get((i, j), 0) - h[j - 2]
+            if h[j] < 0:
+                return False
+        if h[max(js)]:
+            return False
+    return True
+
+
+def test_full_kh_splits_as_reduced_kh_tensor_v_on_small_words():
+    words = [w for w in corpus_words() if len(w) <= 3]
+    assert len(words) == 100
+    for word in words:
+        kh = homology_of(build_complex(close_braid(word), Theory.KH))
+        assert _splits_off_v(kh), word
+
+
+def test_akh_has_the_sl2_weight_symmetry_on_small_words():
+    # rk AKh^{i,j,k} = rk AKh^{i,j-2k,-k} (Grigsby-Licata-Wehrli); the naive
+    # k <-> -k at fixed j fails on every word
+    words = [w for w in corpus_words() if len(w) <= 3]
+    assert len(words) == 100
+    for word in words:
+        akh = homology(close_braid(word), Theory.AKH)
+        assert akh == {(i, j - 2 * k, -k): r for (i, j, k), r in akh.items()}, word
+
+
 @pytest.mark.parametrize("braid", [w for w, _, cover in REFERENCE_WORDS if not cover])
 def test_reduced_kh_on_ten_crossings(braid):
     full, reduced = _full_and_reduced(close_braid(parse_braid_word(braid, 2)))
@@ -441,3 +475,43 @@ def test_conjugation_keeps_kh(word, turn, data):
     if len(letters) <= 2:
         g = data.draw(st.sampled_from(_alphabet(word.strands)))
         assert _kh(BraidWord(word.strands, (g, *letters, -g))) == _kh(word)
+
+
+# -- invariance of AKh under the braid relations: isotopies of the closure
+# in the thickened annulus
+
+
+@st.composite
+def _related_words(draw):
+    """Two words p l s and p r s on 2-4 strands whose middles l = r is one
+    braid relation: g g^-1 = 1, sigma_a sigma_{a+1} sigma_a =
+    sigma_{a+1} sigma_a sigma_{a+1} (both signs), or far commutation."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    letters = st.lists(st.sampled_from(_alphabet(m)), max_size=2)
+    prefix, suffix = draw(letters), draw(letters)
+    sign = st.sampled_from([1, -1])
+    kinds = ["inverse", "braid", "far"][: m - 1]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "inverse":
+        g = draw(st.sampled_from(_alphabet(m)))
+        left, right = (g, -g), ()
+    elif kind == "braid":
+        a, e = draw(st.integers(1, m - 2)), draw(sign)
+        left, right = (e * a, e * (a + 1), e * a), (e * (a + 1), e * a, e * (a + 1))
+    else:  # sigma_1 and sigma_3, the only far pair on 4 strands
+        g, h = draw(sign), draw(sign) * 3
+        left, right = (g, h), (h, g)
+    return tuple(
+        BraidWord(m, (*prefix, *middle, *suffix)) for middle in (left, right)
+    )
+
+
+def _akh(word: BraidWord) -> dict[tuple, int]:
+    return homology(close_braid(word), Theory.AKH)
+
+
+@PROPERTY
+@given(_related_words())
+def test_braid_relations_keep_akh(words):
+    left, right = words
+    assert _akh(left) == _akh(right)

@@ -11,7 +11,6 @@ from annulus_tate.tate import (
     check_equivariance,
     hv_pages,
     tau_table,
-    total_diagonal_ranks,
     verify_cascade,
     verify_collapse,
     verify_diagonals,
@@ -21,7 +20,13 @@ from annulus_tate.tate import (
     vh_pages,
 )
 
-from conftest import WindowedTate, watch_block_builds
+from conftest import (
+    WindowedTate,
+    check_d_squared,
+    check_nonnegative,
+    total_diagonal_ranks,
+    watch_block_builds,
+)
 
 SIGMA1 = parse_braid_word("1", 2)
 
@@ -151,7 +156,7 @@ def test_folded_tate_is_a_complex_on_the_cover_generators():
     n_arrows = sum(C.n_arrows() for C, _ in blocks)
     assert n_arrows == b.cover.n_arrows() + 2 * n_free
     for C, _ in blocks:
-        C.check_d_squared()
+        check_d_squared(C)
 
 
 @pytest.mark.parametrize("pages", [hv_pages, vh_pages, total_diagonal_ranks])
@@ -170,8 +175,8 @@ def test_build_tate_window_and_total_differential():
     for C, _ in oracle.blocks(
         lambda g, t: gc.gi[g] + t, lambda g, t: (gc.gj[g], gc.gk[g])
     ):
-        C.check_d_squared()
-        C.check_nonnegative()
+        check_d_squared(C)
+        check_nonnegative(C)
 
 
 def test_build_tate_rejects_small_window():
@@ -244,7 +249,7 @@ def test_folded_blocks_square_to_zero(braid, strands):
     run = PeriodicRun(parse_braid_word(braid, strands))
     for theory in (Theory.AKH, Theory.KH):
         for C, _ in run.tate(theory).blocks():
-            C.check_d_squared()
+            check_d_squared(C)
 
 
 def test_e2_correspondence_sigma1():
