@@ -86,13 +86,10 @@ class Resolution:
     def n_circles(self) -> int:
         return len(self.circles)
 
-    @property
-    def trivial_flags(self) -> tuple[bool, ...]:
-        return tuple(c.trivial for c in self.circles)
-
 
 class UnclassifiableEdge(ValueError):
-    """Circle pattern across an edge is not one of the six annular types."""
+    """The circles across an edge are neither a merge nor a split that
+    conserves seam count."""
 
 
 def resolve(diagram: AnnularDiagram, alpha: int) -> Resolution:
@@ -155,21 +152,17 @@ class EdgeType:
     """A classified cube edge.
 
     ``source_circles``/``target_circles`` hold the participating circle
-    indices, nontrivial circles first; ``correspondence`` maps each
-    nonparticipating source circle index to its (identical-port-set)
-    target index.
+    indices, ascending; ``correspondence`` maps each nonparticipating
+    source circle index to its (identical-port-set) target index.  The
+    participating circles conserve seam count (the source counts add up
+    to the target counts), so a merge or split changes the number of
+    nontrivial circles by 0 or 2.
     """
 
     kind: str  # "merge" | "split"
-    annular_class: str  # "A".."F"
     source_circles: tuple[int, ...]
     target_circles: tuple[int, ...]
     correspondence: dict[int, int]
-
-
-def _participants(kind: str, res: Resolution, unmatched: list[int]) -> tuple[int, ...]:
-    # Nontrivial-first ordering so type D/A maps can address the v circle directly.
-    return tuple(sorted(unmatched, key=lambda i: (res.circles[i].trivial, i)))
 
 
 def classify_resolutions(source: Resolution, target: Resolution) -> EdgeType:
@@ -177,52 +170,33 @@ def classify_resolutions(source: Resolution, target: Resolution) -> EdgeType:
     target_index = {circle.ports: i for i, circle in enumerate(target.circles)}
     source_index = {circle.ports: i for i, circle in enumerate(source.circles)}
 
-    src_unmatched = [
+    src_part = tuple(
         i for i, circle in enumerate(source.circles) if circle.ports not in target_index
-    ]
-    tgt_unmatched = [
+    )
+    tgt_part = tuple(
         i for i, circle in enumerate(target.circles) if circle.ports not in source_index
-    ]
+    )
     correspondence = {
         i: target_index[circle.ports]
         for i, circle in enumerate(source.circles)
         if circle.ports in target_index
     }
 
-    if len(src_unmatched) == 2 and len(tgt_unmatched) == 1:
+    if len(src_part) == 2 and len(tgt_part) == 1:
         kind = "merge"
-    elif len(src_unmatched) == 1 and len(tgt_unmatched) == 2:
+    elif len(src_part) == 1 and len(tgt_part) == 2:
         kind = "split"
     else:
         raise UnclassifiableEdge(
-            f"{len(src_unmatched)} source / {len(tgt_unmatched)} target circles changed"
+            f"{len(src_part)} source / {len(tgt_part)} target circles changed"
         )
 
-    src_part = _participants(kind, source, src_unmatched)
-    tgt_part = _participants(kind, target, tgt_unmatched)
-    src_trivial = tuple(source.circles[i].trivial for i in src_part)
-    tgt_trivial = tuple(target.circles[i].trivial for i in tgt_part)
-
-    if kind == "merge":
-        table = {
-            ((False, False), (True,)): "E",
-            ((False, True), (False,)): "D",
-            ((True, True), (True,)): "F",
-        }
-    else:
-        table = {
-            ((False,), (False, True)): "A",
-            ((True,), (False, False)): "B",
-            ((True,), (True, True)): "C",
-        }
-    annular_class = table.get((src_trivial, tgt_trivial))
-    if annular_class is None:
-        raise UnclassifiableEdge(
-            f"{kind} with triviality pattern {src_trivial} -> {tgt_trivial}"
-        )
+    src_seams = [source.circles[i].seam_count for i in src_part]
+    tgt_seams = [target.circles[i].seam_count for i in tgt_part]
+    if sum(src_seams) != sum(tgt_seams):
+        raise UnclassifiableEdge(f"{kind} with seam counts {src_seams} -> {tgt_seams}")
     return EdgeType(
         kind=kind,
-        annular_class=annular_class,
         source_circles=src_part,
         target_circles=tgt_part,
         correspondence=correspondence,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cube
+from .khovanov import Theory, homology
 from .links import AnnularDiagram, BraidWord, close_braid, double_cover, MAX_CROSSINGS, DiagramTooLarge
 
 Exponent = tuple[int, int, int]  # (t, q, x)
@@ -230,8 +231,6 @@ def check_congruences(
     Rank tables may be passed in to reuse homology already computed; they
     must be AKh tables keyed (i, j, k).
     """
-    from .khovanov import Theory, homology
-
     if quotient_ranks is None:
         quotient_ranks = homology(close_braid(word), Theory.AKH)
     if cover_ranks is None:

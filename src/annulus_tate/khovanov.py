@@ -1,22 +1,16 @@
 """AKh and Kh chain complexes of annular diagrams over F2.
 
-The edge maps are the six annular types (labels on participating circles,
-v = nontrivial, w = trivial):
-
-  A (split, v -> vw):  v- -> v-w-,  v+ -> v+w-
-  B (split, w -> vv):  w+ -> v+v- + v-v+,  w- -> 0
-  C (split, w -> ww):  w+ -> w+w- + w-w+,  w- -> w-w-
-  D (merge, vw -> v):  v+w+ -> v+,  v-w+ -> v-,  (.)w- -> 0
-  E (merge, vv -> w):  v+v- -> w-,  v-v+ -> w-,  v+v+ -> 0,  v-v- -> 0
-  F (merge, ww -> w):  w+w+ -> w+,  w+w- -> w-,  w-w+ -> w-,  w-w- -> 0
-
-and the Khovanov merge/split (ignoring triviality):
+Every edge map is the Khovanov merge or split (labels on the participating
+circles):
 
   merge:  x+x+ -> x+,  x+x- -> x-,  x-x+ -> x-,  x-x- -> 0
   split:  x+ -> x+x- + x-x+,  x- -> x-x-
 
-Every AKh arrow preserves (j, k) and raises i by 1; Kh arrows preserve j
-and shift k by 0 or -2.
+Kh arrows raise i by 1, preserve j and shift k by 0 or -2.  AKh keeps the
+arrows that preserve k: it is the associated graded of Kh under the
+annular k-filtration (Asaeda-Przytycki-Sikora, "Categorification of the
+Kauffman bracket skein module of I-bundles over surfaces", AGT 2004;
+Roberts, "On knot Floer homology in double branched covers", G&T 2013).
 
 Kh ranks are computed from the reduced complex: the generators whose
 marked circle, circle 0 (the one through port 0), is labeled "-" span a
@@ -30,15 +24,16 @@ Tate side, where the deck rotation fixes no basepoint.
 The complex is built in one pass per cube edge.  Gradings are read per
 vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
 table from the labels of its participating circles to their images,
-applied at once to every labeling of the other circles, whose transport
-is tabulated once per distinct edge type.  d^2 = 0 is checked on every
-built complex, and ``_blocks`` splits it into engine complexes along the
-gradings every arrow preserves, filtered by i, assembling each bitset
-row once.  It yields the blocks one at a time, and every consumer
-cancels a block in place and drops it before the next is built, so the
-largest block, not the sum of all blocks, sets the memory peak.  A
-diagram whose blocks would need more than ``MAX_ENGINE_BYTES`` of bitsets
-in all is refused with ``DiagramTooLarge`` before any arrow is built.
+applied at once to every labeling of the other circles; the table and
+that transport are tabulated once per distinct edge type.  d^2 = 0 is
+checked on every built complex, and ``_blocks`` splits it into engine
+complexes along the gradings every arrow preserves, filtered by i,
+assembling each bitset row once.  It yields the blocks one at a time, and
+every consumer cancels a block in place and drops it before the next is
+built, so the largest block, not the sum of all blocks, sets the memory
+peak.  A diagram whose blocks would need more than ``MAX_ENGINE_BYTES``
+of bitsets in all is refused with ``DiagramTooLarge`` before any arrow
+is built.
 """
 
 from __future__ import annotations
@@ -76,7 +71,6 @@ class GradedComplex:
     offsets: list[int]
     n_generators: int
     vertex_of: list[int]
-    labels_of: list[int]
     gi: list[int]
     gj: list[int]
     gk: list[int]
@@ -124,34 +118,20 @@ class GradedComplex:
 MAX_ENGINE_BYTES = 2 << 30
 
 
-def _edge_rule(theory: Theory, edge: cube.EdgeType) -> dict[int, list[int]]:
-    """One edge map, by the labels of the participating circles.
+def _edge_rule(edge: cube.EdgeType) -> dict[int, list[int]]:
+    """The Khovanov merge or split, by the labels of the participating circles.
 
     Maps each "+"-mask of the source participating circles to the "+"-masks
-    of the target participating circles it is sent to (an empty list is
-    the zero map); the other circles keep their labels.
+    of the target participating circles it is sent to (a mask with no entry
+    is sent to zero); the other circles keep their labels.
     """
     if edge.kind == "merge":
-        c1, c2 = edge.source_circles  # nontrivial first for type D
-        b1, b2, d0 = 1 << c1, 1 << c2, 1 << edge.target_circles[0]
-        if theory is Theory.KH or edge.annular_class == "F":
-            return {b1 | b2: [d0], b1: [0], b2: [0]}
-        if edge.annular_class == "D":
-            # c1 is the nontrivial circle, c2 the trivial one.
-            return {b2: [0], b1 | b2: [d0]}
-        if edge.annular_class == "E":
-            return {b1: [0], b2: [0]}
-    else:
-        b0 = 1 << edge.source_circles[0]
-        d1, d2 = (1 << c for c in edge.target_circles)  # nontrivial first for type A
-        if theory is Theory.KH or edge.annular_class == "C":
-            return {b0: [d1, d2], 0: [0]}
-        if edge.annular_class == "A":
-            # the trivial offspring is labeled "-" either way
-            return {0: [0], b0: [d1]}
-        if edge.annular_class == "B":
-            return {b0: [d1, d2]}
-    raise cube.UnclassifiableEdge(edge.annular_class)
+        b1, b2 = (1 << c for c in edge.source_circles)
+        d0 = 1 << edge.target_circles[0]
+        return {b1 | b2: [d0], b1: [0], b2: [0]}
+    b0 = 1 << edge.source_circles[0]
+    d1, d2 = (1 << c for c in edge.target_circles)
+    return {b0: [d1, d2], 0: [0]}
 
 
 def _transport_table(edge: cube.EdgeType, reduced: bool) -> tuple[list[int], list[int]]:
@@ -195,8 +175,8 @@ def _classify_edges(resolutions: list[cube.Resolution], c: int) -> list[cube.Edg
     for alpha, alpha2 in _cube_edges(c):
         edge = cube.classify_resolutions(resolutions[alpha], resolutions[alpha2])
         key = (
-            edge.kind, edge.annular_class, edge.source_circles,
-            edge.target_circles, tuple(edge.correspondence.items()),
+            edge.kind, edge.source_circles, edge.target_circles,
+            tuple(edge.correspondence.items()),
         )
         edges.append(types.setdefault(key, edge))
     return edges
@@ -229,7 +209,7 @@ def build_complex(
         # resolved one vertex at a time, so an oversize cube is refused early
         resolutions = (cube.resolve(diagram, a) for a in range(1 << c))
 
-    resolved, offsets, vertex_of, labels_of, gi, gj, gk = [], [], [], [], [], [], []
+    resolved, offsets, vertex_of, gi, gj, gk = [], [], [], [], [], []
     sizes: Counter = Counter()
     squares = 0  # sum of squared block sizes
     for alpha, res in enumerate(resolutions):
@@ -253,7 +233,6 @@ def build_complex(
                 f"{squares / 4 / 2**30:.1f} GiB"
             )
         vertex_of += [alpha] * size
-        labels_of += range(0, size << reduced, 1 << reduced)
         gi += [i] * size
         gj += js
         gk += ks
@@ -263,13 +242,16 @@ def build_complex(
         edges = _classify_edges(resolved, c)
     out: list[list[int]] = [[] for _ in range(total)]
     maps: dict[int, tuple] = {}  # per distinct edge object: rule, transport
+    akh = theory is Theory.AKH
     for (alpha, alpha2), edge in zip(_cube_edges(c), edges, strict=True):
         if id(edge) not in maps:
-            maps[id(edge)] = (_edge_rule(theory, edge), *_transport_table(edge, reduced))
+            maps[id(edge)] = (_edge_rule(edge), *_transport_table(edge, reduced))
         rule, rest, image = maps[id(edge)]
         src_off, tgt_off = offsets[alpha], offsets[alpha2]
         for plus, tplus in rule.items():
-            if reduced and plus & 1:
+            if akh:  # the other circles keep their triviality, so compare k
+                tplus = [tp for tp in tplus if gk[tgt_off + tp] == gk[src_off + plus]]
+            if not tplus or (reduced and plus & 1):
                 continue
             rows = [out[src_off + (lab | plus >> reduced)] for lab in rest]
             for tp in tplus:
@@ -289,7 +271,6 @@ def build_complex(
         offsets=offsets,
         n_generators=total,
         vertex_of=vertex_of,
-        labels_of=labels_of,
         gi=gi,
         gj=gj,
         gk=gk,

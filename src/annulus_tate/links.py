@@ -102,12 +102,6 @@ class CoverPairing:
 
     quotient_crossings: int
 
-    def pair_crossing(self, i: int) -> int:
-        n = self.quotient_crossings
-        if not 0 <= i < 2 * n:
-            raise ValueError(f"crossing index {i} out of range for a {2 * n}-crossing cover")
-        return (i + n) % (2 * n)
-
     def shift_level(self, level: int) -> int:
         """Image of a port level under the half-turn; levels are taken mod 2n."""
         n = self.quotient_crossings

@@ -69,22 +69,29 @@ def _port_circle_map(res: cube.Resolution) -> dict[int, int]:
     return table
 
 
+def _circle_images(res: cube.Resolution, target: cube.Resolution, level_of) -> list[int]:
+    """For each circle of ``res``, the index of the circle of ``target``
+    through the image of its minimal port, (level, strand) going to
+    (level_of(level), strand)."""
+    m = res.strands
+    circle_of = _port_circle_map(target)
+    images = []
+    for circle in res.circles:
+        level, strand = divmod(circle.min_port, m)
+        images.append(circle_of[level_of(level) * m + strand])
+    return images
+
+
 def tau_table(gc: GradedComplex, pairing: CoverPairing) -> list[int]:
     """The chain involution as a permutation of generator indices."""
     n = pairing.quotient_crossings
     width = gc.diagram.n_crossings
     if width != 2 * n:
         raise ValueError("complex is not built on a double-cover diagram")
-    m = gc.diagram.strands
     tau = [0] * gc.n_generators
     for beta, res in enumerate(gc.resolutions):
         tbeta = cube.swap_halves(beta, width) if n else beta
-        target_circle = _port_circle_map(gc.resolutions[tbeta])
-        perm = []
-        for circle in res.circles:
-            level, strand = divmod(circle.min_port, m)
-            mapped = pairing.shift_level(level) * m + strand
-            perm.append(target_circle[mapped])
+        perm = _circle_images(res, gc.resolutions[tbeta], pairing.shift_level)
         off, toff = gc.offsets[beta], gc.offsets[tbeta]
         for labels in range(1 << res.n_circles):
             tlabels = 0
@@ -330,17 +337,11 @@ def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
     gcov = run.complex("cover", Theory.AKH)
     tau = run.tau
     n = run.pairing.quotient_crossings
-    m = run.quotient_diagram.strands
     lift: dict[int, int] = {}
     for alpha, qres in enumerate(gq.resolutions):
         beta = alpha | (alpha << n) if n else alpha
         cres = gcov.resolutions[beta]
-        qports = _port_circle_map(qres)
-        proj = []
-        for circle in cres.circles:
-            level, strand = divmod(circle.min_port, m)
-            qlevel = level % n if n else level
-            proj.append(qports[qlevel * m + strand])
+        proj = _circle_images(cres, qres, lambda level: level % n if n else level)
         fibers: dict[int, list[int]] = {}
         for ci, qci in enumerate(proj):
             fibers.setdefault(qci, []).append(ci)

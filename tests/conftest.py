@@ -1,3 +1,4 @@
+import functools
 import gc as pygc
 import itertools
 
@@ -145,8 +146,48 @@ def classify_edge(diagram: AnnularDiagram, alpha: int, alpha_prime: int) -> cube
     )
 
 
-# -- reference cube builder (oracle path): one edge map call per source
-# labeling, gradings circle by circle, and d^2 counted over length-2 paths
+def labels_of(gc: GradedComplex, g: int) -> int:
+    """The label bitmask of generator ``g`` (bit c set when circle c is
+    "+"), read from its index within its vertex."""
+    return (g - gc.offsets[gc.vertex_of[g]]) << gc.reduced
+
+
+# -- reference cube builder (oracle path): each edge sorted into one of the
+# six annular classes by the seam parity of its circles, one edge map call
+# per source labeling, gradings circle by circle, and d^2 counted over
+# length-2 paths
+
+# (kind, source triviality, target triviality), nontrivial circles first
+_ANNULAR_CLASSES = {
+    ("merge", (False, False), (True,)): "E",
+    ("merge", (False, True), (False,)): "D",
+    ("merge", (True, True), (True,)): "F",
+    ("split", (False,), (False, True)): "A",
+    ("split", (True,), (False, False)): "B",
+    ("split", (True,), (True, True)): "C",
+}
+
+
+def _nontrivial_first(res: cube.Resolution, circles: tuple[int, ...]) -> list[int]:
+    return sorted(circles, key=lambda i: res.circles[i].trivial)
+
+
+def annular_class(source: cube.Resolution, target: cube.Resolution, edge: cube.EdgeType) -> str:
+    """The annular class A-F of a classified edge, from the seam parity of
+    its participating circles:
+
+      A (split, v -> vw),  B (split, w -> vv),  C (split, w -> ww),
+      D (merge, vw -> v),  E (merge, vv -> w),  F (merge, ww -> w)
+
+    with v a nontrivial and w a trivial circle."""
+    key = (
+        edge.kind,
+        tuple(source.circles[i].trivial for i in _nontrivial_first(source, edge.source_circles)),
+        tuple(target.circles[i].trivial for i in _nontrivial_first(target, edge.target_circles)),
+    )
+    if key not in _ANNULAR_CLASSES:
+        raise cube.UnclassifiableEdge(f"{key[0]} with triviality pattern {key[1]} -> {key[2]}")
+    return _ANNULAR_CLASSES[key]
 
 
 def _transport(edge: cube.EdgeType, labels: int) -> int:
@@ -157,48 +198,55 @@ def _transport(edge: cube.EdgeType, labels: int) -> int:
     return base
 
 
-def _merge_targets(theory: Theory, edge: cube.EdgeType, labels: int) -> list[int]:
-    c1, c2 = edge.source_circles  # nontrivial first for type D
+def _merge_targets(theory: Theory, cls: str, source: cube.Resolution,
+                   edge: cube.EdgeType, labels: int) -> list[int]:
+    c1, c2 = edge.source_circles
     d0 = edge.target_circles[0]
     l1 = (labels >> c1) & 1
     l2 = (labels >> c2) & 1
     base = _transport(edge, labels)
-    if theory is Theory.KH or edge.annular_class == "F":
+    if theory is Theory.KH or cls == "F":
         if l1 and l2:
             return [base | (1 << d0)]
         if l1 or l2:
             return [base]
         return []
-    if edge.annular_class == "D":
-        # c1 is the nontrivial circle, c2 the trivial one.
-        return [base | (l1 << d0)] if l2 else []
-    if edge.annular_class == "E":
+    if cls == "D":
+        v, w = _nontrivial_first(source, edge.source_circles)
+        return [base | ((labels >> v) & 1) << d0] if (labels >> w) & 1 else []
+    if cls == "E":
         return [base] if l1 != l2 else []
-    raise cube.UnclassifiableEdge(edge.annular_class)
+    raise cube.UnclassifiableEdge(cls)
 
 
-def _split_targets(theory: Theory, edge: cube.EdgeType, labels: int) -> list[int]:
+def _split_targets(theory: Theory, cls: str, target: cube.Resolution,
+                   edge: cube.EdgeType, labels: int) -> list[int]:
     c0 = edge.source_circles[0]
-    d1, d2 = edge.target_circles  # nontrivial first for type A
+    d1, d2 = edge.target_circles
     l0 = (labels >> c0) & 1
     base = _transport(edge, labels)
-    if theory is Theory.KH or edge.annular_class == "C":
+    if theory is Theory.KH or cls == "C":
         if l0:
             return [base | (1 << d1), base | (1 << d2)]
         return [base]
-    if edge.annular_class == "A":
+    if cls == "A":
         # the trivial offspring is labeled "-" either way
-        return [base | (l0 << d1)]
-    if edge.annular_class == "B":
+        v, _ = _nontrivial_first(target, edge.target_circles)
+        return [base | (l0 << v)]
+    if cls == "B":
         return [base | (1 << d1), base | (1 << d2)] if l0 else []
-    raise cube.UnclassifiableEdge(edge.annular_class)
+    raise cube.UnclassifiableEdge(cls)
 
 
-def edge_targets(theory: Theory, edge: cube.EdgeType, labels: int) -> list[int]:
-    """Target label masks of one edge map applied to one source labeling."""
+def edge_map(theory: Theory, source: cube.Resolution, target: cube.Resolution):
+    """The map of the cube edge ``source -> target`` as a function from a
+    source labeling to its target label masks: the Khovanov merge/split
+    for Kh, the map of the edge's annular class for AKh."""
+    edge = cube.classify_resolutions(source, target)
+    cls = annular_class(source, target, edge)
     if edge.kind == "merge":
-        return _merge_targets(theory, edge, labels)
-    return _split_targets(theory, edge, labels)
+        return functools.partial(_merge_targets, theory, cls, source, edge)
+    return functools.partial(_split_targets, theory, cls, target, edge)
 
 
 def reference_gradings(res: cube.Resolution, labels: int, n_pos: int, n_neg: int):
@@ -232,9 +280,9 @@ def reference_complex(diagram: AnnularDiagram, theory: Theory, resolutions=None)
             if (alpha >> b) & 1:
                 continue
             alpha2 = alpha | (1 << b)
-            edge = cube.classify_resolutions(res, resolutions[alpha2])
+            targets = edge_map(theory, res, resolutions[alpha2])
             for labels in range(1 << res.n_circles):
-                for tlabels in edge_targets(theory, edge, labels):
+                for tlabels in targets(labels):
                     out[offsets[alpha] + labels].append(offsets[alpha2] + tlabels)
     return out, gi, gj, gk
 
@@ -269,7 +317,7 @@ def reduced_matches_full(reduced: GradedComplex, full: GradedComplex) -> bool:
     no arrow of such a labeling reaches one with circle 0 "+"."""
     index = {}
     for g in range(full.n_generators):
-        labels = full.labels_of[g]
+        labels = labels_of(full, g)
         if not labels & 1:
             index[g] = reduced.index(full.vertex_of[g], labels)
     if sorted(index.values()) != list(range(reduced.n_generators)):
@@ -281,8 +329,8 @@ def reduced_matches_full(reduced: GradedComplex, full: GradedComplex) -> bool:
             [index[y] for y in full.out[g]] != reduced.out[r]
             or (full.gi[g], full.gj[g], full.gk[g])
             != (reduced.gi[r], reduced.gj[r], reduced.gk[r])
-            or (full.vertex_of[g], full.labels_of[g])
-            != (reduced.vertex_of[r], reduced.labels_of[r])
+            or (full.vertex_of[g], labels_of(full, g))
+            != (reduced.vertex_of[r], labels_of(reduced, r))
         ):
             return False
     return True

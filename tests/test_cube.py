@@ -14,7 +14,7 @@ from annulus_tate.cube import (
 from annulus_tate.khovanov import Theory, build_complex
 from annulus_tate.links import BraidWord, close_braid, parse_braid_word
 
-from conftest import classify_edge
+from conftest import annular_class, classify_edge
 
 HOPF = close_braid(parse_braid_word("1 1", 2))
 STAB = close_braid(parse_braid_word("1", 2))
@@ -34,14 +34,14 @@ def test_hopf_all_braidlike_resolution():
     res = resolve(HOPF, 0b00)
     assert res.n_circles == 2
     assert [c.seam_count for c in res.circles] == [1, 1]
-    assert res.trivial_flags == (False, False)
+    assert [c.trivial for c in res.circles] == [False, False]
 
 
 def test_hopf_all_turnback_resolution():
     res = resolve(HOPF, 0b11)
     assert res.n_circles == 2
     assert sorted(c.seam_count for c in res.circles) == [0, 2]
-    assert res.trivial_flags == (True, True)
+    assert [c.trivial for c in res.circles] == [True, True]
 
 
 def test_unknot_resolution():
@@ -63,12 +63,14 @@ def test_resolve_is_deterministic():
 
 
 def test_hopf_edge_types():
-    edge = classify_edge(HOPF, 0b00, 0b01)  # set crossing 0
-    assert (edge.kind, edge.annular_class) == ("merge", "E")
-    edge = classify_edge(HOPF, 0b01, 0b11)
-    assert (edge.kind, edge.annular_class) == ("split", "C")
-    edge = classify_edge(STAB, 0, 1)
-    assert (edge.kind, edge.annular_class) == ("merge", "E")
+    def kind_and_class(diagram, alpha, alpha_prime):
+        edge = classify_edge(diagram, alpha, alpha_prime)
+        source, target = resolve(diagram, alpha), resolve(diagram, alpha_prime)
+        return edge.kind, annular_class(source, target, edge)
+
+    assert kind_and_class(HOPF, 0b00, 0b01) == ("merge", "E")  # set crossing 0
+    assert kind_and_class(HOPF, 0b01, 0b11) == ("split", "C")
+    assert kind_and_class(STAB, 0, 1) == ("merge", "E")
 
 
 def test_classify_rejects_non_increment():

@@ -264,14 +264,31 @@ def test_edge_maps_are_computed_once_per_distinct_edge(monkeypatch, theory, redu
     assert calls == {"_edge_rule": distinct, "_transport_table": distinct}
 
 
-def test_unclassifiable_edge_is_raised(monkeypatch):
-    bogus = cube.EdgeType(
-        kind="merge", annular_class="A", source_circles=(0, 1),
-        target_circles=(0,), correspondence={},
-    )
-    monkeypatch.setattr(cube, "classify_resolutions", lambda source, target: bogus)
-    with pytest.raises(cube.UnclassifiableEdge):
-        build_complex(HOPF, Theory.AKH)
+def _resolution(seams: tuple[int, ...]) -> cube.Resolution:
+    """Hand-built: the changing circles on ports 0-3 (one circle, or the
+    halves {0, 1} and {2, 3}) with the given seam counts, and one trivial
+    circle on ports 4, 5 that both ends of an edge share."""
+    halves = [range(4)] if len(seams) == 1 else [range(2), range(2, 4)]
+    circles = [cube.Circle(frozenset(p), s) for p, s in zip(halves, seams)]
+    circles.append(cube.Circle(frozenset({4, 5}), 0))
+    return cube.Resolution(vertex=0, width=2, strands=2, circles=tuple(circles))
+
+
+@pytest.mark.parametrize("source, target", [
+    ((1, 1), (0,)),  # the parities of a merge vv -> w, but 2 seams become 0
+    ((0, 2), (0,)),  # the parities of a merge ww -> w
+    ((2,), (1, 0)),  # no merge or split has these parities
+    ((1,), (1, 2)),
+], ids=["merge-1+1-to-0", "merge-0+2-to-0", "split-2-to-1+0", "split-1-to-1+2"])
+def test_edge_that_does_not_conserve_seam_count_is_refused(source, target):
+    with pytest.raises(cube.UnclassifiableEdge, match="seam counts"):
+        cube.classify_resolutions(_resolution(source), _resolution(target))
+    # the same circles with conserved seam counts are a merge or a split
+    total = sum(source)
+    fixed = (total,) if len(target) == 1 else (target[0], total - target[0])
+    edge = cube.classify_resolutions(_resolution(source), _resolution(fixed))
+    assert (edge.kind, edge.correspondence) == (
+        "merge" if len(source) == 2 else "split", {len(source): len(fixed)})
 
 
 def test_engine_memory_guard(monkeypatch):
@@ -383,9 +400,9 @@ def test_circle_zero_contains_port_zero():
 def test_reduced_build_refuses_an_arrow_onto_circle_zero_plus(monkeypatch):
     rule = khovanov._edge_rule
 
-    def leaky(theory, edge):
+    def leaky(edge):
         # every image also labels target circle 0 "+"
-        return {plus: [tp | 1 for tp in tps] for plus, tps in rule(theory, edge).items()}
+        return {plus: [tp | 1 for tp in tps] for plus, tps in rule(edge).items()}
 
     with monkeypatch.context() as m:
         m.setattr(khovanov, "_edge_rule", leaky)
@@ -393,7 +410,7 @@ def test_reduced_build_refuses_an_arrow_onto_circle_zero_plus(monkeypatch):
             build_complex(HOPF, Theory.KH, reduced=True)
     # an edge that carries a "-"-marked circle 1 onto circle 0
     onto_zero = cube.EdgeType(
-        kind="split", annular_class="C", source_circles=(0,),
+        kind="split", source_circles=(0,),
         target_circles=(1, 2), correspondence={1: 0},
     )
     monkeypatch.setattr(cube, "classify_resolutions", lambda source, target: onto_zero)

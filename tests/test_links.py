@@ -57,7 +57,7 @@ def test_close_braid_guard():
 def test_double_cover_sigma1():
     cover, pairing = double_cover(parse_braid_word("1", 2))
     assert cover.n_crossings == 2
-    assert pairing.pair_crossing(0) == 1 and pairing.pair_crossing(1) == 0
+    assert pairing.quotient_crossings == 1
 
 
 def test_double_cover_empty():
@@ -71,17 +71,16 @@ def test_double_cover_mixed_word():
     cover, pairing = double_cover(parse_braid_word("1 -2", 3))
     assert [(c.position, c.sign) for c in cover.crossings] == [
         (0, 1), (1, -1), (0, 1), (1, -1)]
-    assert {i: pairing.pair_crossing(i) for i in range(4)} == {0: 2, 1: 3, 2: 0, 3: 1}
+    assert pairing.quotient_crossings == 2
 
 
 def test_pairing_is_fixed_point_free_involution():
     for length in (1, 2, 3):
         for letters in itertools.product([1, -1], repeat=length):
             _, pairing = double_cover(BraidWord(2, letters))
-            n = 2 * length
-            for i in range(n):
-                assert pairing.pair_crossing(i) != i
-                assert pairing.pair_crossing(pairing.pair_crossing(i)) == i
+            for level in range(2 * length):
+                assert pairing.shift_level(level) != level
+                assert pairing.shift_level(pairing.shift_level(level)) == level
 
 
 def test_mirror_flips_signs():

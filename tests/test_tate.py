@@ -24,6 +24,7 @@ from conftest import (
     WindowedTate,
     check_d_squared,
     check_nonnegative,
+    labels_of,
     total_diagonal_ranks,
     watch_block_builds,
 )
@@ -48,7 +49,7 @@ def tau_sharp(gc, pairing, g: int) -> int:
     width = gc.diagram.n_crossings
     m = gc.diagram.strands
     beta = gc.vertex_of[g]
-    labels = gc.labels_of[g]
+    labels = labels_of(gc, g)
     tbeta = cube.swap_halves(beta, width) if n else beta
     res, tres = gc.resolutions[beta], gc.resolutions[tbeta]
     target_circle = _port_circle_map(tres)
@@ -68,7 +69,7 @@ def test_tau_moves_single_circle_label():
     src = gc.index(0b01, 0b1)
     tgt = tau_sharp(gc, pairing, src)
     assert gc.vertex_of[tgt] == 0b10
-    assert gc.labels_of[tgt] == 0b1
+    assert labels_of(gc, tgt) == 0b1
     assert (gc.gi[src], gc.gj[src], gc.gk[src]) == (
         gc.gi[tgt], gc.gj[tgt], gc.gk[tgt])
 
