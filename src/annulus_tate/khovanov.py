@@ -249,7 +249,9 @@ def build_complex(
         rule, rest, image = maps[id(edge)]
         src_off, tgt_off = offsets[alpha], offsets[alpha2]
         for plus, tplus in rule.items():
-            if akh:  # the other circles keep their triviality, so compare k
+            if akh:
+                # AKh keeps the arrows that preserve k.  The other circles keep
+                # their triviality, so their labels shift k equally on both ends.
                 tplus = [tp for tp in tplus if gk[tgt_off + tp] == gk[src_off + plus]]
             if not tplus or (reduced and plus & 1):
                 continue
