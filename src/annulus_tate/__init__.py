@@ -55,9 +55,8 @@ from .tate import (
 )
 from .decat import (
     CongruenceReport,
-    LaurentPoly,
     check_congruences,
-    homology_poly,
+    quadruples,
     state_sum,
 )
 

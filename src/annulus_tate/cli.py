@@ -23,7 +23,14 @@ import click
 from . import __version__, decat
 from .cube import format_bits, parse_bits, resolve
 from .khovanov import Theory, homology, total_rank
-from .links import BraidError, BraidWord, DiagramTooLarge, close_braid, parse_braid_word
+from .links import (
+    BraidError,
+    BraidWord,
+    DiagramTooLarge,
+    close_braid,
+    double_cover,
+    parse_braid_word,
+)
 from .tate import (
     PeriodicRun,
     Verdict,
@@ -360,12 +367,13 @@ def cmd_decat(ctx, braid, strands, fmt, cache_dir):
     config = _config("decat", braid=word.as_text(), strands=strands)
 
     def build():
-        report = decat.check_congruences(word)
-        bracket = decat.state_sum(close_braid(word))
+        quotient = homology(close_braid(word), Theory.AKH)
+        cover = homology(double_cover(word)[0], Theory.AKH)
+        report = decat.check_congruences(quotient, cover)
         body = {
-            "state_sum": bracket.to_quadruples(),
-            "quotient_poly": report.quotient_poly.to_quadruples(),
-            "cover_poly": report.cover_poly.to_quadruples(),
+            "state_sum": decat.quadruples(decat.state_sum(close_braid(word))),
+            "quotient_poly": decat.quadruples(quotient),
+            "cover_poly": decat.quadruples(cover),
             "congruences": {
                 "graded": report.graded_ok,
                 "murasugi": report.murasugi_ok,

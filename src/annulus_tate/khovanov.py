@@ -45,7 +45,7 @@ from typing import Iterator
 
 from . import cube
 from .f2algebra import FilteredComplex, FilteredComplexError, homology_ranks
-from .links import MAX_CROSSINGS, AnnularDiagram, DiagramTooLarge
+from .links import AnnularDiagram, DiagramTooLarge
 
 
 class Theory(enum.Enum):
@@ -199,8 +199,6 @@ def build_complex(
     MAX_ENGINE_BYTES.
     """
     c = diagram.n_crossings
-    if c > MAX_CROSSINGS:
-        raise DiagramTooLarge(f"{c} crossings exceeds the {MAX_CROSSINGS}-crossing guard")
     if reduced and theory is not Theory.KH:
         raise ValueError("only the Kh complex has a reduced form")
     n_pos, n_neg = diagram.n_pos, diagram.n_neg
@@ -357,3 +355,13 @@ def homology(diagram: AnnularDiagram, theory: Theory) -> dict[tuple, int]:
 
 def total_rank(table: dict[tuple, int]) -> int:
     return sum(table.values())
+
+
+def summed(table: dict[tuple, int], key_of) -> dict:
+    """The ranks of ``table`` added up over the keys that ``key_of(*key)``
+    sends to the same key."""
+    out: dict = {}
+    for key, rank in table.items():
+        new = key_of(*key)
+        out[new] = out.get(new, 0) + rank
+    return out

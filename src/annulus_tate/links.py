@@ -77,11 +77,18 @@ class AnnularDiagram:
 
     Crossing order is braid-word letter order; crossing i sits at level i
     and is controlled by bit i of a resolution bitstring.  The seam glues
-    level n_crossings back to level 0.
+    level n_crossings back to level 0.  A diagram with more than
+    MAX_CROSSINGS crossings is refused with DiagramTooLarge.
     """
 
     strands: int
     crossings: tuple[Crossing, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.crossings) > MAX_CROSSINGS:
+            raise DiagramTooLarge(
+                f"{len(self.crossings)} crossings exceeds the {MAX_CROSSINGS}-crossing guard"
+            )
 
     @property
     def n_crossings(self) -> int:
@@ -123,10 +130,6 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
 
 def close_braid(word: BraidWord) -> AnnularDiagram:
     """Annular closure of a braid word, one crossing per letter in word order."""
-    if len(word) > MAX_CROSSINGS:
-        raise DiagramTooLarge(
-            f"{len(word)} crossings exceeds the {MAX_CROSSINGS}-crossing guard"
-        )
     crossings = tuple(
         Crossing(position=abs(g) - 1, sign=1 if g > 0 else -1) for g in word.letters
     )

@@ -35,6 +35,7 @@ from .khovanov import (
     _blocks,
     build_complex,
     homology_of,
+    summed,
     total_rank,
 )
 from .links import BraidWord, CoverPairing, close_braid, double_cover
@@ -449,20 +450,19 @@ def verify_collapse(run: PeriodicRun, theory: Theory) -> Verdict:
     )
 
 
-def _summed(table: dict[tuple, int], key_of) -> dict[tuple, int]:
-    """The ranks of ``table`` added up over the keys that ``key_of(*key)``
-    sends to the same key."""
-    out: dict[tuple, int] = {}
-    for key, rank in table.items():
-        new = key_of(*key)
-        out[new] = out.get(new, 0) + rank
-    return out
+def _mismatches(got: dict[tuple, int], want: dict[tuple, int]) -> list[tuple]:
+    """(key, want, got) at every key where the two rank tables differ."""
+    return [
+        (key, want.get(key, 0), got.get(key, 0))
+        for key in sorted(set(got) | set(want))
+        if got.get(key, 0) != want.get(key, 0)
+    ]
 
 
 def verify_rank_inequality(run: PeriodicRun) -> Verdict:
     """rk AKh^{j,k}(L) <= rk AKh^{2j-k,k}(cover) at every (j, k)."""
-    quot = _summed(run.homology("quotient", Theory.AKH), lambda i, j, k: (j, k))
-    cover = _summed(run.homology("cover", Theory.AKH), lambda i, j, k: (j, k))
+    quot = summed(run.homology("quotient", Theory.AKH), lambda i, j, k: (j, k))
+    cover = summed(run.homology("cover", Theory.AKH), lambda i, j, k: (j, k))
     failures = []
     for (j, k), r in sorted(quot.items()):
         if r > cover.get((2 * j - k, k), 0):
@@ -483,7 +483,7 @@ def _diagonal_table_from_pages(hv: HvPages) -> dict[tuple, int]:
     """Total-homology ranks per (j, k) (AKh) or (j,) (Kh), summed over i
     from the limit page: over a field the associated graded of the induced
     filtration has the same rank as the total homology in each degree."""
-    return _summed(hv.pages.table(hv.pages.max_page), lambda i, *key: key)
+    return summed(hv.pages.table(hv.pages.max_page), lambda i, *key: key)
 
 
 def verify_diagonals(run: PeriodicRun) -> Verdict:
@@ -491,16 +491,10 @@ def verify_diagonals(run: PeriodicRun) -> Verdict:
     i-summed quotient rank at ((J+k)/2, k), and vanish for J + k odd."""
     table = _diagonal_table_from_pages(run.hv(Theory.AKH))
     # at cover grading (J, k): the i-summed quotient rank at ((J + k) / 2, k)
-    expected = _summed(
+    expected = summed(
         run.homology("quotient", Theory.AKH), lambda i, j, k: (2 * j - k, k)
     )
-    failures = []
-    for key in sorted(set(table) | set(expected)):
-        J, k = key
-        want = 0 if (J + k) % 2 else expected.get(key, 0)
-        got = table.get(key, 0)
-        if want != got:
-            failures.append((key, want, got))
+    failures = _mismatches(table, expected)
     odd_failures = [key for key in table if sum(key) % 2 and table[key]]
     return Verdict(
         name="diagonal-ranks",
@@ -517,13 +511,10 @@ def verify_khtate_limit(run: PeriodicRun) -> Verdict:
     quotient AKh rank summed over the (2j-k, k) fibre of J; asserted on the
     proven family, recorded otherwise."""
     table = _diagonal_table_from_pages(run.hv(Theory.KH))
-    expected = _summed(
+    expected = summed(
         run.homology("quotient", Theory.AKH), lambda i, j, k: (2 * j - k,)
     )
-    failures = []
-    for key in sorted(set(table) | set(expected)):
-        if table.get(key, 0) != expected.get(key, 0):
-            failures.append((key, expected.get(key, 0), table.get(key, 0)))
+    failures = _mismatches(table, expected)
     observed = not failures
     asserted = run.proven_family
     return Verdict(
@@ -554,8 +545,8 @@ def verify_cascade(run: PeriodicRun) -> Verdict:
     chain_ok = totals[0] >= totals[1] >= totals[2] >= totals[3]
 
     def filtration_ok(akh: dict, kh: dict) -> bool:
-        summed = _summed(akh, lambda i, j, k: (i, j))
-        return all(summed.get(key, 0) >= r for key, r in kh.items())
+        by_ij = summed(akh, lambda i, j, k: (i, j))
+        return all(by_ij.get(key, 0) >= r for key, r in kh.items())
 
     per_grading_ok = filtration_ok(a_cover, k_cover) and filtration_ok(a_quot, k_quot)
     observed = chain_ok and per_grading_ok
@@ -577,9 +568,7 @@ def verify_congruences(run: PeriodicRun) -> Verdict:
     """The three mod-2 congruences between the decategorified AKh tables of
     the quotient and the cover (:func:`decat.check_congruences`)."""
     cong = decat.check_congruences(
-        run.word,
-        quotient_ranks=run.homology("quotient", Theory.AKH),
-        cover_ranks=run.homology("cover", Theory.AKH),
+        run.homology("quotient", Theory.AKH), run.homology("cover", Theory.AKH)
     )
     return Verdict(
         name="congruences",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from annulus_tate.khovanov import Theory, build_complex, homology_of, total_rank
 from annulus_tate.links import parse_braid_word
-from annulus_tate.decat import homology_poly, state_sum, MINUS_ONE
+from annulus_tate.decat import state_sum
 from annulus_tate.tate import (
     PeriodicRun,
     check_equivariance,
@@ -20,6 +20,7 @@ from annulus_tate.tate import (
 
 from conftest import (
     WindowedTate,
+    at_t_minus_one,
     builder_matches_reference,
     dense_homology_of,
     reduced_matches_full,
@@ -110,15 +111,13 @@ def compute_word_result(args: tuple[str, int]) -> dict:
         builder_ok = builder_ok and reduced_matches_full(reduced, full)
     gradings_ok = all(_grading_shifts_ok(gc) for gc in complexes)
 
-    euler_ok = True
-    for diagram, table in (
-        (run.quotient_diagram, quotient_akh),
-        (run.cover_diagram, cover_akh),
-    ):
-        lhs = state_sum(diagram).substitute(t=MINUS_ONE)
-        rhs = homology_poly(table).substitute(t=MINUS_ONE)
-        if lhs != rhs:
-            euler_ok = False
+    euler_ok = all(
+        at_t_minus_one(state_sum(diagram)) == at_t_minus_one(table)
+        for diagram, table in (
+            (run.quotient_diagram, quotient_akh),
+            (run.cover_diagram, cover_akh),
+        )
+    )
 
     tate_oracle_ok = all(
         _tate_matches_oracle(run, theory, full=len(word) <= 3)

@@ -115,6 +115,15 @@ def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
     return table
 
 
+def at_t_minus_one(poly: dict[tuple, int]) -> dict[tuple, int]:
+    """{(q, x): sum of (-1)^t c} of a polynomial {(t, q, x): c}, zeros dropped:
+    the graded Euler characteristic of a rank table keyed (i, j, k)."""
+    out: dict[tuple, int] = {}
+    for (t, q, x), c in poly.items():
+        out[q, x] = out.get((q, x), 0) + (-1) ** t * c
+    return {key: c for key, c in out.items() if c}
+
+
 def corpus_words() -> list[BraidWord]:
     """B2 words up to 4 letters and B3 words up to 3 letters."""
     words = []

@@ -52,11 +52,8 @@ def test_hopf_complex_shape():
 def test_crossing_guard():
     from annulus_tate.links import AnnularDiagram, Crossing
 
-    too_big = AnnularDiagram(
-        strands=2, crossings=tuple(Crossing(0, 1) for _ in range(23))
-    )
     with pytest.raises(DiagramTooLarge):
-        build_complex(too_big, Theory.AKH)
+        AnnularDiagram(strands=2, crossings=tuple(Crossing(0, 1) for _ in range(23)))
 
 
 def test_akh_arrows_preserve_j_and_k():
