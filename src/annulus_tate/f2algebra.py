@@ -1,14 +1,25 @@
 """Finite F2 chain complexes with filtered graded bases.
 
-Arrows are stored as adjacency bitsets keyed by generator index (one
-Python int per generator, bit y of ``out[x]`` meaning an arrow x -> y with
-coefficient 1).  Complexes are built whole by ``FilteredComplex.from_rows``.
-Homology, and the pages of a filtration one shift level at a time, are
-computed by Gaussian cancellation in place: cancelling an arrow k -> l
-removes both endpoint generators and toggles an arrow x -> y for every
-pair x -> l, k -> y, which is a single XOR of the successor row into each
-predecessor row.  Rank tables are independent of the cancellation order;
-bases are not, so only ranks are exposed.
+Arrows are stored as adjacency bitsets keyed by generator index: one
+Python int per generator and direction.  Each row is kept relative to an
+offset of its own: bit b of ``out[x]`` means an arrow
+x -> ``out_off[x] + b`` with coefficient 1, and bit b of ``inc[y]`` an
+arrow ``inc_off[y] + b`` -> y.  ``from_rows`` sets each offset to the
+row's lowest index (an empty row gets the generator count, above every
+index), so a row is as wide as the span of its ends rather than as the
+whole complex; a cancellation that toggles bits below a row's offset
+first rebases the row to the lower offset.  Every query and every
+returned mask uses absolute indices.  Rows stay narrow when the
+generators are numbered level by level, as ``khovanov._blocks`` numbers
+them: a cube arrow goes from one level to the next.
+
+Complexes are built whole by ``FilteredComplex.from_rows``.  Homology, and
+the pages of a filtration one shift level at a time, are computed by
+Gaussian cancellation in place: cancelling an arrow k -> l removes both
+endpoint generators and toggles an arrow x -> y for every pair x -> l,
+k -> y, which is a single XOR of the successor row into each predecessor
+row.  Rank tables are independent of the cancellation order; bases are
+not, so only ranks are exposed.
 """
 
 from __future__ import annotations
@@ -28,19 +39,20 @@ class FilteredComplexError(ValueError):
     arrow or an arrow that leaves its grading block."""
 
 
-def _bits(mask: int) -> Iterator[int]:
+def _bits(mask: int, base: int = 0) -> Iterator[int]:
+    """The indices base + b of the set bits b of ``mask``, ascending."""
     if mask == 0:
         return
     if mask.bit_count() <= 32 or mask.bit_length() <= 1024:
         # sparse or narrow: peel set bits directly
+        base -= 1
         while mask:
             low = mask & -mask
-            yield low.bit_length() - 1
+            yield base + low.bit_length()
             mask ^= low
         return
     # wide dense masks: one bytes conversion beats repeated big-int shifts
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    base = 0
     for byte in data:
         if byte:
             while byte:
@@ -59,47 +71,60 @@ class FilteredComplex:
     move.
     """
 
-    __slots__ = ("fdeg", "aux", "out", "inc", "alive")
+    __slots__ = ("fdeg", "aux", "out", "out_off", "inc", "inc_off", "alive")
 
     def __init__(self) -> None:
         self.fdeg: list[int] = []
         self.aux: list[tuple] = []
         self.out: list[int] = []
+        self.out_off: list[int] = []
         self.inc: list[int] = []
+        self.inc_off: list[int] = []
         self.alive: int = 0
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_rows(
-        cls, fdeg: list[int], aux: list[tuple], targets: Iterable[Iterable[int]]
+        cls, fdeg: list[int], aux: list[tuple], targets: Iterable[list[int]]
     ) -> "FilteredComplex":
         """The complex on generators 0..n-1 with filtration degrees
         ``fdeg``, auxiliary gradings ``aux`` and an arrow x -> t for every
         t in ``targets[x]``.
 
-        Each ``out`` and ``inc`` row is assembled once, highest bit first;
-        a repeated arrow raises.
+        Each ``out`` and ``inc`` row is assembled once, relative to its
+        lowest index; a repeated arrow raises.
         """
         C = cls()
         n = len(fdeg)
         C.fdeg = list(fdeg)
         C.aux = list(aux)
+        out, out_off = C.out, C.out_off
         sources: list[list[int]] = [[] for _ in range(n)]
         for x, row in enumerate(targets):
-            bits = 0
-            ts = sorted(row, reverse=True)
-            for t in ts:
-                bits |= 1 << t
-                sources[t].append(x)
-            if len(set(ts)) != len(ts):
-                raise FilteredComplexError(f"repeated arrow from {x}")
-            C.out.append(bits)
-        for xs in sources:
-            bits = 0
-            for x in reversed(xs):
-                bits |= 1 << x
-            C.inc.append(bits)
+            if row:
+                off = min(row)
+                bits = 0
+                for t in row:
+                    bits |= 1 << (t - off)
+                    sources[t].append(x)
+                if bits.bit_count() != len(row):
+                    raise FilteredComplexError(f"repeated arrow from {x}")
+            else:
+                off, bits = n, 0
+            out.append(bits)
+            out_off.append(off)
+        inc, inc_off = C.inc, C.inc_off
+        for xs in sources:  # ascending
+            if xs:
+                off = xs[0]
+                bits = 0
+                for x in xs:
+                    bits |= 1 << (x - off)
+            else:
+                off, bits = n, 0
+            inc.append(bits)
+            inc_off.append(off)
         C.alive = (1 << n) - 1
         return C
 
@@ -112,14 +137,17 @@ class FilteredComplex:
         return self.alive.bit_count()
 
     def has_arrow(self, src: int, tgt: int) -> bool:
+        off = self.out_off[src]
         return bool(
-            (self.alive >> src) & 1
+            tgt >= off
+            and (self.alive >> src) & 1
             and (self.alive >> tgt) & 1
-            and (self.out[src] >> tgt) & 1
+            and (self.out[src] >> (tgt - off)) & 1
         )
 
     def targets(self, src: int) -> Iterator[int]:
-        return _bits(self.out[src] & self.alive)
+        off = self.out_off[src]
+        return _bits(self.out[src] & (self.alive >> off), off)
 
     def arrows(self) -> Iterator[tuple[int, int]]:
         for src in self.generators():
@@ -127,7 +155,8 @@ class FilteredComplex:
                 yield src, tgt
 
     def n_arrows(self) -> int:
-        return sum((self.out[g] & self.alive).bit_count() for g in self.generators())
+        out, off, alive = self.out, self.out_off, self.alive
+        return sum((out[g] & (alive >> off[g])).bit_count() for g in self.generators())
 
     def grading_key(self, g: int) -> tuple:
         return (self.fdeg[g], *self.aux[g])
@@ -137,7 +166,9 @@ class FilteredComplex:
         dup.fdeg = list(self.fdeg)
         dup.aux = list(self.aux)
         dup.out = list(self.out)
+        dup.out_off = list(self.out_off)
         dup.inc = list(self.inc)
+        dup.inc_off = list(self.inc_off)
         dup.alive = self.alive
         return dup
 
@@ -146,27 +177,45 @@ class FilteredComplex:
     def cancel_arrow(self, k: int, l: int) -> tuple[int, int]:
         """Cancel the arrow k -> l, toggling x -> y for all x -> l, k -> y.
 
-        Returns the (predecessor, successor) masks that were toggled
-        against each other; neither contains k or l.  Homology ranks at
-        every grading are preserved.  A self-loop k -> k is not an
-        invertible pair and raises MissingArrowError.
+        Returns the absolute (predecessor, successor) masks that were
+        toggled against each other; neither contains k or l.  Homology
+        ranks at every grading are preserved.  A self-loop k -> k is not
+        an invertible pair and raises MissingArrowError.
         """
+        out, out_off = self.out, self.out_off
+        succ_off = out_off[k]
         pair = (1 << k) | (1 << l)
-        if k == l or self.alive & pair != pair or not (self.out[k] >> l) & 1:
-            raise MissingArrowError(f"no arrow {k}->{l} to cancel")
-        self.alive ^= pair
         alive = self.alive
-        preds = self.inc[l] & alive
-        succs = self.out[k] & alive
-        if succs:
-            out = self.out
-            for x in _bits(preds):
-                out[x] ^= succs
-        if preds:
-            inc = self.inc
-            for y in _bits(succs):
-                inc[y] ^= preds
-        return preds, succs
+        if (
+            k == l
+            or l < succ_off
+            or alive & pair != pair
+            or not (out[k] >> (l - succ_off)) & 1
+        ):
+            raise MissingArrowError(f"no arrow {k}->{l} to cancel")
+        alive ^= pair
+        self.alive = alive
+        pred_off = self.inc_off[l]
+        preds = self.inc[l] & (alive >> pred_off)
+        succs = out[k] & (alive >> succ_off)
+        if preds and succs:
+            _toggle(out, out_off, _bits(preds, pred_off), succs, succ_off)
+            _toggle(self.inc, self.inc_off, _bits(succs, succ_off), preds, pred_off)
+        return preds << pred_off, succs << succ_off
+
+
+def _toggle(
+    rows: list[int], offsets: list[int], xs: Iterable[int], mask: int, off: int
+) -> None:
+    """XOR ``mask``, relative to ``off``, into the rows ``xs``; a row
+    whose offset is higher is rebased to ``off`` first."""
+    for x in xs:
+        shift = off - offsets[x]
+        if shift >= 0:
+            rows[x] ^= mask << shift
+        else:
+            rows[x] = rows[x] << -shift ^ mask
+            offsets[x] = off
 
 
 def rank_table(C: FilteredComplex) -> dict[tuple, int]:
@@ -186,30 +235,33 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of=None) -> bool:
     chain of arrows, not for an invertible pair.
     """
     acted = False
-    out = work.out
+    out, off = work.out, work.out_off
     alive = work.alive
     if target_mask_of is None:
-        heap = [x for x in _bits(alive) if out[x] & alive]
+        heap = [x for x in _bits(alive) if out[x] & (alive >> off[x])]
     else:
-        heap = [x for x in _bits(alive) if out[x] & alive & target_mask_of(x)]
+        heap = [
+            x for x in _bits(alive) if out[x] & ((alive & target_mask_of(x)) >> off[x])
+        ]
     heapq.heapify(heap)
     while heap:
         x = heapq.heappop(heap)
         alive = work.alive
         if not (alive >> x) & 1:
             continue
-        m = out[x] & alive
         if target_mask_of is not None:
-            m &= target_mask_of(x)
+            alive &= target_mask_of(x)
+        base = off[x]
+        m = out[x] & (alive >> base)  # eligible targets, relative to base
         if not m:
             continue
-        l = (m & -m).bit_length() - 1
-        if l == x:
-            m ^= 1 << x
+        low = m & -m
+        if low.bit_length() - 1 + base == x:
+            m ^= low
             if not m:
                 continue
-            l = (m & -m).bit_length() - 1
-        preds, _ = work.cancel_arrow(x, l)
+            low = m & -m
+        preds, _ = work.cancel_arrow(x, low.bit_length() - 1 + base)
         acted = True
         for p in _bits(preds):
             heapq.heappush(heap, p)

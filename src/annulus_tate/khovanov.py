@@ -28,12 +28,14 @@ applied at once to every labeling of the other circles; the table and
 that transport are tabulated once per distinct edge type.  d^2 = 0 is
 checked on every built complex, and ``_blocks`` splits it into engine
 complexes along the gradings every arrow preserves, filtered by i,
-assembling each bitset row once.  It yields the blocks one at a time, and
-every consumer cancels a block in place and drops it before the next is
-built, so the largest block, not the sum of all blocks, sets the memory
-peak.  A diagram whose blocks would need more than ``MAX_ENGINE_BYTES``
-of bitsets in all is refused with ``DiagramTooLarge`` before any arrow
-is built.
+assembling each bitset row once.  A block numbers its generators level by
+level, so that each offset-relative engine row spans one or two levels of
+i rather than the whole block.  ``_blocks`` yields the blocks one at a
+time, and every consumer cancels a block in place and drops it before the
+next is built, so the largest block, not the sum of all blocks, sets the
+memory peak.  A diagram whose blocks would need more than
+``MAX_ENGINE_BYTES`` in all, counted as rows as wide as their block, is
+refused with ``DiagramTooLarge`` before any arrow is built.
 """
 
 from __future__ import annotations
@@ -111,10 +113,11 @@ class GradedComplex:
                 )
 
 
-# Engine rows cost O(block size) bits each, so a block of n generators
-# needs about n^2 / 4 bytes for its ``out`` and ``inc`` bitsets.  Blocks
-# are built and cancelled one at a time, so only the largest is held at
-# once; the guard still sums n^2 / 4 over all blocks, a conservative bound.
+# Rows as wide as their block would cost a block of n generators about
+# n^2 / 4 bytes for its ``out`` and ``inc`` bitsets.  Engine rows span one
+# or two levels of i, and blocks are built and cancelled one at a time, so
+# the guard's sum of n^2 / 4 over all blocks is a loose upper bound; it is
+# kept so that the same diagrams are refused.
 MAX_ENGINE_BYTES = 2 << 30
 
 
@@ -239,6 +242,7 @@ def build_complex(
     if edges is None:
         edges = _classify_edges(resolved, c)
     out: list[list[int]] = [[] for _ in range(total)]
+    ids = list(range(total))  # one int object per target, shared by its arrows
     maps: dict[int, tuple] = {}  # per distinct edge object: rule, transport
     akh = theory is Theory.AKH
     for (alpha, alpha2), edge in zip(_cube_edges(c), edges, strict=True):
@@ -262,7 +266,7 @@ def build_complex(
                     )
                 base = tgt_off + (tp >> reduced)
                 for row, t in zip(rows, image):
-                    row.append(base + t)
+                    row.append(ids[base + t])
 
     gc = GradedComplex(
         diagram=diagram,
@@ -283,10 +287,11 @@ def build_complex(
 
 
 def _block_keys(theory: Theory, gj: list[int], gk: list[int]) -> list[tuple]:
-    """The gradings every arrow preserves: (j, k) for AKh, (j,) for Kh."""
-    if theory is Theory.AKH:
-        return list(zip(gj, gk))
-    return [(j,) for j in gj]
+    """The gradings every arrow preserves: (j, k) for AKh, (j,) for Kh.
+    Equal keys are one shared tuple."""
+    keys = zip(gj, gk) if theory is Theory.AKH else zip(gj)
+    shared: dict[tuple, tuple] = {}
+    return [shared.setdefault(key, key) for key in keys]
 
 
 def _blocks(
@@ -298,21 +303,25 @@ def _blocks(
     auxiliary grading; ``row_of(g)`` lists its arrow targets (default
     ``gc.out[g]``) and is called once per generator, a block at a time.
     Yields (complex, members) pairs, where members[x] is the generator of
-    ``gc`` at engine index x.  A block is built only when the next pair is
-    asked for and the generator keeps no reference to it, so a consumer
-    that drops each complex before asking for the next holds one block's
-    bitsets at a time.
+    ``gc`` at engine index x.  Members are numbered level by level: by i,
+    then in generator order.  A cube arrow raises i by one, so each engine
+    row spans at most two adjacent levels.  A block is built only when the
+    next pair is asked for and the generator keeps no reference to it, so
+    a consumer that drops each complex before asking for the next holds
+    one block's bitsets at a time.
     """
     keys = _block_keys(gc.theory, gc.gj, gc.gk)
     row_of = gc.out.__getitem__ if row_of is None else row_of
     ids: dict[tuple, int] = {}
     block_of = [ids.setdefault(key, len(ids)) for key in keys]
     groups: list[list[int]] = [[] for _ in ids]
-    local: list[int] = []
     for g, b in enumerate(block_of):
-        members = groups[b]
-        local.append(len(members))
-        members.append(g)
+        groups[b].append(g)
+    local = [0] * gc.n_generators
+    for members in groups:
+        members.sort(key=gc.gi.__getitem__)  # stable: level by level
+        for x, g in enumerate(members):
+            local[g] = x
 
     def engine_block(b: int, members: list[int]) -> FilteredComplex:
         rows = [row_of(g) for g in members]

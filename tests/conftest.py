@@ -1,24 +1,29 @@
 import functools
 import gc as pygc
+import heapq
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import settings
 
+from annulus_tate import f2algebra
 from annulus_tate.f2algebra import (
     FilteredComplex,
     FilteredComplexError,
+    MissingArrowError,
     PageTable,
-    _bits,
-    cancel_shift_level,
-    degree_masks,
     dense_rank,
     homology_ranks,
-    rank_table,
 )
 from annulus_tate import cube
 from annulus_tate.khovanov import GradedComplex, Theory, _blocks, build_complex
 from annulus_tate.links import AnnularDiagram, BraidWord
 from annulus_tate.tate import TateBicomplex
+
+
+# hypothesis settings of the property tests: reproducible, no example database
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def watch_block_builds(monkeypatch) -> list[int]:
@@ -36,16 +41,184 @@ def watch_block_builds(monkeypatch) -> list[int]:
     return live
 
 
+# -- the frozen engine: absolute bitset rows (oracle path)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    if mask == 0:
+        return
+    if mask.bit_count() <= 32 or mask.bit_length() <= 1024:
+        # sparse or narrow: peel set bits directly
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
+    # wide dense masks: one bytes conversion beats repeated big-int shifts
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    base = 0
+    for byte in data:
+        if byte:
+            while byte:
+                low = byte & -byte
+                yield base + low.bit_length() - 1
+                byte ^= low
+        base += 8
+
+
+class BitsetComplex:
+    """The cancellation engine with absolute rows: bit y of ``out[x]`` is
+    an arrow x -> y, bit x of ``inc[y]`` the same arrow.  Every row is as
+    wide as the complex.
+
+    It is the engine of the windowed Tate oracle, which so shares no
+    cancellation code with the engine it checks, and the reference for
+    the offset-row ``FilteredComplex`` in the property tests: its sweep
+    takes the same order, so the two make the same cancellations.  The
+    engine functions of ``f2algebra`` are methods here: ``sweep_cancel``,
+    ``cancel_shift_level``, ``degree_masks``, ``rank_table`` and
+    ``homology_ranks``.
+    """
+
+    __slots__ = ("fdeg", "aux", "out", "inc", "alive")
+
+    def __init__(self) -> None:
+        self.fdeg: list[int] = []
+        self.aux: list[tuple] = []
+        self.out: list[int] = []
+        self.inc: list[int] = []
+        self.alive: int = 0
+
+    @classmethod
+    def from_rows(cls, fdeg, aux, targets) -> "BitsetComplex":
+        C = cls()
+        C.fdeg, C.aux = list(fdeg), list(aux)
+        C.out = [0] * len(fdeg)
+        C.inc = [0] * len(fdeg)
+        for x, row in enumerate(targets):
+            for t in row:
+                if (C.out[x] >> t) & 1:
+                    raise FilteredComplexError(f"repeated arrow from {x}")
+                C.out[x] |= 1 << t
+                C.inc[t] |= 1 << x
+        C.alive = (1 << len(fdeg)) - 1
+        return C
+
+    def generators(self):
+        return _bits(self.alive)
+
+    def has_arrow(self, src: int, tgt: int) -> bool:
+        return bool(
+            (self.alive >> src) & 1
+            and (self.alive >> tgt) & 1
+            and (self.out[src] >> tgt) & 1
+        )
+
+    def targets(self, src: int):
+        return _bits(self.out[src] & self.alive)
+
+    def arrows(self):
+        for src in self.generators():
+            for tgt in self.targets(src):
+                yield src, tgt
+
+    def n_arrows(self) -> int:
+        return sum((self.out[g] & self.alive).bit_count() for g in self.generators())
+
+    def grading_key(self, g: int) -> tuple:
+        return (self.fdeg[g], *self.aux[g])
+
+    def copy(self) -> "BitsetComplex":
+        dup = BitsetComplex()
+        dup.fdeg, dup.aux = list(self.fdeg), list(self.aux)
+        dup.out, dup.inc = list(self.out), list(self.inc)
+        dup.alive = self.alive
+        return dup
+
+    def cancel_arrow(self, k: int, l: int) -> tuple[int, int]:
+        """Cancel k -> l; returns the (predecessor, successor) masks toggled
+        against each other, neither holding k or l.  A self-loop raises."""
+        pair = (1 << k) | (1 << l)
+        if k == l or self.alive & pair != pair or not (self.out[k] >> l) & 1:
+            raise MissingArrowError(f"no arrow {k}->{l} to cancel")
+        self.alive ^= pair
+        alive = self.alive
+        preds = self.inc[l] & alive
+        succs = self.out[k] & alive
+        if succs:
+            out = self.out
+            for x in _bits(preds):
+                out[x] ^= succs
+        if preds:
+            inc = self.inc
+            for y in _bits(succs):
+                inc[y] ^= preds
+        return preds, succs
+
+    def rank_table(self) -> dict[tuple, int]:
+        return dict(Counter(self.grading_key(g) for g in self.generators()))
+
+    def sweep_cancel(self, target_mask_of=None) -> bool:
+        """Cancel in lexicographic (source, target) order every arrow whose
+        targets ``target_mask_of(x)`` allows, never a self-loop."""
+        acted = False
+        out = self.out
+        alive = self.alive
+        if target_mask_of is None:
+            heap = [x for x in _bits(alive) if out[x] & alive]
+        else:
+            heap = [x for x in _bits(alive) if out[x] & alive & target_mask_of(x)]
+        heapq.heapify(heap)
+        while heap:
+            x = heapq.heappop(heap)
+            alive = self.alive
+            if not (alive >> x) & 1:
+                continue
+            m = out[x] & alive
+            if target_mask_of is not None:
+                m &= target_mask_of(x)
+            if not m:
+                continue
+            l = (m & -m).bit_length() - 1
+            if l == x:
+                m ^= 1 << x
+                if not m:
+                    continue
+                l = (m & -m).bit_length() - 1
+            preds, _ = self.cancel_arrow(x, l)
+            acted = True
+            for p in _bits(preds):
+                heapq.heappush(heap, p)
+        return acted
+
+    def homology_ranks(self) -> dict[tuple, int]:
+        self.sweep_cancel()
+        if self.n_arrows():
+            raise FilteredComplexError("cancellation finished with arrows left")
+        return self.rank_table()
+
+    def degree_masks(self) -> dict[int, int]:
+        masks: dict[int, int] = {}
+        for g in self.generators():
+            masks[self.fdeg[g]] = masks.get(self.fdeg[g], 0) | (1 << g)
+        return masks
+
+    def cancel_shift_level(self, r: int, masks: dict[int, int]) -> bool:
+        return self.sweep_cancel(lambda x: masks.get(self.fdeg[x] + r, 0))
+
+
 # -- engine complexes: structure checks and filtration spectral sequences
 
 
-def check_d_squared(C: FilteredComplex) -> None:
-    """Raise unless d^2 vanishes on the alive generators (the XOR of the
-    target rows of each generator is zero)."""
+def check_d_squared(C) -> None:
+    """Raise unless d^2 vanishes on the alive generators (each generator
+    reaches every generator an even number of times in two steps)."""
     for x in C.generators():
         acc = 0
         for y in C.targets(x):
-            acc ^= C.out[y] & C.alive
+            for z in C.targets(y):
+                acc ^= 1 << z
         if acc:
             raise FilteredComplexError(
                 f"d^2 != 0: generator {x} double-hits {list(_bits(acc))[:5]}"
@@ -61,7 +234,7 @@ def check_nonnegative(C: FilteredComplex) -> None:
             )
 
 
-def spectral_pages(C: FilteredComplex, max_page: int) -> PageTable:
+def spectral_pages(C, max_page: int, engine=f2algebra) -> PageTable:
     """Pages of the filtration spectral sequence by shift-ordered cancellation.
 
     Page r is the complex surviving after every arrow of filtration shift
@@ -69,15 +242,17 @@ def spectral_pages(C: FilteredComplex, max_page: int) -> PageTable:
     d^r consists of the arrows of shift exactly r on that page.  Choose
     ``max_page`` larger than the filtration span to reach the limit term.
     ``C`` is left as it was.  Raises FilteredComplexError on an arrow that
-    lowers the filtration.
+    lowers the filtration.  ``engine`` supplies ``degree_masks``,
+    ``rank_table`` and ``cancel_shift_level``: the ``f2algebra`` module
+    for a ``FilteredComplex``, ``BitsetComplex`` for one of those.
     """
     work = C.copy()
     check_nonnegative(work)
-    masks = degree_masks(work)
+    masks = engine.degree_masks(work)
     pages = PageTable(max_page=max_page)
     for r in range(max_page + 1):
-        pages.ranks[r] = rank_table(work)
-        pages.d_nonzero[r] = cancel_shift_level(work, r, masks)
+        pages.ranks[r] = engine.rank_table(work)
+        pages.d_nonzero[r] = engine.cancel_shift_level(work, r, masks)
     return pages
 
 
@@ -420,7 +595,7 @@ class WindowedTate:
         if not self.columns:
             raise ValueError(f"window {self.window} leaves no interior column")
 
-    def blocks(self, fdeg, aux) -> list[tuple[FilteredComplex, list]]:
+    def blocks(self, fdeg, aux) -> list[tuple[BitsetComplex, list]]:
         """Engine complexes per (j, k) (AKh) or j (Kh) block with members
         (g, t) in column-major order; ``fdeg(g, t)``, ``aux(g, t)`` grade."""
         gc, tau, T = self.gc, self.tau, self.window
@@ -442,7 +617,7 @@ class WindowedTate:
             horiz = [
                 (1 << pos[g]) | (1 << pos[tau[g]]) if tau[g] != g else 0 for g in gens
             ]
-            C = FilteredComplex()
+            C = BitsetComplex()
             members = [(g, t) for t in range(T) for g in gens]
             C.fdeg = [fdeg(g, t) for g, t in members]
             C.aux = [aux(g, t) for g, t in members]
@@ -471,8 +646,8 @@ class WindowedTate:
         observed, strays = set(), set()
         for C, members in self.blocks(lambda g, t: gc.gi[g], lambda g, t: (t, *key_of(g))):
             index = {m: x for x, m in enumerate(members)}
-            masks = degree_masks(C)
-            pages = [rank_table(C)]
+            masks = C.degree_masks()
+            pages = [C.rank_table()]
             while True:  # the tau sweep, in member order until none remain
                 pending = []
                 for x in C.generators():
@@ -494,10 +669,10 @@ class WindowedTate:
                     g2, t2 = members[y]
                     if t2 in cols and t2 == t1 - 1 and gc.gi[g2] - gc.gi[g1] == 2:
                         observed.add((g1, t1, g2, t2))
-            cancel_shift_level(C, 0, masks)
+            C.cancel_shift_level(0, masks)
             for r in range(1, max_page + 1):
-                pages.append(rank_table(C))
-                cancel_shift_level(C, r, masks)
+                pages.append(C.rank_table())
+                C.cancel_shift_level(r, masks)
             for r, table in enumerate(pages):
                 for key, rank in table.items():
                     tables[r][key] = tables[r].get(key, 0) + rank
@@ -513,7 +688,7 @@ class WindowedTate:
         gc, key_of = self.gc, _block_key(self.gc)
         tables = {r: {} for r in range(max_page + 1)}
         for C, _ in self.blocks(lambda g, t: t, lambda g, t: (gc.gi[g], *key_of(g))):
-            pages = spectral_pages(C, max_page)
+            pages = spectral_pages(C, max_page, engine=BitsetComplex)
             for r in range(max_page + 1):
                 for key, rank in pages.table(r).items():
                     tables[r][key] = tables[r].get(key, 0) + rank
@@ -524,7 +699,7 @@ class WindowedTate:
         gc, key_of = self.gc, _block_key(self.gc)
         table: dict[tuple, int] = {}
         for C, _ in self.blocks(lambda g, t: gc.gi[g] + t, lambda g, t: key_of(g)):
-            for key, rank in homology_ranks(C).items():
+            for key, rank in C.homology_ranks().items():
                 table[key] = table.get(key, 0) + rank
         gi = gc.gi
         band = self.span + 1

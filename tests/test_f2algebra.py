@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from annulus_tate.f2algebra import (
     FilteredComplex,
     FilteredComplexError,
     MissingArrowError,
+    cancel_shift_level,
+    degree_masks,
     dense_rank,
     homology_ranks,
     rank_table,
@@ -13,7 +16,13 @@ from annulus_tate.f2algebra import (
 from annulus_tate.khovanov import Theory, build_complex
 from annulus_tate.links import close_braid, parse_braid_word
 
-from conftest import check_d_squared, dense_homology_of, spectral_pages
+from conftest import (
+    PROPERTY,
+    BitsetComplex,
+    check_d_squared,
+    dense_homology_of,
+    spectral_pages,
+)
 
 
 def two_generator_complex():
@@ -184,11 +193,11 @@ def revlex_homology_ranks(C: FilteredComplex) -> dict[tuple, int]:
     work = C.copy()
     x = len(work.fdeg) - 1
     while x >= 0:
-        m = work.out[x] & work.alive if (work.alive >> x) & 1 else 0
-        if not m:
+        ts = list(work.targets(x)) if (work.alive >> x) & 1 else []
+        if not ts:
             x -= 1
             continue
-        preds, _ = work.cancel_arrow(x, m.bit_length() - 1)
+        preds, _ = work.cancel_arrow(x, ts[-1])
         x = max(x, preds.bit_length() - 1)
     return rank_table(work)
 
@@ -291,3 +300,91 @@ def test_dense_homology_matches_cancellation_for_both_theories():
             from annulus_tate.khovanov import homology_of
 
             assert homology_of(gc) == dense_homology_of(gc)
+
+
+# -- the offset-row engine against the frozen absolute-row engine
+
+
+@st.composite
+def numbered_complexes(draw, loops=False):
+    """(fdeg, aux, rows) of a random complex with d^2 = 0, its generators
+    numbered in random order.
+
+    A direct sum of pairs x -> y and lone generators on homological
+    degrees 0..h is conjugated by random changes of basis within each
+    degree (e_a becomes e_a + e_b), which keep d^2 = 0.  ``aux`` is the
+    homological degree, ``fdeg`` a random filtration degree in -2..2.
+    ``loops`` adds self-loops x -> x at random, as in a folded Tate
+    complex (d^2 = 0 then no longer holds).
+    """
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    degree = [h for h, size in enumerate(sizes) for _ in range(size)]
+    first = [sum(sizes[:h]) for h in range(len(sizes))]
+    out: list[set[int]] = [set() for _ in degree]
+    taken = 0  # generators of degree h that are already pair targets
+    for h in range(len(sizes) - 1):
+        pairs = draw(st.integers(0, min(sizes[h] - taken, sizes[h + 1])))
+        for p in range(pairs):
+            out[first[h] + taken + p].add(first[h + 1] + p)
+        taken = pairs
+    n = len(degree)
+    if n > 1:
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+            if a == b or degree[a] != degree[b]:
+                continue
+            out[a] ^= out[b]
+            for row in out:
+                if a in row:
+                    row ^= {b}
+    index = draw(st.permutations(range(n)))
+    rows: list[list[int]] = [[] for _ in range(n)]
+    fdeg, aux = [0] * n, [()] * n
+    for g in range(n):
+        rows[index[g]] = [index[t] for t in out[g]]
+        if loops and draw(st.booleans()):
+            rows[index[g]].append(index[g])
+        fdeg[index[g]] = draw(st.integers(-2, 2))
+        aux[index[g]] = (degree[g],)
+    return fdeg, aux, rows
+
+
+def both_engines(fdeg, aux, rows):
+    return FilteredComplex.from_rows(fdeg, aux, rows), BitsetComplex.from_rows(fdeg, aux, rows)
+
+
+@PROPERTY
+@given(numbered_complexes())
+def test_offset_engine_ranks_match_the_frozen_engine(complex_):
+    C, B = both_engines(*complex_)
+    check_d_squared(B)
+    assert homology_ranks(C) == B.homology_ranks()
+
+
+@PROPERTY
+@given(numbered_complexes(loops=True))
+def test_offset_engine_pages_match_the_frozen_engine(complex_):
+    # every shift from -4 to 4 in turn, negative shifts first: their
+    # targets lie below the source's row offset and force rebases
+    C, B = both_engines(*complex_)
+    masks, bmasks = degree_masks(C), B.degree_masks()
+    assert masks == bmasks
+    for r in range(-4, 5):
+        assert rank_table(C) == B.rank_table()
+        assert cancel_shift_level(C, r, masks) == B.cancel_shift_level(r, bmasks)
+        assert sorted(C.arrows()) == sorted(B.arrows())
+    assert all(x == y for x, y in C.arrows())  # only self-loops are left
+
+
+@PROPERTY
+@given(numbered_complexes(loops=True), st.data())
+def test_offset_engine_cancel_masks_match_the_frozen_engine(complex_, data):
+    C, B = both_engines(*complex_)
+    gens = range(len(C.fdeg))
+    while pairs := [(x, y) for x, y in sorted(B.arrows()) if x != y]:
+        k, l = data.draw(st.sampled_from(pairs))
+        assert C.cancel_arrow(k, l) == B.cancel_arrow(k, l)
+        assert sorted(C.arrows()) == sorted(B.arrows())
+        assert all(C.has_arrow(x, y) == B.has_arrow(x, y) for x in gens for y in gens)
+    for x, _ in C.arrows():
+        with pytest.raises(MissingArrowError):
+            C.cancel_arrow(x, x)

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from annulus_tate import cube, khovanov
 from annulus_tate.cube import resolve
@@ -23,6 +23,7 @@ from annulus_tate.links import (
 )
 
 from conftest import (
+    PROPERTY,
     builder_matches_reference,
     corpus_words,
     counted_d_squared_vanishes,
@@ -445,9 +446,6 @@ def test_kh_memory_guard_counts_reduced_blocks(monkeypatch):
 # breaks them
 
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
 def _alphabet(strands: int) -> list[int]:
     return [g for a in range(1, strands) for g in (a, -a)]
 
@@ -529,3 +527,16 @@ def _akh(word: BraidWord) -> dict[tuple, int]:
 def test_braid_relations_keep_akh(words):
     left, right = words
     assert _akh(left) == _akh(right)
+
+
+@PROPERTY
+@given(_words([2, 3], 4), st.integers(0, 3), st.data())
+def test_conjugation_keeps_akh(word, turn, data):
+    # conjugate braids close up to isotopic links in the thickened annulus
+    letters = word.letters
+    turn = turn % len(letters) if letters else 0
+    rotated = BraidWord(word.strands, letters[turn:] + letters[:turn])
+    assert _akh(rotated) == _akh(word)
+    if len(letters) <= 2:
+        g = data.draw(st.sampled_from(_alphabet(word.strands)))
+        assert _akh(BraidWord(word.strands, (g, *letters, -g))) == _akh(word)
