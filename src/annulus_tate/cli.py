@@ -305,7 +305,7 @@ def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
     verdicts: list[Verdict] = []
     if theory in ("both", "akh"):
         verdicts += [
-            check_equivariance(run.complex("cover", Theory.AKH), run.tau),
+            check_equivariance(run.complex("cover"), run.tau, Theory.AKH),
             verify_e2_correspondence(run),
             verify_collapse(run, Theory.AKH),
             verify_diagonals(run),
@@ -313,7 +313,7 @@ def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
         ]
     if theory in ("both", "kh"):
         verdicts += [
-            check_equivariance(run.complex("cover", Theory.KH), run.tau),
+            check_equivariance(run.complex("cover"), run.tau, Theory.KH),
             verify_collapse(run, Theory.KH),
             verify_khtate_limit(run),
             verify_cascade(run),

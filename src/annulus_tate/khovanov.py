@@ -1,4 +1,4 @@
-"""AKh and Kh chain complexes of annular diagrams over F2.
+"""Khovanov chain complexes of annular diagrams over F2, with AKh read off them.
 
 Every edge map is the Khovanov merge or split (labels on the participating
 circles):
@@ -6,20 +6,21 @@ circles):
   merge:  x+x+ -> x+,  x+x- -> x-,  x-x+ -> x-,  x-x- -> 0
   split:  x+ -> x+x- + x-x+,  x- -> x-x-
 
-Kh arrows raise i by 1, preserve j and shift k by 0 or -2.  AKh keeps the
-arrows that preserve k: it is the associated graded of Kh under the
-annular k-filtration (Asaeda-Przytycki-Sikora, "Categorification of the
-Kauffman bracket skein module of I-bundles over surfaces", AGT 2004;
-Roberts, "On knot Floer homology in double branched covers", G&T 2013).
+Kh arrows raise i by 1, preserve j and shift k by 0 or -2.  AKh is the
+associated graded of Kh under the annular k-filtration (Asaeda-Przytycki-
+Sikora, "Categorification of the Kauffman bracket skein module of
+I-bundles over surfaces", AGT 2004; Roberts, "On knot Floer homology in
+double branched covers", G&T 2013), so it is not built: ``rows_of`` reads
+its arrows off the full Kh complex as the ones that preserve k.
 
-Kh ranks are computed from the reduced complex: the generators whose
-marked circle, circle 0 (the one through port 0), is labeled "-" span a
-subcomplex with half the generators, and over F2 its homology h gives
-Kh^{i,j} = h^{i,j} + h^{i,j-2} (Kh = reduced Kh (x) V, Shumakovitch,
-"Torsion of the Khovanov homology", Fund. Math. 2014; reduced Kh as the
-marked-"-" subcomplex, Khovanov, "Patterns in knot cohomology I",
-Experiment. Math. 2003).  The full Kh complex is still built for the
-Tate side, where the deck rotation fixes no basepoint.
+Kh ranks are computed from the reduced complex, a build of its own: the
+generators whose marked circle, circle 0 (the one through port 0), is
+labeled "-" span a subcomplex with half the generators, and over F2 its
+homology h gives Kh^{i,j} = h^{i,j} + h^{i,j-2} (Kh = reduced Kh (x) V,
+Shumakovitch, "Torsion of the Khovanov homology", Fund. Math. 2014;
+reduced Kh as the marked-"-" subcomplex, Khovanov, "Patterns in knot
+cohomology I", Experiment. Math. 2003).  The full complex serves AKh and
+the Tate side, where the deck rotation fixes no basepoint.
 
 The complex is built in one pass per cube edge.  Gradings are read per
 vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
@@ -27,13 +28,13 @@ table from the labels of its participating circles to their images,
 applied at once to every labeling of the other circles; the table and
 that transport are tabulated once per distinct edge type.  d^2 = 0 is
 checked on every built complex, and ``_blocks`` splits it into engine
-complexes along the gradings every arrow preserves, filtered by i,
-assembling each bitset row once.  A block numbers its generators level by
-level, so that each offset-relative engine row spans one or two levels of
-i rather than the whole block.  ``_blocks`` yields the blocks one at a
-time, and every consumer cancels a block in place and drops it before the
-next is built, so the largest block, not the sum of all blocks, sets the
-memory peak.  A diagram whose blocks would need more than
+complexes along the gradings every arrow of a theory preserves, filtered
+by i, assembling each bitset row once.  A block numbers its generators
+level by level, so that each offset-relative engine row spans one or two
+levels of i rather than the whole block.  ``_blocks`` yields the blocks one
+at a time, and every consumer cancels a block in place and drops it before
+the next is built, so the largest block, not the sum of all blocks, sets
+the memory peak.  A diagram whose j blocks would need more than
 ``MAX_ENGINE_BYTES`` in all, counted as rows as wide as their block, is
 refused with ``DiagramTooLarge`` before any arrow is built.
 """
@@ -57,18 +58,22 @@ class Theory(enum.Enum):
 
 @dataclass
 class GradedComplex:
-    """The cube-of-chains complex of a diagram for one theory.
+    """The Khovanov cube-of-chains complex of a diagram, full or reduced.
 
     Generators are indexed consecutively: all labelings of vertex 0, then
     of vertex 1, and so on, with label bitmasks ascending.  ``out[g]``
-    lists arrow targets in construction order.  A ``reduced`` complex
-    keeps only the labelings with circle 0 "-", the one at index
-    ``offsets[vertex] + (labels >> 1)``.  ``edges`` holds the classified
-    cube edges, source vertex ascending, then crossing.
+    lists the Kh arrow targets in construction order; ``rows_of`` reads
+    the AKh ones.  A ``reduced`` complex keeps only the labelings with
+    circle 0 "-", the one at index ``offsets[vertex] + (labels >> 1)``,
+    and serves Kh only.  ``edges`` holds the classified cube edges, source
+    vertex ascending, then crossing.
     """
 
+    # Only perfbench/tracer.py reads this, to key its build counts; it goes
+    # with ROADMAP item 6.
+    theory = Theory.KH
+
     diagram: AnnularDiagram
-    theory: Theory
     resolutions: list[cube.Resolution]
     offsets: list[int]
     n_generators: int
@@ -83,18 +88,11 @@ class GradedComplex:
     def index(self, vertex: int, labels: int) -> int:
         return self.offsets[vertex] + (labels >> self.reduced)
 
-    def arrows(self):
-        for src in range(self.n_generators):
-            for tgt in self.out[src]:
-                yield src, tgt
-
     def n_arrows(self) -> int:
         return sum(len(row) for row in self.out)
 
     def i_span(self) -> int:
-        if not self.n_generators:
-            return 0
-        return max(self.gi) - min(self.gi)
+        return max(self.gi) - min(self.gi) if self.gi else 0
 
     def check_d_squared(self) -> None:
         """Raise unless d^2 = 0: sorted, the targets of each generator's
@@ -116,8 +114,9 @@ class GradedComplex:
 # Rows as wide as their block would cost a block of n generators about
 # n^2 / 4 bytes for its ``out`` and ``inc`` bitsets.  Engine rows span one
 # or two levels of i, and blocks are built and cancelled one at a time, so
-# the guard's sum of n^2 / 4 over all blocks is a loose upper bound; it is
-# kept so that the same diagrams are refused.
+# the guard's sum of n^2 / 4 over all j blocks is a loose upper bound, at
+# least the sum over the (j, k) blocks of AKh; no diagram it refused when
+# AKh had builds of its own is accepted.
 MAX_ENGINE_BYTES = 2 << 30
 
 
@@ -187,23 +186,20 @@ def _classify_edges(resolutions: list[cube.Resolution], c: int) -> list[cube.Edg
 
 def build_complex(
     diagram: AnnularDiagram,
-    theory: Theory,
     resolutions: list[cube.Resolution] | None = None,
     edges: list[cube.EdgeType] | None = None,
     reduced: bool = False,
 ) -> GradedComplex:
-    """Build the cube-of-chains complex and verify d^2 = 0.
+    """Build the Khovanov cube-of-chains complex and verify d^2 = 0.
 
     ``resolutions`` and ``edges`` (as kept by ``GradedComplex``) are reused
     when given.  ``reduced`` builds the Kh subcomplex where circle 0
     is "-", raising FilteredComplexError if an arrow leaves it.  Raises
     DiagramTooLarge before building any arrow, at the first cube vertex
-    where the engine blocks of the vertices so far would need more than
+    where the j blocks of the vertices so far would need more than
     MAX_ENGINE_BYTES.
     """
     c = diagram.n_crossings
-    if reduced and theory is not Theory.KH:
-        raise ValueError("only the Kh complex has a reduced form")
     n_pos, n_neg = diagram.n_pos, diagram.n_neg
 
     if resolutions is None:
@@ -212,7 +208,7 @@ def build_complex(
 
     resolved, offsets, vertex_of, gi, gj, gk = [], [], [], [], [], []
     sizes: Counter = Counter()
-    squares = 0  # sum of squared block sizes
+    squares = 0  # sum of squared j block sizes
     for alpha, res in enumerate(resolutions):
         if res.n_circles > cube.MAX_CIRCLES:
             raise OverflowError(f"{res.n_circles} circles exceeds the guard")
@@ -222,14 +218,14 @@ def build_complex(
         i, js, ks = cube.vertex_gradings(res, n_pos, n_neg)
         if reduced:
             js, ks = js[::2], ks[::2]
-        for key, n in Counter(_block_keys(theory, js, ks)).items():
-            squares += n * (2 * sizes[key] + n)
-            sizes[key] += n
+        for j, n in Counter(js).items():
+            squares += n * (2 * sizes[j] + n)
+            sizes[j] += n
         if squares // 4 > MAX_ENGINE_BYTES:
             raise DiagramTooLarge(
                 f"the {c}-crossing diagram needs more than the "
                 f"{MAX_ENGINE_BYTES / 2**30:.0f} GiB limit for its "
-                f"{'reduced ' if reduced else ''}{theory.value} blocks: "
+                f"{'reduced ' if reduced else ''}kh blocks: "
                 f"{alpha + 1:,} of its {1 << c:,} cube vertices already need "
                 f"{squares / 4 / 2**30:.1f} GiB"
             )
@@ -244,17 +240,12 @@ def build_complex(
     out: list[list[int]] = [[] for _ in range(total)]
     ids = list(range(total))  # one int object per target, shared by its arrows
     maps: dict[int, tuple] = {}  # per distinct edge object: rule, transport
-    akh = theory is Theory.AKH
     for (alpha, alpha2), edge in zip(_cube_edges(c), edges, strict=True):
         if id(edge) not in maps:
             maps[id(edge)] = (_edge_rule(edge), *_transport_table(edge, reduced))
         rule, rest, image = maps[id(edge)]
         src_off, tgt_off = offsets[alpha], offsets[alpha2]
         for plus, tplus in rule.items():
-            if akh:
-                # AKh keeps the arrows that preserve k.  The other circles keep
-                # their triviality, so their labels shift k equally on both ends.
-                tplus = [tp for tp in tplus if gk[tgt_off + tp] == gk[src_off + plus]]
             if not tplus or (reduced and plus & 1):
                 continue
             rows = [out[src_off + (lab | plus >> reduced)] for lab in rest]
@@ -270,7 +261,6 @@ def build_complex(
 
     gc = GradedComplex(
         diagram=diagram,
-        theory=theory,
         resolutions=resolved,
         offsets=offsets,
         n_generators=total,
@@ -287,21 +277,35 @@ def build_complex(
 
 
 def _block_keys(theory: Theory, gj: list[int], gk: list[int]) -> list[tuple]:
-    """The gradings every arrow preserves: (j, k) for AKh, (j,) for Kh.
-    Equal keys are one shared tuple."""
+    """The gradings every arrow of ``theory`` preserves: (j, k) for AKh,
+    (j,) for Kh.  Equal keys are one shared tuple."""
     keys = zip(gj, gk) if theory is Theory.AKH else zip(gj)
     shared: dict[tuple, tuple] = {}
     return [shared.setdefault(key, key) for key in keys]
 
 
+def rows_of(gc: GradedComplex, theory: Theory):
+    """``row(g)``, the arrow targets of generator g in ``theory``, in
+    construction order: ``gc.out[g]`` for Kh; for AKh, those that preserve
+    k, read from the full complex only."""
+    if theory is Theory.KH:
+        return gc.out.__getitem__
+    if gc.reduced:
+        raise ValueError("AKh is read from the full complex, not the reduced one")
+    out, gk = gc.out, gc.gk
+    return lambda g: [t for t in out[g] if gk[t] == gk[g]]
+
+
 def _blocks(
-    gc: GradedComplex, row_of=None
+    gc: GradedComplex, theory: Theory, row_of=None
 ) -> Iterator[tuple[FilteredComplex, list[int]]]:
-    """Split into engine complexes along the block keys, one block at a time.
+    """Split into engine complexes along the block keys of ``theory``, one
+    block at a time.
 
     Each generator g is filtered by i and carries its block key as
-    auxiliary grading; ``row_of(g)`` lists its arrow targets (default
-    ``gc.out[g]``) and is called once per generator, a block at a time.
+    auxiliary grading; ``row_of(g)`` lists its arrow targets (default: its
+    ``theory`` arrows, ``rows_of``) and is called once per generator, a
+    block at a time.
     Yields (complex, members) pairs, where members[x] is the generator of
     ``gc`` at engine index x.  Members are numbered level by level: by i,
     then in generator order.  A cube arrow raises i by one, so each engine
@@ -310,8 +314,8 @@ def _blocks(
     a consumer that drops each complex before asking for the next holds
     one block's bitsets at a time.
     """
-    keys = _block_keys(gc.theory, gc.gj, gc.gk)
-    row_of = gc.out.__getitem__ if row_of is None else row_of
+    keys = _block_keys(theory, gc.gj, gc.gk)
+    row_of = rows_of(gc, theory) if row_of is None else row_of
     ids: dict[tuple, int] = {}
     block_of = [ids.setdefault(key, len(ids)) for key in keys]
     groups: list[list[int]] = [[] for _ in ids]
@@ -337,14 +341,15 @@ def _blocks(
         yield engine_block(b, members), members
 
 
-def homology_of(gc: GradedComplex) -> dict[tuple, int]:
-    """Graded homology ranks: keys (i, j, k) for AKh, (i, j) for Kh.
+def homology_of(gc: GradedComplex, theory: Theory) -> dict[tuple, int]:
+    """Graded homology ranks of ``theory``: keys (i, j, k) for AKh, (i, j)
+    for Kh.
 
     A reduced complex, with homology h, gives the Kh ranks
     h^{i,j} + h^{i,j-2}.
     """
     table: dict[tuple, int] = {}
-    for C, _ in _blocks(gc):
+    for C, _ in _blocks(gc, theory):
         table.update(homology_ranks(C))  # cancels C in place
         del C  # before the next block is built
     if gc.reduced:
@@ -359,7 +364,7 @@ def homology_of(gc: GradedComplex) -> dict[tuple, int]:
 def homology(diagram: AnnularDiagram, theory: Theory) -> dict[tuple, int]:
     """Rank table of AKh (keys (i, j, k)) or Kh (keys (i, j), from the
     reduced complex) over F2."""
-    return homology_of(build_complex(diagram, theory, reduced=theory is Theory.KH))
+    return homology_of(build_complex(diagram, reduced=theory is Theory.KH), theory)
 
 
 def total_rank(table: dict[tuple, int]) -> int:

@@ -35,6 +35,7 @@ from .khovanov import (
     _blocks,
     build_complex,
     homology_of,
+    rows_of,
     summed,
     total_rank,
 )
@@ -63,11 +64,7 @@ class Verdict:
 
 
 def _port_circle_map(res: cube.Resolution) -> dict[int, int]:
-    table: dict[int, int] = {}
-    for idx, circle in enumerate(res.circles):
-        for port in circle.ports:
-            table[port] = idx
-    return table
+    return {port: idx for idx, circle in enumerate(res.circles) for port in circle.ports}
 
 
 def _circle_images(res: cube.Resolution, target: cube.Resolution, level_of) -> list[int]:
@@ -105,28 +102,26 @@ def tau_table(gc: GradedComplex, pairing: CoverPairing) -> list[int]:
     return tau
 
 
-def check_equivariance(gc: GradedComplex, tau: list[int]) -> Verdict:
+def check_equivariance(gc: GradedComplex, tau: list[int], theory: Theory) -> Verdict:
     """The ``equivariance-<theory>`` verdict: the involution ``tau`` (from
     :func:`tau_table`) squares to the identity, preserves the gradings,
-    commutes with the differential (it maps the targets of each generator
-    x onto the targets of tau x), and fixes generators only at even
-    Hamming weight."""
+    commutes with the differential of ``theory`` (it maps the targets of
+    each generator x onto the targets of tau x), and fixes generators only
+    at even Hamming weight."""
     rng = range(gc.n_generators)
-    out = gc.out
+    row = rows_of(gc, theory)
     fixed = [g for g in rng if tau[g] == g]
     passed = (
         all(tau[tau[g]] == g for g in rng)
         and all(
-            gc.gi[g] == gc.gi[tau[g]]
-            and gc.gj[g] == gc.gj[tau[g]]
-            and gc.gk[g] == gc.gk[tau[g]]
-            for g in rng
+            (gc.gi[g], gc.gj[g], gc.gk[g]) == (gc.gi[t], gc.gj[t], gc.gk[t])
+            for g, t in enumerate(tau)
         )
-        and all({tau[y] for y in out[x]} == set(out[tau[x]]) for x in rng)
+        and all({tau[y] for y in row(x)} == set(row(tau[x])) for x in rng)
         and all(cube.hamming(gc.vertex_of[g]) % 2 == 0 for g in fixed)
     )
     return Verdict(
-        name=f"equivariance-{gc.theory.value}",
+        name=f"equivariance-{theory.value}",
         passed=passed,
         details={"equivariant_generators": len(fixed)},
     )
@@ -138,14 +133,20 @@ def check_equivariance(gc: GradedComplex, tau: list[int]) -> Verdict:
 
 @dataclass
 class TateBicomplex:
-    """The Tate bicomplex of a cover complex, folded over F2[theta, 1/theta].
+    """The Tate bicomplex of one theory, folded over F2[theta, 1/theta].
 
-    Equivariant generators emit no horizontal arrows: their two copies
-    g -> g and g -> tau g coincide and cancel mod 2.
+    ``cover`` is the full Kh complex of the cover, read through its
+    ``theory`` arrows (``khovanov.rows_of``).  Equivariant generators emit
+    no horizontal arrows: their two copies g -> g and g -> tau g coincide
+    and cancel mod 2.
     """
 
     cover: GradedComplex
     tau: list[int] = field(repr=False)
+    theory: Theory
+
+    def __post_init__(self) -> None:
+        self._cover_row = rows_of(self.cover, self.theory)
 
     @property
     def n_generators(self) -> int:
@@ -155,14 +156,14 @@ class TateBicomplex:
         """Arrow targets of g: the cover arrows (theta^0), then the theta^1
         arrows g -> g and g -> tau g if g is not equivariant."""
         tg = self.tau[g]
-        row = self.cover.out[g]
+        row = self._cover_row(g)
         return row + [g, tg] if tg != g else row
 
     def blocks(self) -> Iterator[tuple[FilteredComplex, list[int]]]:
         """Engine complexes per (j, k) (AKh) or j (Kh) block, filtered by i,
         built one at a time as ``khovanov._blocks`` yields them; members[x]
         is the cover generator at engine index x."""
-        return _blocks(self.cover, row_of=self.row)
+        return _blocks(self.cover, self.theory, row_of=self.row)
 
 
 @dataclass
@@ -259,7 +260,7 @@ def vh_pages(b: TateBicomplex) -> VhPages:
             pages.ranks[r].update(rank_table(C))
             pages.d_nonzero[r] |= cancel_shift_level(C, 1 - r, masks)
         del C, masks  # before the next block is built
-    cover_table = {k: r for k, r in homology_of(b.cover).items() if r}
+    cover_table = {k: r for k, r in homology_of(b.cover, b.theory).items() if r}
     return VhPages(pages=pages, e1_ok=pages.table(1) == cover_table)
 
 
@@ -270,11 +271,12 @@ def vh_pages(b: TateBicomplex) -> VhPages:
 class PeriodicRun:
     """Shared computations for one quotient braid word.
 
-    Complexes and their homology are cached per (side, theory), where side
-    is "quotient" (the closure of the word) or "cover" (its 2-periodic
-    double cover).  Every build on a side reuses the resolutions and
-    classified edges of its first build.  Kh tables come from the reduced
-    complex, which is not kept.
+    One full Kh complex is cached per side, "quotient" (the closure of the
+    word) or "cover" (its 2-periodic double cover); AKh is read from it.
+    Rank tables are cached per (side, theory).  Kh tables come from the
+    reduced complex, a second build of the side that is not kept.  Every
+    build on a side reuses the resolutions and classified edges of its
+    first build.
     """
 
     def __init__(self, word: BraidWord) -> None:
@@ -286,35 +288,31 @@ class PeriodicRun:
         self._homology: dict = {}
         self._hv: dict = {}
 
-    def _build(self, side: str, theory: Theory, reduced: bool = False) -> GradedComplex:
+    def _build(self, side: str, reduced: bool = False) -> GradedComplex:
         """A new complex of ``side``, on the side's shared cube."""
         diagram = {"quotient": self.quotient_diagram, "cover": self.cover_diagram}[side]
-        gc = build_complex(diagram, theory, *self._cubes.get(side, ()), reduced=reduced)
+        gc = build_complex(diagram, *self._cubes.get(side, ()), reduced=reduced)
         self._cubes.setdefault(side, (gc.resolutions, gc.edges))
         return gc
 
-    def complex(self, side: str, theory: Theory) -> GradedComplex:
-        key = (side, theory)
-        if key not in self._complexes:
-            self._complexes[key] = self._build(side, theory)
-        return self._complexes[key]
+    def complex(self, side: str) -> GradedComplex:
+        if side not in self._complexes:
+            self._complexes[side] = self._build(side)
+        return self._complexes[side]
 
     def homology(self, side: str, theory: Theory) -> dict[tuple, int]:
         key = (side, theory)
         if key not in self._homology:
-            if theory is Theory.KH:
-                gc = self._build(side, theory, reduced=True)
-            else:
-                gc = self.complex(side, theory)
-            self._homology[key] = homology_of(gc)
+            gc = self._build(side, reduced=True) if theory is Theory.KH else self.complex(side)
+            self._homology[key] = homology_of(gc, theory)
         return self._homology[key]
 
     @cached_property
     def tau(self) -> list[int]:
-        return tau_table(self.complex("cover", Theory.AKH), self.pairing)
+        return tau_table(self.complex("cover"), self.pairing)
 
     def tate(self, theory: Theory) -> TateBicomplex:
-        return TateBicomplex(cover=self.complex("cover", theory), tau=self.tau)
+        return TateBicomplex(cover=self.complex("cover"), tau=self.tau, theory=theory)
 
     def hv(self, theory: Theory) -> HvPages:
         if theory not in self._hv:
@@ -334,8 +332,8 @@ def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
     label transport goes through the port projection (level mod n, strand).
     """
     problems: list[str] = []
-    gq = run.complex("quotient", Theory.AKH)
-    gcov = run.complex("cover", Theory.AKH)
+    gq = run.complex("quotient")
+    gcov = run.complex("cover")
     tau = run.tau
     n = run.pairing.quotient_crossings
     lift: dict[int, int] = {}
@@ -374,8 +372,8 @@ def verify_e2_correspondence(run: PeriodicRun) -> Verdict:
     """Check the equivariant-generator bijection, its grading relations,
     and that the induced length-2 differentials reproduce the quotient
     differential."""
-    gq = run.complex("quotient", Theory.AKH)
-    gcov = run.complex("cover", Theory.AKH)
+    gq = run.complex("quotient")
+    gcov = run.complex("cover")
     tau = run.tau
 
     lift, problems = _lift_table(run)
@@ -418,11 +416,13 @@ def _check_d2_arrows(run: PeriodicRun, lift: dict[int, int]) -> tuple[bool, dict
     quotient differential transported along the lift."""
     hv = run.hv(Theory.AKH)
     observed = hv.d2_observed
-    gq = run.complex("quotient", Theory.AKH)
-    expected = {(lift[u], lift[v]) for u, v in gq.arrows()}
+    gq = run.complex("quotient")
+    row = rows_of(gq, Theory.AKH)
+    arrows = [(u, v) for u in range(gq.n_generators) for v in row(u)]
+    expected = {(lift[u], lift[v]) for u, v in arrows}
     ok = not hv.d2_strays and observed == expected
     detail = {
-        "d2_arrows_per_column": gq.n_arrows(),
+        "d2_arrows_per_column": len(arrows),
         "stray_survivors": hv.d2_strays[:10],
         "d2_missing": sorted(expected - observed)[:10],
         "d2_extra": sorted(observed - expected)[:10],
@@ -536,12 +536,7 @@ def verify_cascade(run: PeriodicRun) -> Verdict:
     k_cover = run.homology("cover", Theory.KH)
     a_quot = run.homology("quotient", Theory.AKH)
     k_quot = run.homology("quotient", Theory.KH)
-    totals = [
-        total_rank(a_cover),
-        total_rank(k_cover),
-        total_rank(a_quot),
-        total_rank(k_quot),
-    ]
+    totals = [total_rank(t) for t in (a_cover, k_cover, a_quot, k_quot)]
     chain_ok = totals[0] >= totals[1] >= totals[2] >= totals[3]
 
     def filtration_ok(akh: dict, kh: dict) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from annulus_tate.khovanov import Theory, build_complex, homology_of, total_rank
 from annulus_tate.links import parse_braid_word
 from annulus_tate.decat import state_sum
@@ -20,20 +22,24 @@ from annulus_tate.tate import (
 
 from conftest import (
     WindowedTate,
+    arrows,
     at_t_minus_one,
     builder_matches_reference,
     dense_homology_of,
     reduced_matches_full,
+    theory_rows,
     total_diagonal_ranks,
 )
 
+THEORIES = (Theory.AKH, Theory.KH)
 
-def _grading_shifts_ok(gc) -> bool:
-    for src, tgt in gc.arrows():
+
+def _grading_shifts_ok(gc, theory: Theory) -> bool:
+    for src, tgt in arrows(theory_rows(gc, theory)):
         if gc.gi[tgt] - gc.gi[src] != 1 or gc.gj[tgt] != gc.gj[src]:
             return False
         dk = gc.gk[tgt] - gc.gk[src]
-        if gc.theory is Theory.AKH:
+        if theory is Theory.AKH:
             if dk != 0:
                 return False
         elif dk not in (0, -2):
@@ -47,7 +53,7 @@ def _tate_matches_oracle(run: PeriodicRun, theory: Theory, full: bool) -> bool:
     also column-filtered pages 0-2 and the diagonal totals."""
     b = run.tate(theory)
     hv = run.hv(theory)
-    oracle = WindowedTate(b.cover, b.tau)
+    oracle = WindowedTate(b.cover, b.tau, theory)
     pages, pairs, strays = oracle.hv(hv.pages.max_page)
     ok = (
         pages == [hv.pages.table(r) for r in range(hv.pages.max_page + 1)]
@@ -65,8 +71,21 @@ def _tate_matches_oracle(run: PeriodicRun, theory: Theory, full: bool) -> bool:
 
 
 def compute_word_result(args: tuple[str, int]) -> dict:
+    """Every acceptance reading of one word, with ``timing``: the seconds
+    spent per check group."""
     braid, strands = args
     word = parse_braid_word(braid, strands)
+    timing = dict.fromkeys(
+        ("verdicts", "dense oracle", "reference builder", "windowed Tate oracle",
+         "gradings and Euler"), 0.0)
+    started = time.perf_counter()
+
+    def lap(group: str) -> None:
+        nonlocal started
+        now = time.perf_counter()
+        timing[group] += now - started
+        started = now
+
     run = PeriodicRun(word)
 
     quotient_akh = run.homology("quotient", Theory.AKH)
@@ -85,31 +104,29 @@ def compute_word_result(args: tuple[str, int]) -> dict:
 
     odd_pages_ok = run.hv(Theory.AKH).odd_pages_ok and run.hv(Theory.KH).odd_pages_ok
 
-    eq_akh = check_equivariance(run.complex("cover", Theory.AKH), run.tau)
-    eq_kh = check_equivariance(run.complex("cover", Theory.KH), run.tau)
+    eq_akh = check_equivariance(run.complex("cover"), run.tau, Theory.AKH)
+    eq_kh = check_equivariance(run.complex("cover"), run.tau, Theory.KH)
+    lap("verdicts")
 
-    complexes = [
-        run.complex(side, theory)
-        for side in ("quotient", "cover")
-        for theory in (Theory.AKH, Theory.KH)
-    ]
+    complexes = [run.complex(side) for side in ("quotient", "cover")]
     oracle_ok = True
-    for gc in complexes:
-        if homology_of(gc) != dense_homology_of(gc):
+    for gc, kh in zip(complexes, (quotient_kh, cover_kh)):
+        dense = {theory: dense_homology_of(gc, theory) for theory in THEORIES}
+        if any(homology_of(gc, theory) != dense[theory] for theory in THEORIES):
             oracle_ok = False
-    # the run's Kh tables come from the reduced complexes
-    for side, kh in (("quotient", quotient_kh), ("cover", cover_kh)):
-        if kh != dense_homology_of(run.complex(side, Theory.KH)):
+        # the run's Kh tables come from the reduced complexes
+        if kh != dense[Theory.KH]:
             oracle_ok = False
+    lap("dense oracle")
 
     builder_ok = all(builder_matches_reference(gc) for gc in complexes)
-    for side in ("quotient", "cover"):
-        full = run.complex(side, Theory.KH)
-        reduced = build_complex(
-            full.diagram, Theory.KH, full.resolutions, full.edges, reduced=True
-        )
+    for full in complexes:
+        reduced = build_complex(full.diagram, full.resolutions, full.edges, reduced=True)
         builder_ok = builder_ok and reduced_matches_full(reduced, full)
-    gradings_ok = all(_grading_shifts_ok(gc) for gc in complexes)
+    lap("reference builder")
+    gradings_ok = all(
+        _grading_shifts_ok(gc, theory) for gc in complexes for theory in THEORIES
+    )
 
     euler_ok = all(
         at_t_minus_one(state_sum(diagram)) == at_t_minus_one(table)
@@ -118,11 +135,12 @@ def compute_word_result(args: tuple[str, int]) -> dict:
             (run.cover_diagram, cover_akh),
         )
     )
+    lap("gradings and Euler")
 
     tate_oracle_ok = all(
-        _tate_matches_oracle(run, theory, full=len(word) <= 3)
-        for theory in (Theory.AKH, Theory.KH)
+        _tate_matches_oracle(run, theory, full=len(word) <= 3) for theory in THEORIES
     )
+    lap("windowed Tate oracle")
 
     return {
         "braid": braid,
@@ -151,4 +169,5 @@ def compute_word_result(args: tuple[str, int]) -> dict:
         "gradings_ok": gradings_ok,
         "euler_ok": euler_ok,
         "tate_oracle_ok": tate_oracle_ok,
+        "timing": timing,
     }

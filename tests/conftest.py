@@ -17,7 +17,7 @@ from annulus_tate.f2algebra import (
     homology_ranks,
 )
 from annulus_tate import cube
-from annulus_tate.khovanov import GradedComplex, Theory, _blocks, build_complex
+from annulus_tate.khovanov import GradedComplex, Theory, _blocks, build_complex, rows_of
 from annulus_tate.links import AnnularDiagram, BraidWord
 from annulus_tate.tate import TateBicomplex
 
@@ -265,10 +265,10 @@ def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
     Each j block of the Kh complex is regraded and dropped before the next
     is built.
     """
-    gc = build_complex(diagram, Theory.KH)
+    gc = build_complex(diagram)
     kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
     pages = PageTable(max_page=kspan + 2)
-    for C, members in _blocks(gc):
+    for C, members in _blocks(gc, Theory.KH):
         C.fdeg = [-gc.gk[g] for g in members]
         C.aux = [(gc.gi[g], gc.gj[g]) for g in members]
         block = spectral_pages(C, pages.max_page)
@@ -334,6 +334,27 @@ def labels_of(gc: GradedComplex, g: int) -> int:
     """The label bitmask of generator ``g`` (bit c set when circle c is
     "+"), read from its index within its vertex."""
     return (g - gc.offsets[gc.vertex_of[g]]) << gc.reduced
+
+
+def arrows(rows: list[list[int]]):
+    """(source, target) of every arrow of a list of target rows."""
+    return [(src, tgt) for src, row in enumerate(rows) for tgt in row]
+
+
+def view(gc: GradedComplex, theory: Theory) -> list[list[int]]:
+    """The rows of ``gc`` as the engine reads them in ``theory``
+    (``khovanov.rows_of``)."""
+    row = rows_of(gc, theory)
+    return [row(g) for g in range(gc.n_generators)]
+
+
+def theory_rows(gc: GradedComplex, theory: Theory) -> list[list[int]]:
+    """The arrow targets of every generator of the Kh complex ``gc`` in
+    ``theory``: for AKh, the arrows whose ends have equal k (oracle path;
+    the oracles share no filter code with ``khovanov.rows_of``)."""
+    if theory is Theory.KH:
+        return gc.out
+    return [[y for y in row if gc.gk[y] == gc.gk[x]] for x, row in enumerate(gc.out)]
 
 
 # -- reference cube builder (oracle path): each edge sorted into one of the
@@ -486,13 +507,17 @@ def counted_d_squared_vanishes(out: list[list[int]]) -> bool:
 
 
 def builder_matches_reference(gc: GradedComplex) -> bool:
-    """``build_complex`` output equals the reference builder's, and the
-    path-counting d^2 check accepts it."""
-    out, gi, gj, gk = reference_complex(gc.diagram, gc.theory, gc.resolutions)
-    return (
-        (gc.out, gc.gi, gc.gj, gc.gk) == (out, gi, gj, gk)
-        and counted_d_squared_vanishes(out)
-    )
+    """The full ``build_complex`` output equals the reference Kh complex,
+    its AKh rows as ``khovanov.rows_of`` reads them equal the reference
+    AKh complex, arrow for arrow, and the path-counting d^2 check accepts
+    both references."""
+    for theory in (Theory.KH, Theory.AKH):
+        out, gi, gj, gk = reference_complex(gc.diagram, theory, gc.resolutions)
+        if (view(gc, theory), gc.gi, gc.gj, gc.gk) != (out, gi, gj, gk):
+            return False
+        if not counted_d_squared_vanishes(out):
+            return False
+    return True
 
 
 def reduced_matches_full(reduced: GradedComplex, full: GradedComplex) -> bool:
@@ -520,12 +545,13 @@ def reduced_matches_full(reduced: GradedComplex, full: GradedComplex) -> bool:
     return True
 
 
-def dense_homology_of(gc: GradedComplex) -> dict[tuple, int]:
+def dense_homology_of(gc: GradedComplex, theory: Theory) -> dict[tuple, int]:
     """Rank-nullity homology via dense Gaussian elimination (oracle path).
 
     Same keys as ``homology_of``: (i, j, k) for AKh, (i, j) for Kh.
     """
-    key_of = _block_key(gc)
+    key_of = _block_key(gc, theory)
+    rows = theory_rows(gc, theory)
     groups: dict[tuple, list[int]] = {}
     for g in range(gc.n_generators):
         groups.setdefault((key_of(g), gc.gi[g]), []).append(g)
@@ -536,7 +562,7 @@ def dense_homology_of(gc: GradedComplex) -> dict[tuple, int]:
         if not targets:
             ranks[(key, i)] = 0
             continue
-        ranks[(key, i)] = dense_rank(_dense_rows(gc, gens, targets))
+        ranks[(key, i)] = dense_rank(_dense_rows(rows, gens, targets))
 
     table: dict[tuple, int] = {}
     for (key, i), gens in groups.items():
@@ -546,19 +572,19 @@ def dense_homology_of(gc: GradedComplex) -> dict[tuple, int]:
     return table
 
 
-def _dense_rows(gc: GradedComplex, gens: list[int], targets: list[int]):
+def _dense_rows(rows: list[list[int]], gens: list[int], targets: list[int]):
     """The 0/1 rows of the differential from ``gens`` to ``targets``, one
     at a time, so that only the eliminated rows are kept."""
     tindex = {g: col for col, g in enumerate(targets)}
     for g in gens:
         row = [0] * len(targets)
-        for y in gc.out[g]:
+        for y in rows[g]:
             row[tindex[y]] ^= 1
         yield row
 
 
-def _block_key(gc: GradedComplex):
-    if gc.theory is Theory.AKH:
+def _block_key(gc: GradedComplex, theory: Theory):
+    if theory is Theory.AKH:
         return lambda g: (gc.gj[g], gc.gk[g])
     return lambda g: (gc.gj[g],)
 
@@ -577,7 +603,8 @@ def _interior(table: dict[tuple, int], pos: int, values) -> dict | None:
 class WindowedTate:
     """The literal Tate bicomplex on columns t in [0, window) (oracle path).
 
-    Column t is a copy of the cover complex; (g, t) has horizontal arrows
+    Column t is a copy of the ``theory`` arrows of the cover's Kh complex,
+    read through ``theory_rows``; (g, t) has horizontal arrows
     to (g, t+1) and (tau g, t+1) unless g is equivariant, and arrows
     leaving the last column are dropped (still a complex).  Claims are read
     on interior columns, farther than the cover's i-span from both edges,
@@ -585,8 +612,10 @@ class WindowedTate:
     default window, twice the span plus five, has three interior columns.
     """
 
-    def __init__(self, gc: GradedComplex, tau: list[int], window: int | None = None):
-        self.gc, self.tau = gc, tau
+    def __init__(
+        self, gc: GradedComplex, tau: list[int], theory: Theory, window: int | None = None
+    ):
+        self.gc, self.tau, self.theory = gc, tau, theory
         self.span = gc.i_span()
         self.window = 2 * self.span + 5 if window is None else window
         self.columns = [
@@ -599,7 +628,8 @@ class WindowedTate:
         """Engine complexes per (j, k) (AKh) or j (Kh) block with members
         (g, t) in column-major order; ``fdeg(g, t)``, ``aux(g, t)`` grade."""
         gc, tau, T = self.gc, self.tau, self.window
-        key_of = _block_key(gc)
+        key_of = _block_key(gc, self.theory)
+        rows = theory_rows(gc, self.theory)
         groups: dict[tuple, list[int]] = {}
         for g in range(gc.n_generators):
             groups.setdefault(key_of(g), []).append(g)
@@ -609,7 +639,7 @@ class WindowedTate:
             pos = {g: p for p, g in enumerate(gens)}
             vout, vinc = [0] * nb, [0] * nb
             for g in gens:
-                for y in gc.out[g]:
+                for y in rows[g]:
                     vout[pos[g]] |= 1 << pos[y]
                     vinc[pos[y]] |= 1 << pos[g]
             # (g, t) -> (g, t+1), (tau g, t+1); tau is an involution, so
@@ -641,7 +671,7 @@ class WindowedTate:
         after cancelling exactly the tau arrows, and the sorted stray
         nonequivariant survivors g of that cancellation."""
         gc, tau, T = self.gc, self.tau, self.window
-        key_of, cols = _block_key(gc), set(self.columns)
+        key_of, cols = _block_key(gc, self.theory), set(self.columns)
         tables = {r: {} for r in range(max_page + 1)}
         observed, strays = set(), set()
         for C, members in self.blocks(lambda g, t: gc.gi[g], lambda g, t: (t, *key_of(g))):
@@ -685,7 +715,7 @@ class WindowedTate:
 
     def vh(self, max_page: int = 2) -> list[dict | None]:
         """Interior column-filtered pages r = 0..max_page keyed (i, *block key)."""
-        gc, key_of = self.gc, _block_key(self.gc)
+        gc, key_of = self.gc, _block_key(self.gc, self.theory)
         tables = {r: {} for r in range(max_page + 1)}
         for C, _ in self.blocks(lambda g, t: t, lambda g, t: (gc.gi[g], *key_of(g))):
             pages = spectral_pages(C, max_page, engine=BitsetComplex)
@@ -696,7 +726,7 @@ class WindowedTate:
 
     def diagonals(self) -> dict | None:
         """Total homology on interior diagonals i + t, keyed by block key."""
-        gc, key_of = self.gc, _block_key(self.gc)
+        gc, key_of = self.gc, _block_key(self.gc, self.theory)
         table: dict[tuple, int] = {}
         for C, _ in self.blocks(lambda g, t: gc.gi[g] + t, lambda g, t: key_of(g)):
             for key, rank in C.homology_ranks().items():

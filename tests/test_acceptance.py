@@ -30,6 +30,11 @@ def corpus_results():
     words = [(w.as_text(), w.strands) for w in corpus_words()]
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(compute_word_result, words))
+    totals: dict[str, float] = {}
+    for r in results:
+        for group, seconds in r["timing"].items():
+            totals[group] = totals.get(group, 0.0) + seconds
+    print("ACCEPTANCE timing: " + ", ".join(f"{g} {s:.1f} s" for g, s in totals.items()))
     return results
 
 

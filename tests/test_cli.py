@@ -63,7 +63,7 @@ def test_akh_takes_any_closure_within_the_guards(runner):
     )
     assert result.exit_code == 1
     assert result.output.startswith(
-        "Error: the 12-crossing diagram needs more than the 2 GiB limit for its akh blocks"
+        "Error: the 12-crossing diagram needs more than the 2 GiB limit for its kh blocks"
     )
 
 
@@ -123,28 +123,38 @@ def test_periodic_report_is_schema_2_without_window(runner):
     assert report["input"] == {"braid": "1", "strands": 2, "theory": "both"}
 
 
-def test_periodic_builds_each_complex_once(runner, monkeypatch):
+def _count_builds(monkeypatch) -> list[tuple]:
+    """Patch ``build_complex`` where it is called to record (crossings,
+    reduced) per build; returns the list it appends to."""
     calls = []
     build = khovanov.build_complex
 
-    def counting(diagram, theory, *shared, reduced=False):
-        calls.append((diagram, theory, reduced))
-        return build(diagram, theory, *shared, reduced=reduced)
+    def counting(diagram, *shared, reduced=False):
+        calls.append((diagram.n_crossings, reduced))
+        return build(diagram, *shared, reduced=reduced)
 
     monkeypatch.setattr(khovanov, "build_complex", counting)
     monkeypatch.setattr(tate, "build_complex", counting)
+    return calls
+
+
+def test_periodic_builds_each_complex_once(runner, monkeypatch):
+    calls = _count_builds(monkeypatch)
     result = invoke(
         runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
     )
     assert result.exit_code == 0
-    # quotient AKh and reduced Kh; cover AKh, Kh (for the Tate side) and
-    # reduced Kh: congruences reuse the cover table
-    assert len(calls) == len(set(calls)) == 5
-    assert {(d.n_crossings, t, r) for d, t, r in calls} == {
-        (2, khovanov.Theory.AKH, False), (2, khovanov.Theory.KH, True),
-        (4, khovanov.Theory.AKH, False), (4, khovanov.Theory.KH, False),
-        (4, khovanov.Theory.KH, True),
-    }
+    # the full complex (AKh, the Tate side) and the reduced one (Kh ranks)
+    # of the quotient and of the cover: congruences reuse the cover table
+    assert sorted(calls) == [(2, False), (2, True), (4, False), (4, True)]
+
+
+@pytest.mark.parametrize("command, reduced", [("akh", False), ("kh", True)])
+def test_rank_commands_build_one_complex(runner, monkeypatch, command, reduced):
+    calls = _count_builds(monkeypatch)
+    result = invoke(runner, [command, "--braid", "1 -1", "--strands", "2"])
+    assert result.exit_code == 0
+    assert calls == [(2, reduced)]
 
 
 def test_periodic_resolves_each_vertex_once(runner, monkeypatch):
@@ -230,10 +240,9 @@ def test_periodic_computes_tau_once(runner, monkeypatch):
     )
     assert result.exit_code == 0
     assert len(tables) == 1
-    # tau depends only on the resolutions, so the AKh table serves Kh too
+    # one cover complex serves both theories, so one tau table serves both
     run = tate.PeriodicRun(parse_braid_word("1 -2", 3))
-    kh_cover = run.complex("cover", khovanov.Theory.KH)
-    assert table(kh_cover, run.pairing) == run.tau == tables[0]
+    assert table(run.complex("cover"), run.pairing) == run.tau == tables[0]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from annulus_tate.cube import (
     swap_halves,
     vertex_gradings,
 )
-from annulus_tate.khovanov import Theory, build_complex
+from annulus_tate.khovanov import build_complex
 from annulus_tate.links import BraidWord, close_braid, parse_braid_word
 
 from conftest import annular_class, classify_edge
@@ -155,4 +155,4 @@ def test_circle_overflow_guard():
     diagram = close_braid(BraidWord(26, ()))
     assert resolve(diagram, 0).n_circles == 26
     with pytest.raises(OverflowError):
-        build_complex(diagram, Theory.AKH)
+        build_complex(diagram)

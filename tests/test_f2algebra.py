@@ -13,8 +13,10 @@ from annulus_tate.f2algebra import (
     homology_ranks,
     rank_table,
 )
-from annulus_tate.khovanov import Theory, build_complex
+from annulus_tate.khovanov import Theory, build_complex, homology_of
 from annulus_tate.links import close_braid, parse_braid_word
+
+AKH = Theory.AKH
 
 from conftest import (
     PROPERTY,
@@ -22,6 +24,7 @@ from conftest import (
     check_d_squared,
     dense_homology_of,
     spectral_pages,
+    theory_rows,
 )
 
 
@@ -84,8 +87,8 @@ def test_cancel_masks_leave_out_both_ends():
 
 
 def test_cancel_preserves_graded_homology():
-    gc = build_complex(close_braid(parse_braid_word("1 1", 2)), Theory.AKH)
-    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), gc.out)
+    gc = build_complex(close_braid(parse_braid_word("1 1", 2)))
+    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), theory_rows(gc, AKH))
     before = homology_ranks(C.copy())
     src, tgt = next(iter(C.arrows()))
     C.cancel_arrow(src, tgt)
@@ -104,8 +107,8 @@ def test_homology_zero_differential():
 
 
 def test_homology_of_hopf_complex_total_rank():
-    gc = build_complex(close_braid(parse_braid_word("1 1", 2)), Theory.AKH)
-    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), gc.out)
+    gc = build_complex(close_braid(parse_braid_word("1 1", 2)))
+    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), theory_rows(gc, AKH))
     table = homology_ranks(C)
     assert sum(table.values()) == 6
 
@@ -250,8 +253,8 @@ def test_spectral_pages_two_row_example():
 
 
 def test_spectral_pages_page_zero_is_chain_ranks():
-    gc = build_complex(close_braid(parse_braid_word("1 1", 2)), Theory.AKH)
-    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), gc.out)
+    gc = build_complex(close_braid(parse_braid_word("1 1", 2)))
+    C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), theory_rows(gc, AKH))
     pages = spectral_pages(C, max_page=3)
     assert pages.table(0) == rank_table(C)
     assert pages.table(3) == homology_ranks(C)
@@ -280,26 +283,24 @@ def test_dense_rank_basics():
 
 
 def test_dense_rank_hopf_boundary_block():
-    gc = build_complex(close_braid(parse_braid_word("1 1", 2)), Theory.AKH)
+    gc = build_complex(close_braid(parse_braid_word("1 1", 2)))
     srcs = [g for g in range(gc.n_generators) if gc.gi[g] == 0 and gc.gk[g] == 0]
     tgts = [g for g in range(gc.n_generators) if gc.gi[g] == 1 and gc.gk[g] == 0]
     assert (len(srcs), len(tgts)) == (2, 4)
     tidx = {g: c for c, g in enumerate(tgts)}
     matrix = [[0] * len(tgts) for _ in srcs]
+    rows = theory_rows(gc, AKH)
     for r, s in enumerate(srcs):
-        for y in gc.out[s]:
+        for y in rows[s]:
             matrix[r][tidx[y]] = 1
     assert dense_rank(matrix) == 1
 
 
 def test_dense_homology_matches_cancellation_for_both_theories():
     for text, m in [("1", 2), ("1 1", 2), ("-1 2", 3)]:
-        d = close_braid(parse_braid_word(text, m))
+        gc = build_complex(close_braid(parse_braid_word(text, m)))
         for theory in (Theory.AKH, Theory.KH):
-            gc = build_complex(d, theory)
-            from annulus_tate.khovanov import homology_of
-
-            assert homology_of(gc) == dense_homology_of(gc)
+            assert homology_of(gc, theory) == dense_homology_of(gc, theory)
 
 
 # -- the offset-row engine against the frozen absolute-row engine

@@ -12,6 +12,7 @@ from annulus_tate.khovanov import (
     build_complex,
     homology,
     homology_of,
+    rows_of,
     total_rank,
 )
 from annulus_tate.links import (
@@ -24,6 +25,7 @@ from annulus_tate.links import (
 
 from conftest import (
     PROPERTY,
+    arrows,
     builder_matches_reference,
     corpus_words,
     counted_d_squared_vanishes,
@@ -31,6 +33,8 @@ from conftest import (
     k_filtration_pages,
     mirror,
     reduced_matches_full,
+    reference_complex,
+    view,
     watch_block_builds,
 )
 
@@ -40,13 +44,14 @@ UNKNOT = close_braid(parse_braid_word("", 1))
 
 
 def test_stabilized_unknot_complex_shape():
-    gc = build_complex(STAB, Theory.AKH)
+    gc = build_complex(STAB)
     assert gc.n_generators == 6
-    assert gc.n_arrows() == 2
+    assert len(arrows(view(gc, Theory.AKH))) == 2
+    assert gc.n_arrows() == 3
 
 
 def test_hopf_complex_shape():
-    gc = build_complex(HOPF, Theory.AKH)
+    gc = build_complex(HOPF)
     assert gc.n_generators == 12
 
 
@@ -59,8 +64,8 @@ def test_crossing_guard():
 
 def test_akh_arrows_preserve_j_and_k():
     for d in (STAB, HOPF, close_braid(parse_braid_word("-1 2", 3))):
-        gc = build_complex(d, Theory.AKH)
-        for src, tgt in gc.arrows():
+        gc = build_complex(d)
+        for src, tgt in arrows(view(gc, Theory.AKH)):
             assert gc.gi[tgt] - gc.gi[src] == 1
             assert gc.gj[tgt] == gc.gj[src]
             assert gc.gk[tgt] == gc.gk[src]
@@ -68,19 +73,20 @@ def test_akh_arrows_preserve_j_and_k():
 
 def test_kh_arrows_shift_k_by_zero_or_two():
     for d in (STAB, HOPF, close_braid(parse_braid_word("-1 2", 3))):
-        gc = build_complex(d, Theory.KH)
-        for src, tgt in gc.arrows():
+        gc = build_complex(d)
+        for src, tgt in arrows(gc.out):
             assert gc.gi[tgt] - gc.gi[src] == 1
             assert gc.gj[tgt] == gc.gj[src]
             assert gc.gk[tgt] - gc.gk[src] in (0, -2)
 
 
 def test_kh_arrow_set_contains_akh_arrows():
+    # the AKh arrows of the reference builder, with its six annular edge
+    # maps, are the Kh arrows that keep k
     for d in (STAB, HOPF, close_braid(parse_braid_word("1 -2 1", 3))):
-        akh = build_complex(d, Theory.AKH)
-        kh = build_complex(d, Theory.KH)
-        akh_arrows = set(akh.arrows())
-        kh_arrows = set(kh.arrows())
+        kh = build_complex(d)
+        akh_arrows = set(arrows(reference_complex(d, Theory.AKH)[0]))
+        kh_arrows = set(arrows(kh.out))
         assert akh_arrows <= kh_arrows
         for src, tgt in kh_arrows - akh_arrows:
             assert kh.gk[tgt] - kh.gk[src] == -2
@@ -186,14 +192,14 @@ def test_builder_matches_reference(braid, strands, cover):
     word = parse_braid_word(braid, strands)
     diagram = double_cover(word)[0] if cover else close_braid(word)
     resolutions = [resolve(diagram, a) for a in range(1 << diagram.n_crossings)]
-    for theory in (Theory.AKH, Theory.KH):
-        assert builder_matches_reference(build_complex(diagram, theory, resolutions))
+    # the Kh complex and its AKh rows
+    assert builder_matches_reference(build_complex(diagram, resolutions))
 
 
 def test_d_squared_check_catches_a_missing_arrow():
-    gc = build_complex(close_braid(parse_braid_word("1 1 1", 2)), Theory.KH)
+    gc = build_complex(close_braid(parse_braid_word("1 1 1", 2)))
     # drop an arrow x -> y whose target has arrows of its own
-    x, y = next((x, y) for x, y in gc.arrows() if gc.out[y])
+    x, y = next((x, y) for x, y in arrows(gc.out) if gc.out[y])
     gc.out[x].remove(y)
     assert not counted_d_squared_vanishes(gc.out)
     with pytest.raises(FilteredComplexError, match=f"at generator {x}"):
@@ -201,34 +207,35 @@ def test_d_squared_check_catches_a_missing_arrow():
 
 
 def test_blocks_reject_an_arrow_between_blocks():
-    gc = build_complex(HOPF, Theory.AKH)
+    gc = build_complex(HOPF)
     x = 0
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
-    rows = [list(row) for row in gc.out]
+    rows = view(gc, Theory.AKH)
     rows[x].append(y)
     with pytest.raises(FilteredComplexError, match="leaves its grading block"):
-        list(_blocks(gc, row_of=rows.__getitem__))
+        list(_blocks(gc, Theory.AKH, row_of=rows.__getitem__))
 
 
 def test_blocks_partition_the_generators():
-    gc = build_complex(close_braid(parse_braid_word("1 -2 1", 3)), Theory.AKH)
-    blocks = list(_blocks(gc))
+    gc = build_complex(close_braid(parse_braid_word("1 -2 1", 3)))
+    rows = view(gc, Theory.AKH)
+    blocks = list(_blocks(gc, Theory.AKH))
     members = sorted(g for _, block in blocks for g in block)
     assert members == list(range(gc.n_generators))
-    assert sum(C.n_arrows() for C, _ in blocks) == gc.n_arrows()
+    assert sum(C.n_arrows() for C, _ in blocks) == len(arrows(rows))
     for C, block in blocks:
         assert C.n_generators() == len(block)
         for x, g in enumerate(block):
             assert C.grading_key(x) == (gc.gi[g], gc.gj[g], gc.gk[g])
-            assert sorted(block[t] for t in C.targets(x)) == sorted(gc.out[g])
+            assert sorted(block[t] for t in C.targets(x)) == sorted(rows[g])
 
 
 @pytest.mark.parametrize("theory", [Theory.AKH, Theory.KH])
 def test_homology_of_builds_each_block_after_the_last_is_gone(monkeypatch, theory):
-    gc = build_complex(close_braid(parse_braid_word("1 -2 1 -2", 3)), theory)
-    expected = homology_of(gc)
+    gc = build_complex(close_braid(parse_braid_word("1 -2 1 -2", 3)))
+    expected = homology_of(gc, theory)
     live = watch_block_builds(monkeypatch)
-    assert homology_of(gc) == expected
+    assert homology_of(gc, theory) == expected
     assert len(live) >= 3 and live == [0] * len(live)
 
 
@@ -243,6 +250,8 @@ def test_k_filtration_pages_builds_each_block_after_the_last_is_gone(monkeypatch
     (Theory.AKH, False), (Theory.KH, False), (Theory.KH, True),
 ])
 def test_edge_maps_are_computed_once_per_distinct_edge(monkeypatch, theory, reduced):
+    # a build and the reading of its ranks: AKh reads the full complex
+    # and computes no edge map of its own
     calls = Counter()
 
     def counting(name):
@@ -256,7 +265,8 @@ def test_edge_maps_are_computed_once_per_distinct_edge(monkeypatch, theory, redu
 
     for name in ("_edge_rule", "_transport_table"):
         monkeypatch.setattr(khovanov, name, counting(name))
-    gc = build_complex(close_braid(parse_braid_word("1 1 -1 1 1", 2)), theory, reduced=reduced)
+    gc = build_complex(close_braid(parse_braid_word("1 1 -1 1 1", 2)), reduced=reduced)
+    homology_of(gc, theory)
     distinct = len({id(edge) for edge in gc.edges})
     assert distinct < len(gc.edges) == 80
     assert calls == {"_edge_rule": distinct, "_transport_table": distinct}
@@ -301,8 +311,8 @@ def test_engine_memory_guard(monkeypatch):
         return resolve(diagram, alpha)
 
     monkeypatch.setattr(cube, "resolve", counting)
-    with pytest.raises(DiagramTooLarge, match="2 of its 4 cube vertices"):
-        build_complex(HOPF, Theory.AKH)
+    with pytest.raises(DiagramTooLarge, match="kh blocks: 2 of its 4 cube vertices"):
+        build_complex(HOPF)
     assert resolved == [0, 1]
 
 
@@ -319,8 +329,8 @@ def _kh_from_reduced_ranks(h: dict[tuple, int]) -> dict[tuple, int]:
 
 
 def _full_and_reduced(diagram):
-    full = build_complex(diagram, Theory.KH)
-    return full, build_complex(diagram, Theory.KH, full.resolutions, full.edges, reduced=True)
+    full = build_complex(diagram)
+    return full, build_complex(diagram, full.resolutions, full.edges, reduced=True)
 
 
 def test_unknot_kh_from_the_reduced_complex():
@@ -336,8 +346,8 @@ def test_reduced_kh_matches_full_and_dense_on_small_words():
         full, reduced = _full_and_reduced(close_braid(word))
         assert reduced.n_generators * 2 == full.n_generators
         assert reduced_matches_full(reduced, full), word
-        kh = homology_of(reduced)
-        assert kh == homology_of(full) == dense_homology_of(full), word
+        kh = homology_of(reduced, Theory.KH)
+        assert kh == homology_of(full, Theory.KH) == dense_homology_of(full, Theory.KH), word
         assert homology(close_braid(word), Theory.KH) == kh
 
 
@@ -361,7 +371,7 @@ def test_full_kh_splits_as_reduced_kh_tensor_v_on_small_words():
     words = [w for w in corpus_words() if len(w) <= 3]
     assert len(words) == 100
     for word in words:
-        kh = homology_of(build_complex(close_braid(word), Theory.KH))
+        kh = homology_of(build_complex(close_braid(word)), Theory.KH)
         assert _splits_off_v(kh), word
 
 
@@ -381,9 +391,10 @@ def test_reduced_kh_on_ten_crossings(braid):
     assert (full.n_generators, reduced.n_generators) == (59_052, 29_526)
     assert reduced.n_arrows() == 132_868
     assert reduced_matches_full(reduced, full)
-    kh = homology_of(reduced)
+    kh = homology_of(reduced, Theory.KH)
     # the dense oracle on the reduced complex; on the full one it takes 5 s
-    assert kh == homology_of(full) == _kh_from_reduced_ranks(dense_homology_of(reduced))
+    assert kh == homology_of(full, Theory.KH) == _kh_from_reduced_ranks(
+        dense_homology_of(reduced, Theory.KH))
 
 
 def test_circle_zero_contains_port_zero():
@@ -405,7 +416,7 @@ def test_reduced_build_refuses_an_arrow_onto_circle_zero_plus(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(khovanov, "_edge_rule", leaky)
         with pytest.raises(FilteredComplexError, match="leaves the reduced complex"):
-            build_complex(HOPF, Theory.KH, reduced=True)
+            build_complex(HOPF, reduced=True)
     # an edge that carries a "-"-marked circle 1 onto circle 0
     onto_zero = cube.EdgeType(
         kind="split", source_circles=(0,),
@@ -413,16 +424,19 @@ def test_reduced_build_refuses_an_arrow_onto_circle_zero_plus(monkeypatch):
     )
     monkeypatch.setattr(cube, "classify_resolutions", lambda source, target: onto_zero)
     with pytest.raises(FilteredComplexError, match="leaves the reduced complex"):
-        build_complex(HOPF, Theory.KH, reduced=True)
+        build_complex(HOPF, reduced=True)
 
 
 def test_only_kh_has_a_reduced_complex():
-    with pytest.raises(ValueError, match="reduced"):
-        build_complex(HOPF, Theory.AKH, reduced=True)
+    # AKh is read from the full complex only
+    reduced = build_complex(HOPF, reduced=True)
+    for read in (rows_of, lambda gc, t: list(_blocks(gc, t)), homology_of):
+        with pytest.raises(ValueError, match="reduced"):
+            read(reduced, Theory.AKH)
 
 
 def test_kh_memory_guard_counts_reduced_blocks(monkeypatch):
-    # the one-byte budget of test_engine_memory_guard: the full Kh blocks of
+    # the one-byte budget of test_engine_memory_guard: the full blocks of
     # the Hopf link pass it at vertex 2, the reduced ones only at vertex 3
     monkeypatch.setattr(khovanov, "MAX_ENGINE_BYTES", 1)
     resolved = []
@@ -433,10 +447,6 @@ def test_kh_memory_guard_counts_reduced_blocks(monkeypatch):
         return resolve(diagram, alpha)
 
     monkeypatch.setattr(cube, "resolve", counting)
-    with pytest.raises(DiagramTooLarge, match=" kh blocks: 2 of its 4 cube vertices"):
-        build_complex(HOPF, Theory.KH)
-    assert resolved == [0, 1]
-    resolved.clear()
     with pytest.raises(DiagramTooLarge, match="reduced kh blocks: 3 of its 4 cube vertices"):
         homology(HOPF, Theory.KH)
     assert resolved == [0, 1, 2]
@@ -458,6 +468,14 @@ def _words(strands: list[int], max_letters: int):
         return letters.map(lambda word: BraidWord(m, tuple(word)))
 
     return st.sampled_from(strands).flatmap(on)
+
+
+@PROPERTY
+@given(_words([2, 3, 4], 4))
+def test_akh_view_matches_the_reference_builder(word):
+    # the full Kh complex equals the reference Kh complex, and its rows
+    # filtered by k equal the reference AKh complex, arrow for arrow
+    assert builder_matches_reference(build_complex(close_braid(word)))
 
 
 def _kh(word: BraidWord) -> dict[tuple, int]:
