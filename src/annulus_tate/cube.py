@@ -203,9 +203,6 @@ def classify_resolutions(source: Resolution, target: Resolution) -> EdgeType:
     )
 
 
-MAX_CIRCLES = 24
-
-
 def vertex_gradings(
     res: Resolution, n_pos: int, n_neg: int
 ) -> tuple[int, list[int], list[int]]:

@@ -34,9 +34,9 @@ level by level, so that each offset-relative engine row spans one or two
 levels of i rather than the whole block.  ``_blocks`` yields the blocks one
 at a time, and every consumer cancels a block in place and drops it before
 the next is built, so the largest block, not the sum of all blocks, sets
-the memory peak.  A diagram whose j blocks would need more than
-``MAX_ENGINE_BYTES`` in all, counted as rows as wide as their block, is
-refused with ``DiagramTooLarge`` before any arrow is built.
+the memory peak.  A diagram whose complex would have more than
+``links.MAX_GENERATORS`` generators is refused with ``DiagramTooLarge``
+while its cube is resolved, before any arrow is built.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Iterator
 
 from . import cube
 from .f2algebra import FilteredComplex, FilteredComplexError, homology_ranks
-from .links import AnnularDiagram, DiagramTooLarge
+from .links import MAX_GENERATORS, AnnularDiagram, DiagramTooLarge
 
 
 class Theory(enum.Enum):
@@ -109,15 +109,6 @@ class GradedComplex:
                 raise FilteredComplexError(
                     f"d^2 != 0 at generator {x}: it reaches {odd[:5]} an odd number of times"
                 )
-
-
-# Rows as wide as their block would cost a block of n generators about
-# n^2 / 4 bytes for its ``out`` and ``inc`` bitsets.  Engine rows span one
-# or two levels of i, and blocks are built and cancelled one at a time, so
-# the guard's sum of n^2 / 4 over all j blocks is a loose upper bound, at
-# least the sum over the (j, k) blocks of AKh; no diagram it refused when
-# AKh had builds of its own is accepted.
-MAX_ENGINE_BYTES = 2 << 30
 
 
 def _edge_rule(edge: cube.EdgeType) -> dict[int, list[int]]:
@@ -196,8 +187,8 @@ def build_complex(
     when given.  ``reduced`` builds the Kh subcomplex where circle 0
     is "-", raising FilteredComplexError if an arrow leaves it.  Raises
     DiagramTooLarge before building any arrow, at the first cube vertex
-    where the j blocks of the vertices so far would need more than
-    MAX_ENGINE_BYTES.
+    that brings the generators so far past MAX_GENERATORS, before that
+    vertex's labelings are expanded or the next vertex is resolved.
     """
     c = diagram.n_crossings
     n_pos, n_neg = diagram.n_pos, diagram.n_neg
@@ -207,28 +198,19 @@ def build_complex(
         resolutions = (cube.resolve(diagram, a) for a in range(1 << c))
 
     resolved, offsets, vertex_of, gi, gj, gk = [], [], [], [], [], []
-    sizes: Counter = Counter()
-    squares = 0  # sum of squared j block sizes
     for alpha, res in enumerate(resolutions):
-        if res.n_circles > cube.MAX_CIRCLES:
-            raise OverflowError(f"{res.n_circles} circles exceeds the guard")
         size = 1 << res.n_circles >> reduced
+        if len(gi) + size > MAX_GENERATORS:
+            raise DiagramTooLarge(
+                f"the {c}-crossing diagram has more than the {MAX_GENERATORS:,}-"
+                f"generator limit: {alpha + 1:,} of its {1 << c:,} cube vertices "
+                f"already have {len(gi) + size:,}"
+            )
         resolved.append(res)
         offsets.append(len(gi))
         i, js, ks = cube.vertex_gradings(res, n_pos, n_neg)
         if reduced:
             js, ks = js[::2], ks[::2]
-        for j, n in Counter(js).items():
-            squares += n * (2 * sizes[j] + n)
-            sizes[j] += n
-        if squares // 4 > MAX_ENGINE_BYTES:
-            raise DiagramTooLarge(
-                f"the {c}-crossing diagram needs more than the "
-                f"{MAX_ENGINE_BYTES / 2**30:.0f} GiB limit for its "
-                f"{'reduced ' if reduced else ''}kh blocks: "
-                f"{alpha + 1:,} of its {1 << c:,} cube vertices already need "
-                f"{squares / 4 / 2**30:.1f} GiB"
-            )
         vertex_of += [alpha] * size
         gi += [i] * size
         gj += js

@@ -15,14 +15,23 @@ from dataclasses import dataclass
 # Cube size 2^22 is the desk-scale ceiling for every diagram we accept.
 MAX_CROSSINGS = 22
 
+# Generators one ``khovanov.build_complex`` may hold.  Calibrated on peaks
+# measured on 2 vCPUs: the 531,444-generator cover of "1 1 1 1 1 1"/2 ran
+# ``periodic`` at 1,507 MB, about 2.8 KB per cover generator, so the cap
+# stands for about 2 GiB and refuses the seven-letter B2 cover.
+MAX_GENERATORS = 750_000
+
 
 class BraidError(ValueError):
-    """Malformed braid input: bad token, zero letter, or index out of range."""
+    """Malformed braid input: bad token, zero letter, index out of range, or
+    more strands than any closure within the size guards can have."""
 
 
 class DiagramTooLarge(ValueError):
-    """Diagram exceeds a size guard: the crossing count, or the engine
-    memory that ``khovanov.build_complex`` estimates for its blocks."""
+    """Diagram exceeds a size guard: more than MAX_CROSSINGS crossings, or
+    more than MAX_GENERATORS generators in the complex that
+    ``khovanov.build_complex`` builds, counted vertex by vertex before each
+    vertex's labelings are expanded."""
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,14 @@ class BraidWord:
         object.__setattr__(self, "letters", tuple(self.letters))
         if self.strands < 1:
             raise BraidError(f"strand count must be positive, got {self.strands}")
+        # a strand no crossing touches is a circle of every resolution, so
+        # past this count every cube vertex alone passes MAX_GENERATORS
+        limit = 2 * MAX_CROSSINGS + MAX_GENERATORS.bit_length()
+        if self.strands > limit:
+            raise BraidError(
+                f"{self.strands} strands exceeds the {limit}-strand guard: every closure "
+                f"within {MAX_CROSSINGS} crossings has over {MAX_GENERATORS:,} generators"
+            )
         for g in self.letters:
             if g == 0:
                 raise BraidError("0 is not a braid generator")

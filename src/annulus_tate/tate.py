@@ -117,7 +117,8 @@ def check_equivariance(gc: GradedComplex, tau: list[int], theory: Theory) -> Ver
             (gc.gi[g], gc.gj[g], gc.gk[g]) == (gc.gi[t], gc.gj[t], gc.gk[t])
             for g, t in enumerate(tau)
         )
-        and all({tau[y] for y in row(x)} == set(row(tau[x])) for x in rng)
+        # tau is an involution by now, so the condition at x is the one at tau x
+        and all({tau[y] for y in row(x)} == set(row(tau[x])) for x in rng if x <= tau[x])
         and all(cube.hamming(gc.vertex_of[g]) % 2 == 0 for g in fixed)
     )
     return Verdict(

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -57,14 +60,13 @@ def test_akh_takes_any_closure_within_the_guards(runner):
     result = invoke(runner, ["akh", "--braid", " ".join(["1 2"] * 6), "--strands", "3"])
     assert result.exit_code == 0
     assert json.loads(result.output)["total_rank"] == 24
-    # a 12-crossing closure over the memory guard is refused by that guard
-    result = runner.invoke(
-        cli.main, ["akh", "--braid", " ".join(["1 -1"] * 6), "--strands", "2"]
-    )
-    assert result.exit_code == 1
-    assert result.output.startswith(
-        "Error: the 12-crossing diagram needs more than the 2 GiB limit for its kh blocks"
-    )
+    # closures over the generator guard are refused by that guard
+    for braid, c in ((" ".join(["1 -1"] * 6 + ["1"]), 13), (" ".join(["1 -1"] * 11), 22)):
+        result = runner.invoke(cli.main, ["akh", "--braid", braid, "--strands", "2"])
+        assert result.exit_code == 1
+        assert result.output.startswith(
+            f"Error: the {c}-crossing diagram has more than the 750,000-generator limit"
+        )
 
 
 @pytest.mark.parametrize(
@@ -248,11 +250,18 @@ def test_periodic_computes_tau_once(runner, monkeypatch):
 @pytest.mark.parametrize(
     "args",
     [
-        ["periodic", "--braid", "1 1 1 1 1 1", "--strands", "2"],
+        ["periodic", "--braid", "1 1 1 1 1 1 1", "--strands", "2"],
+        ["periodic", "--braid", "", "--strands", "25"],
+        ["akh", "--braid", "", "--strands", "24"],
+        ["akh", "--braid", "", "--strands", "1000000"],
         ["akh", "--braid", " ".join(["1"] * 23), "--strands", "2"],
+        ["akh", "--braid", " ".join(["1 -1"] * 6 + ["1"]), "--strands", "2"],
         ["akh", "--braid", " ".join(["1 -1"] * 11), "--strands", "2"],
     ],
-    ids=["periodic-12x-cover", "akh-23x", "akh-22x"],
+    ids=[
+        "periodic-14x-cover", "periodic-25-strands", "akh-24-strands",
+        "akh-1000000-strands", "akh-23x", "akh-13x", "akh-22x",
+    ],
 )
 def test_oversize_input_is_refused_in_one_line(runner, args):
     result = runner.invoke(cli.main, args)
@@ -261,6 +270,15 @@ def test_oversize_input_is_refused_in_one_line(runner, args):
     assert "Traceback" not in result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
+
+
+def test_readme_quotes_the_refusal_it_shows(runner):
+    # the README's example of the generator guard: a command and its one line
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    command, line = re.search(r"^\$ annulus-tate (.+)\n(Error: .+)$", readme, re.M).groups()
+    result = runner.invoke(cli.main, shlex.split(command))
+    assert result.exit_code == 1
+    assert result.output == line + "\n"
 
 
 def test_periodic_failure_exits_nonzero(runner, monkeypatch):

@@ -12,7 +12,7 @@ from annulus_tate.cube import (
     vertex_gradings,
 )
 from annulus_tate.khovanov import build_complex
-from annulus_tate.links import BraidWord, close_braid, parse_braid_word
+from annulus_tate.links import BraidWord, DiagramTooLarge, close_braid, parse_braid_word
 
 from conftest import annular_class, classify_edge
 
@@ -154,5 +154,5 @@ def test_merge_split_counts_are_path_independent():
 def test_circle_overflow_guard():
     diagram = close_braid(BraidWord(26, ()))
     assert resolve(diagram, 0).n_circles == 26
-    with pytest.raises(OverflowError):
+    with pytest.raises(DiagramTooLarge, match="1 of its 1 cube vertices already have 67,108,864"):
         build_complex(diagram)

@@ -299,21 +299,37 @@ def test_edge_that_does_not_conserve_seam_count_is_refused(source, target):
         "merge" if len(source) == 2 else "split", {len(source): len(fixed)})
 
 
-def test_engine_memory_guard(monkeypatch):
-    # a one-byte budget refuses any block of more than two generators, at
-    # the first vertex that fills one, before the rest of the cube is resolved
-    monkeypatch.setattr(khovanov, "MAX_ENGINE_BYTES", 1)
-    resolved = []
-    resolve = cube.resolve
+def _watch_cube(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the vertices ``cube.resolve`` and ``cube.vertex_gradings`` are
+    called on, in call order."""
+    resolved, graded = [], []
+    resolve, gradings = cube.resolve, cube.vertex_gradings
 
-    def counting(diagram, alpha):
+    def counting_resolve(diagram, alpha):
         resolved.append(alpha)
         return resolve(diagram, alpha)
 
-    monkeypatch.setattr(cube, "resolve", counting)
-    with pytest.raises(DiagramTooLarge, match="kh blocks: 2 of its 4 cube vertices"):
+    def counting_gradings(res, n_pos, n_neg):
+        graded.append(res.vertex)
+        return gradings(res, n_pos, n_neg)
+
+    monkeypatch.setattr(cube, "resolve", counting_resolve)
+    monkeypatch.setattr(cube, "vertex_gradings", counting_gradings)
+    return resolved, graded
+
+
+def test_engine_memory_guard(monkeypatch):
+    # the Hopf link's vertices have 4, 2, 2 and 4 generators: a cap of 5
+    # refuses it at vertex 1, whose count reaches 6, before expanding that
+    # vertex or resolving the rest of the cube
+    monkeypatch.setattr(khovanov, "MAX_GENERATORS", 5)
+    resolved, graded = _watch_cube(monkeypatch)
+    with pytest.raises(
+        DiagramTooLarge, match="5-generator limit: 2 of its 4 cube vertices already have 6$"
+    ):
         build_complex(HOPF)
     assert resolved == [0, 1]
+    assert graded == [0]
 
 
 # -- Kh from the reduced complex
@@ -436,20 +452,21 @@ def test_only_kh_has_a_reduced_complex():
 
 
 def test_kh_memory_guard_counts_reduced_blocks(monkeypatch):
-    # the one-byte budget of test_engine_memory_guard: the full blocks of
-    # the Hopf link pass it at vertex 2, the reduced ones only at vertex 3
-    monkeypatch.setattr(khovanov, "MAX_ENGINE_BYTES", 1)
-    resolved = []
-    resolve = cube.resolve
-
-    def counting(diagram, alpha):
-        resolved.append(alpha)
-        return resolve(diagram, alpha)
-
-    monkeypatch.setattr(cube, "resolve", counting)
-    with pytest.raises(DiagramTooLarge, match="reduced kh blocks: 3 of its 4 cube vertices"):
-        homology(HOPF, Theory.KH)
+    # a reduced build counts half the generators: with a cap of 6 the
+    # reduced Hopf complex (2 + 1 + 1 + 2) is built, the full one refused at
+    # vertex 2, where its count reaches 8
+    monkeypatch.setattr(khovanov, "MAX_GENERATORS", 6)
+    assert build_complex(HOPF, reduced=True).n_generators == 6
+    assert total_rank(homology(HOPF, Theory.KH)) == 4
+    resolved, graded = _watch_cube(monkeypatch)
+    with pytest.raises(DiagramTooLarge, match="3 of its 4 cube vertices already have 8$"):
+        homology(HOPF, Theory.AKH)
     assert resolved == [0, 1, 2]
+    assert graded == [0, 1]
+    # at a cap of 5 the reduced count passes it at the last vertex
+    monkeypatch.setattr(khovanov, "MAX_GENERATORS", 5)
+    with pytest.raises(DiagramTooLarge, match="4 of its 4 cube vertices already have 6$"):
+        homology(HOPF, Theory.KH)
 
 
 # -- invariance properties of Kh: a wrong j-shift or a wrong marked circle

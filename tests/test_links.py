@@ -2,10 +2,15 @@ import itertools
 
 import pytest
 
+from annulus_tate.cube import resolve
 from annulus_tate.khovanov import Theory, homology, total_rank
 from annulus_tate.links import (
+    MAX_CROSSINGS,
+    MAX_GENERATORS,
+    AnnularDiagram,
     BraidError,
     BraidWord,
+    Crossing,
     DiagramTooLarge,
     close_braid,
     double_cover,
@@ -52,6 +57,20 @@ def test_close_braid_crossing_data():
 def test_close_braid_guard():
     with pytest.raises(DiagramTooLarge):
         close_braid(BraidWord(2, (1,) * 23))
+
+
+def test_strand_guard():
+    limit = 2 * MAX_CROSSINGS + MAX_GENERATORS.bit_length()
+    assert BraidWord(limit).strands == limit
+    with pytest.raises(BraidError, match=f"the {limit}-strand guard"):
+        parse_braid_word("", limit + 1)
+    # past the guard, even the crossings that touch the most strands leave
+    # enough strands untouched that each vertex passes MAX_GENERATORS alone,
+    # in the reduced complex too
+    crossings = tuple(Crossing(2 * i, 1) for i in range(MAX_CROSSINGS))
+    diagram = AnnularDiagram(limit + 1, crossings)
+    for alpha in (0, (1 << MAX_CROSSINGS) - 1):
+        assert 1 << resolve(diagram, alpha).n_circles >> 1 > MAX_GENERATORS
 
 
 def test_double_cover_sigma1():

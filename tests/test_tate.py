@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from annulus_tate import cube
@@ -130,14 +132,18 @@ def test_equivariance_catches_a_broken_differential_or_involution(theory):
     gc, pairing = hopf_cover()
     tau = tau_table(gc, pairing)
     assert check_equivariance(gc, tau, theory).passed
-    # one arrow of the theory removed from a row: tau no longer commutes with d
-    x, dropped = next(
-        (g, y) for g, row in enumerate(gc.out) for y in row
-        if tau[g] != g and (theory is Theory.KH or gc.gk[y] == gc.gk[g])
-    )
-    gc.out[x].remove(dropped)
-    assert not check_equivariance(gc, tau, theory).passed
-    gc.out[x].append(dropped)
+    # one arrow of the theory removed from the row of a fixed generator, or
+    # of the lower or the higher generator of a free pair: tau, still an
+    # involution, no longer commutes with d, whichever end the check reads
+    for end in (operator.eq, operator.lt, operator.gt):
+        x, dropped = next(
+            (g, y) for g, row in enumerate(gc.out) for y in row
+            if end(g, tau[g])
+            and (theory is Theory.KH or gc.gk[y] == gc.gk[g])
+        )
+        gc.out[x].remove(dropped)
+        assert not check_equivariance(gc, tau, theory).passed
+        gc.out[x].append(dropped)
     # two tau entries swapped
     a, b = [g for g in range(gc.n_generators) if tau[g] != g][:2]
     broken = list(tau)
