@@ -4,7 +4,8 @@ Reports are JSON (schema 2) with deterministic field order, or aligned
 text tables.  Grading keys serialize as comma-joined strings ("i,j,k").
 When a cache directory is configured (the ANNULUS_TATE_CACHE environment
 variable overrides --cache-dir), a repeated invocation with an identical
-config returns the cached report byte for byte.
+config, package version and package sources returns the cached report
+byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, decat
+from . import __version__, decat, khovanov
 from .cube import format_bits, parse_bits, resolve
 from .khovanov import Theory, homology, total_rank
 from .links import (
@@ -118,8 +119,23 @@ def _cache_dir(flag_value: str | None) -> Path | None:
     return None
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 of the package's ``*.py`` sources, read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(f"{path.name}\0{path.stat().st_size}\0".encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """The config's key, with the package version and a digest of its
+    sources, so that a changed engine never replays a stale report."""
+    blob = json.dumps(
+        {"config": config, "version": __version__, "sources": _source_digest()},
+        sort_keys=True, separators=(",", ":"),
+    )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -414,7 +430,7 @@ def _corpus_word_report(args: tuple[str, int]) -> dict:
 @click.option("--max-length", type=int, default=3, show_default=True)
 @click.option(
     "--jobs", type=click.IntRange(min=1), default=None,
-    help="Worker processes (default and cap: CPUs).",
+    help="Processes, engine included (default and cap: usable CPUs).",
 )
 @fmt_option
 @cache_option
@@ -424,7 +440,7 @@ def cmd_corpus(ctx, max_strands, max_length, jobs, fmt, cache_dir):
         raise click.ClickException(f"--max-length is capped at {MAX_CORPUS_LENGTH}")
     if max_strands > MAX_CORPUS_STRANDS:
         raise click.ClickException(f"--max-strands is capped at {MAX_CORPUS_STRANDS}")
-    cpus = os.cpu_count() or 1
+    cpus = khovanov.cpu_count()
     jobs = min(jobs or cpus, cpus)
     config = _config("corpus", max_strands=max_strands, max_length=max_length)
     cache = _cache_dir(cache_dir)
@@ -437,10 +453,17 @@ def cmd_corpus(ctx, max_strands, max_length, jobs, fmt, cache_dir):
         pending = [idx for idx, rep in enumerate(reports) if rep is None]
         workers = min(jobs, len(pending))
         if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            # the workers share the CPUs already: each runs the engine inline
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=khovanov.limit_processes, initargs=(1,)
+            ) as pool:
                 fresh = list(pool.map(_corpus_word_report, [tasks[i] for i in pending]))
         else:
-            fresh = [_corpus_word_report(tasks[i]) for i in pending]
+            previous = khovanov.limit_processes(jobs)
+            try:
+                fresh = [_corpus_word_report(tasks[i]) for i in pending]
+            finally:
+                khovanov.limit_processes(previous)
         for idx, rep in zip(pending, fresh):
             reports[idx] = rep
             _cache_store(cache, keys[idx], _payload(rep))

@@ -18,7 +18,9 @@ MAX_CROSSINGS = 22
 # Generators one ``khovanov.build_complex`` may hold.  Calibrated on peaks
 # measured on 2 vCPUs: the 531,444-generator cover of "1 1 1 1 1 1"/2 ran
 # ``periodic`` at 1,507 MB, about 2.8 KB per cover generator, so the cap
-# stands for about 2 GiB and refuses the seven-letter B2 cover.
+# stands for about 2 GiB per process and refuses the seven-letter B2 cover.
+# The engine's forked children (``khovanov._fork_map``) come on top: on
+# that cover one child held up to about 1.25 GB of pages of its own.
 MAX_GENERATORS = 750_000
 
 

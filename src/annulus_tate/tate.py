@@ -33,6 +33,7 @@ from .khovanov import (
     GradedComplex,
     Theory,
     _blocks,
+    _map_blocks,
     build_complex,
     homology_of,
     rows_of,
@@ -206,29 +207,45 @@ def hv_pages(b: TateBicomplex) -> HvPages:
     Page 0 is cancelled tau-arrows-first (then the lexicographic sweep
     finishes the shift-0 level); rank tables are order-independent, and
     the intermediate state after the tau sweep is exactly where the
-    induced length-2 differentials are read off.
+    induced length-2 differentials are read off.  The blocks run on every
+    CPU (``khovanov._map_blocks``); each returns its page tables,
+    ``d_nonzero`` flags, observed d2 arrows and strays, merged in block
+    order.
     """
-    pages = PageTable(max_page=max(3, b.cover.i_span() + 2))
-    gi = b.cover.gi
-    observed: set[tuple[int, int]] = set()
-    strays: list[int] = []
-    for C, members in b.blocks():
+    max_page = max(3, b.cover.i_span() + 2)
+    gi, tau = b.cover.gi, b.tau
+
+    def block_pages(C: FilteredComplex, members: list[int]):
         masks = degree_masks(C)
-        pages.ranks[0].update(rank_table(C))
-        acted = _tau_sweep(C, members, b.tau)
+        ranks = [rank_table(C)]
+        acted = _tau_sweep(C, members, tau)
+        observed: list[tuple[int, int]] = []
+        strays: list[int] = []
         for src in C.generators():
             g1 = members[src]
-            if b.tau[g1] != g1:
+            if tau[g1] != g1:
                 strays.append(g1)
             for tgt in C.targets(src):
                 g2 = members[tgt]
                 if gi[g2] - gi[g1] == 2:
-                    observed.add((g1, g2))
-        pages.d_nonzero[0] |= cancel_shift_level(C, 0, masks) or acted
-        for r in range(1, pages.max_page + 1):
-            pages.ranks[r].update(rank_table(C))
-            pages.d_nonzero[r] |= cancel_shift_level(C, r, masks)
-        del C, masks  # before the next block is built
+                    observed.append((g1, g2))
+        moved = [cancel_shift_level(C, 0, masks) or acted]
+        for r in range(1, max_page + 1):
+            ranks.append(rank_table(C))
+            moved.append(cancel_shift_level(C, r, masks))
+        return ranks, moved, observed, strays
+
+    pages = PageTable(max_page=max_page)
+    observed: set[tuple[int, int]] = set()
+    strays: list[int] = []
+    for ranks, moved, block_observed, block_strays in _map_blocks(
+        b.cover, b.theory, block_pages, row_of=b.row
+    ):
+        for r in range(max_page + 1):
+            pages.ranks[r].update(ranks[r])
+            pages.d_nonzero[r] |= moved[r]
+        observed.update(block_observed)
+        strays += block_strays
     return HvPages(
         pages=pages,
         odd_pages_ok=all(

@@ -2,6 +2,7 @@ import functools
 import gc as pygc
 import heapq
 import itertools
+import os
 from collections import Counter
 
 import pytest
@@ -24,6 +25,15 @@ from annulus_tate.tate import TateBicomplex
 
 # hypothesis settings of the property tests: reproducible, no example database
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_behind():
+    """After each test, this process has no child left, running or exited
+    and unreaped: ``os.waitpid(-1, os.WNOHANG)`` raises ChildProcessError."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def watch_block_builds(monkeypatch) -> list[int]:

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from annulus_tate import cli
-from annulus_tate.khovanov import Theory, homology
+from annulus_tate.khovanov import Theory, homology, limit_processes
 from annulus_tate.links import close_braid, double_cover
 
 from acceptance_worker import compute_word_result
@@ -28,7 +28,10 @@ def _report(criterion: str, ok: bool) -> None:
 @pytest.fixture(scope="session")
 def corpus_results():
     words = [(w.as_text(), w.strands) for w in corpus_words()]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+    # the two workers share the CPUs already, so each runs the engine inline
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=2, initializer=limit_processes, initargs=(1,)
+    ) as pool:
         results = list(pool.map(compute_word_result, words))
     totals: dict[str, float] = {}
     for r in results:

@@ -405,12 +405,15 @@ def test_corpus_small_bounds(runner, tmp_path):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and initializer,
+    runs in-process."""
 
     sizes: list = []
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         RecordingPool.sizes.append(max_workers)
+        RecordingPool.initializers.append((initializer, initargs))
 
     def __enter__(self):
         return self
@@ -424,14 +427,39 @@ class RecordingPool:
 
 @pytest.mark.parametrize("jobs,cpus,expected", [("100000", 8, 4), ("3", 2, 2)])
 def test_corpus_pool_size_is_clamped(runner, monkeypatch, jobs, cpus, expected):
-    RecordingPool.sizes = []
+    # the engine's CPU count caps the pool, and each worker runs the engine inline
+    RecordingPool.sizes, RecordingPool.initializers = [], []
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(khovanov, "cpu_count", lambda: cpus)
     result = invoke(
         runner, ["corpus", "--max-strands", "2", "--max-length", "1", "--jobs", jobs]
     )
     assert json.loads(result.output)["counts"]["words"] == 4
     assert RecordingPool.sizes == [expected]
+    assert RecordingPool.initializers == [(khovanov.limit_processes, (1,))]
+
+
+@pytest.mark.parametrize("jobs, forks", [("1", False), ("2", True)])
+def test_corpus_in_process_runs_the_engine_on_at_most_jobs_processes(
+    runner, monkeypatch, jobs, forks
+):
+    # one word, so no pool: the engine itself may fork up to --jobs processes
+    forked = []
+    fork = cli.os.fork
+
+    def counting_fork():
+        forked.append(1)
+        return fork()
+
+    monkeypatch.setattr(khovanov, "cpu_count", lambda: 2)
+    monkeypatch.setattr(khovanov, "FORK_MIN_GENERATORS", 0)
+    monkeypatch.setattr(cli.os, "fork", counting_fork)
+    result = invoke(
+        runner, ["corpus", "--max-strands", "1", "--max-length", "0", "--jobs", jobs]
+    )
+    assert json.loads(result.output)["counts"] == {"words": 1, "passed": 1, "failed": 0}
+    assert bool(forked) is forks
+    assert khovanov._max_processes is None  # the limit is lifted afterwards
 
 
 def test_corpus_rejects_nonpositive_jobs(runner):
@@ -454,6 +482,20 @@ def test_corpus_reuses_word_cache(runner, tmp_path):
     second = invoke(runner, args)
     assert first.output == second.output
     assert len(list(tmp_path.iterdir())) == n_files
+
+
+def test_cache_key_holds_the_version_and_the_sources(runner, tmp_path, monkeypatch):
+    args = ["akh", "--braid", "1", "--strands", "2", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(cli, "_source_digest", lambda: "a")
+    first = invoke(runner, args)
+    for name, value in (("_source_digest", lambda: "b"), ("__version__", "0.0.0")):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, value)
+            invoke(runner, args)  # a different digest or version misses
+    assert len(list(tmp_path.iterdir())) == 3
+    replay = invoke(runner, args)  # the same digest hits, byte for byte
+    assert replay.output == first.output
+    assert len(list(tmp_path.iterdir())) == 3
 
 
 def test_table_format(runner):
