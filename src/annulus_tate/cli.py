@@ -111,12 +111,20 @@ def _load_word(braid: str, strands: int) -> BraidWord:
 
 
 def _cache_dir(flag_value: str | None) -> Path | None:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    if flag_value:
-        return Path(flag_value)
-    return None
+    """The cache directory (the environment variable overrides the flag),
+    created if missing, or None when neither names one.  A directory that
+    cannot be created is refused in one line, before anything is computed."""
+    path = os.environ.get(CACHE_ENV) or flag_value
+    if not path:
+        return None
+    cache = Path(path)
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(
+            f"cannot use cache directory {cache}: {exc.strerror or exc}"
+        ) from None
+    return cache
 
 
 @functools.cache
@@ -155,7 +163,6 @@ def _cache_store(cache: Path | None, key: str, payload: bytes) -> None:
     """Write through a temporary file so a reader never sees a torn entry."""
     if cache is None:
         return
-    cache.mkdir(parents=True, exist_ok=True)
     tmp = cache / f".{key}.{os.getpid()}.tmp"
     tmp.write_bytes(payload)
     os.replace(tmp, cache / f"{key}.json")
@@ -186,9 +193,10 @@ def _render_table(report: dict, indent: str = "") -> str:
 
 
 def _report(config: dict, build_report) -> dict:
-    """Config, then the body from ``build_report()``, its ok flag and timing."""
+    """Config, then the body from ``build_report()``, its ok flag and
+    timing; ``build_report`` runs with the garbage collector paused."""
     started = time.perf_counter()
-    body, ok = build_report()
+    body, ok = _without_gc(build_report)()
     return {
         **config,
         **body,
@@ -197,10 +205,10 @@ def _report(config: dict, build_report) -> dict:
     }
 
 
-def _emit(ctx, config: dict, build_report, fmt: str, cache_flag: str | None) -> None:
-    """Compute (or fetch) the report, print it, exit nonzero on failure.
-    A diagram over the size guards is refused with a one-line error."""
-    cache = _cache_dir(cache_flag)
+def _emit(ctx, config: dict, build_report, fmt: str, cache: Path | None) -> None:
+    """Compute (or fetch from ``cache``, a ``_cache_dir``) the report, print
+    it, exit nonzero on failure.  A diagram over the size guards is refused
+    with a one-line error."""
     key = _cache_key(config)
     report = _cache_load(cache, key)
     if report is None:
@@ -253,7 +261,6 @@ def _homology_command(name: str, theory: Theory, doc: str):
         word = _load_word(braid, strands)
         config = _config(name, braid=word.as_text(), strands=strands)
 
-        @_without_gc
         def build():
             table = homology(close_braid(word), theory)
             body = {
@@ -262,7 +269,7 @@ def _homology_command(name: str, theory: Theory, doc: str):
             }
             return body, True
 
-        _emit(ctx, config, build, fmt, cache_dir)
+        _emit(ctx, config, build, fmt, _cache_dir(cache_dir))
 
     return cmd
 
@@ -314,7 +321,7 @@ def cmd_resolve(ctx, braid, strands, alpha, fmt, cache_dir):
             )
         return {"resolutions": rows}, True
 
-    _emit(ctx, config, build, fmt, cache_dir)
+    _emit(ctx, config, build, fmt, _cache_dir(cache_dir))
 
 
 def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
@@ -337,7 +344,6 @@ def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
     return verdicts + [verify_congruences(run)]
 
 
-@_without_gc
 def _periodic_body(word: BraidWord, theory: str) -> tuple[dict, bool]:
     run = PeriodicRun(word)
     verdicts = _periodic_verdicts(run, theory)
@@ -365,7 +371,7 @@ def cmd_periodic(ctx, braid, strands, theory, fmt, cache_dir):
             f"quotient words are limited to {MAX_CORPUS_LENGTH} letters"
         )
     config = _config("periodic", braid=word.as_text(), strands=strands, theory=theory)
-    _emit(ctx, config, lambda: _periodic_body(word, theory), fmt, cache_dir)
+    _emit(ctx, config, lambda: _periodic_body(word, theory), fmt, _cache_dir(cache_dir))
 
 
 @main.command("decat", help="State sum, homology polynomial, and mod-2 congruences.")
@@ -398,7 +404,7 @@ def cmd_decat(ctx, braid, strands, fmt, cache_dir):
         }
         return body, report.ok
 
-    _emit(ctx, config, build, fmt, cache_dir)
+    _emit(ctx, config, build, fmt, _cache_dir(cache_dir))
 
 
 def iter_corpus_words(max_strands: int, max_length: int):
@@ -495,7 +501,7 @@ def cmd_corpus(ctx, max_strands, max_length, jobs, fmt, cache_dir):
         }
         return body, not failures
 
-    _emit(ctx, config, build, fmt, cache_dir)
+    _emit(ctx, config, build, fmt, cache)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ index), so a row is as wide as the span of its ends rather than as the
 whole complex; a cancellation that toggles bits below a row's offset
 first rebases the row to the lower offset.  Every query and every
 returned mask uses absolute indices.  Rows stay narrow when the
-generators are numbered level by level, as ``khovanov._blocks`` numbers
-them: a cube arrow goes from one level to the next.
+generators are numbered level by level, as ``khovanov._map_blocks``
+numbers them: a cube arrow goes from one level to the next.
 
 Complexes are built whole by ``FilteredComplex.from_rows``.  Homology, and
 the pages of a filtration one shift level at a time, are computed by
@@ -296,6 +296,14 @@ class PageTable:
         pages = range(self.max_page + 1)
         self.ranks = {r: {} for r in pages}
         self.d_nonzero = dict.fromkeys(pages, False)
+
+    def add(self, ranks, moved) -> None:
+        """Add one block's pages: ``ranks[r]``, its rank table on page r,
+        and ``moved[r]``, whether a differential acted on it, for every
+        page r."""
+        for r in range(self.max_page + 1):
+            self.ranks[r].update(ranks[r])
+            self.d_nonzero[r] |= moved[r]
 
     def table(self, r: int) -> dict[tuple, int]:
         return self.ranks[min(r, self.max_page)]

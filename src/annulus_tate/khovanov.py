@@ -26,19 +26,20 @@ The complex is built in one pass per cube edge.  Gradings are read per
 vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
 table from the labels of its participating circles to their images,
 applied at once to every labeling of the other circles; the table and
-that transport are tabulated once per distinct edge type.  d^2 = 0 is
-checked on every built complex, and ``_blocks`` splits it into engine
+that transport (``labeling_images``) are tabulated once per distinct edge
+type.  d^2 = 0 is checked on every built complex.  ``_map_blocks`` is the
+one reader of a complex's blocks: it splits the complex into engine
 complexes along the gradings every arrow of a theory preserves, filtered
 by i, assembling each bitset row once.  A block numbers its generators
 level by level, so that each offset-relative engine row spans one or two
-levels of i rather than the whole block.  ``_blocks`` yields the blocks one
-at a time, and every consumer cancels a block in place and drops it before
-the next is built, so the largest block, not the sum of all blocks, sets
-a process's memory peak.  The blocks share nothing, so ``_map_blocks``
-runs them on every CPU: ``_fork_map`` forks one child per extra CPU, and
-each child assembles and cancels its own blocks from its copy-on-write
-image of the complex and pipes their results back.  The d^2 check splits
-its generator range the same way.  Complexes below ``FORK_MIN_GENERATORS``
+levels of i rather than the whole block.  The blocks share nothing, so
+``_fork_map`` shares them out over every CPU: it forks one child per extra
+CPU, and each process assembles its blocks one at a time from its
+(copy-on-write) image of the complex, hands each to the caller's function,
+which may cancel it in place, and drops it before the next is built, so
+the largest block, not the sum of all blocks, sets a process's memory
+peak.  The children pipe their results back.  The d^2 check splits its
+generator range the same way.  Complexes below ``FORK_MIN_GENERATORS``
 stay in one process.  A diagram whose complex would have more than
 ``links.MAX_GENERATORS`` generators is refused with ``DiagramTooLarge``
 while its cube is resolved, before any arrow is built.
@@ -51,7 +52,7 @@ import os
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
 from . import cube
 from .f2algebra import FilteredComplex, FilteredComplexError, homology_ranks
@@ -148,14 +149,25 @@ def _edge_rule(edge: cube.EdgeType) -> dict[int, list[int]]:
     return {b0: [d1, d2], 0: [0]}
 
 
+def labeling_images(masks: list[int]) -> list[int]:
+    """The image of every labeling when each "+" circle c is sent to the
+    "+" circles ``masks[c]``: entry ``labels`` is the union of ``masks[c]``
+    over the set bits c of ``labels``, built one circle at a time by
+    doubling."""
+    image = [0]
+    for mask in masks:
+        image += [lab | mask for lab in image]
+    return image
+
+
 def _transport_table(edge: cube.EdgeType, reduced: bool) -> tuple[list[int], list[int]]:
     """Source labelings with every participating circle "-", ascending,
-    and their target labelings, built one circle at a time by doubling.
+    and their target labelings.
 
     ``reduced`` keeps circle 0 "-" and returns labelings shifted right by
     one, the reduced index offsets.
     """
-    rest, image = [0], [0]
+    bits, tbits = [], []
     for si, ti in edge.correspondence.items():
         if reduced:
             if si == 0:
@@ -164,10 +176,9 @@ def _transport_table(edge: cube.EdgeType, reduced: bool) -> tuple[list[int], lis
                 raise FilteredComplexError(
                     f"arrow leaves the reduced complex: circle {si} is carried onto circle 0"
                 )
-        bit, tbit = 1 << si >> reduced, 1 << ti >> reduced
-        rest += [lab | bit for lab in rest]
-        image += [lab | tbit for lab in image]
-    return rest, image
+        bits.append(1 << si >> reduced)
+        tbits.append(1 << ti >> reduced)
+    return labeling_images(bits), labeling_images(tbits)
 
 
 def _cube_edges(c: int):
@@ -299,17 +310,21 @@ def rows_of(gc: GradedComplex, theory: Theory):
     return lambda g: [t for t in out[g] if gk[t] == gk[g]]
 
 
-def _split(gc: GradedComplex, theory: Theory, row_of=None):
-    """The blocks of ``gc`` along the block keys of ``theory``: the members
-    of each block, and ``engine_block(b)``, which assembles block b.
+def _map_blocks(gc: GradedComplex, theory: Theory, fn, row_of=None) -> list:
+    """``fn(C, members)`` for every block of ``gc`` along the block keys of
+    ``theory``, in block order, with the blocks shared out over the CPUs by
+    ``_fork_map``.
 
-    Each generator g is filtered by i and carries its block key as
-    auxiliary grading; ``row_of(g)`` lists its arrow targets (default: its
-    ``theory`` arrows, ``rows_of``) and is called once per generator, when
-    its block is assembled.  members[x] is the generator of ``gc`` at
-    engine index x.  Members are numbered level by level: by i, then in
-    generator order.  A cube arrow raises i by one, so each engine row
-    spans at most two adjacent levels.
+    C is the block's engine complex: each generator g is filtered by i and
+    carries its block key as auxiliary grading; ``row_of(g)`` lists its
+    arrow targets (default: its ``theory`` arrows, ``rows_of``) and is
+    called once per generator, when its block is assembled.  members[x] is
+    the generator of ``gc`` at engine index x.  Members are numbered level
+    by level: by i, then in generator order.  A cube arrow raises i by one,
+    so each engine row spans at most two adjacent levels.  An arrow that
+    leaves its block raises FilteredComplexError.  Each process assembles
+    its blocks one at a time, and ``fn`` may cancel C in place: C is
+    dropped when ``fn`` returns.
     """
     keys = _block_keys(theory, gc.gj, gc.gk)
     row_of = rows_of(gc, theory) if row_of is None else row_of
@@ -324,46 +339,20 @@ def _split(gc: GradedComplex, theory: Theory, row_of=None):
         for x, g in enumerate(members):
             local[g] = x
 
-    def engine_block(b: int) -> FilteredComplex:
+    def run_block(b: int):
         members = groups[b]
         rows = [row_of(g) for g in members]
         if {block_of[y] for row in rows for y in row} - {b}:
             raise FilteredComplexError("arrow leaves its grading block")
-        return FilteredComplex.from_rows(
+        C = FilteredComplex.from_rows(
             [gc.gi[g] for g in members],
             [keys[g] for g in members],
             ([local[y] for y in row] for row in rows),
         )
+        del rows  # before fn cancels C
+        return fn(C, members)
 
-    return groups, engine_block
-
-
-def _blocks(
-    gc: GradedComplex, theory: Theory, row_of=None
-) -> Iterator[tuple[FilteredComplex, list[int]]]:
-    """The (complex, members) pairs of ``_split``, one block at a time, in
-    this process.
-
-    A block is built only when the next pair is asked for and the
-    generator keeps no reference to it, so a consumer that drops each
-    complex before asking for the next holds one block's bitsets at a time.
-    """
-    groups, engine_block = _split(gc, theory, row_of)
-    for b, members in enumerate(groups):
-        yield engine_block(b), members
-
-
-def _map_blocks(gc: GradedComplex, theory: Theory, fn, row_of=None) -> list:
-    """``fn(C, members)`` for every block of ``_split``, in block order,
-    with the blocks shared out over the CPUs by ``_fork_map``.  Each
-    process assembles its blocks one at a time, and ``fn`` may cancel C in
-    place: C is dropped when ``fn`` returns."""
-    groups, engine_block = _split(gc, theory, row_of)
-    return _fork_map(
-        lambda b: fn(engine_block(b), groups[b]),
-        range(len(groups)),
-        [len(members) for members in groups],
-    )
+    return _fork_map(run_block, range(len(groups)), [len(members) for members in groups])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 from . import cube, decat
 from .f2algebra import (
@@ -32,10 +31,10 @@ from .f2algebra import (
 from .khovanov import (
     GradedComplex,
     Theory,
-    _blocks,
     _map_blocks,
     build_complex,
     homology_of,
+    labeling_images,
     rows_of,
     summed,
     total_rank,
@@ -87,19 +86,12 @@ def tau_table(gc: GradedComplex, pairing: CoverPairing) -> list[int]:
     width = gc.diagram.n_crossings
     if width != 2 * n:
         raise ValueError("complex is not built on a double-cover diagram")
-    tau = [0] * gc.n_generators
+    tau: list[int] = []  # vertex by vertex, labels ascending
     for beta, res in enumerate(gc.resolutions):
         tbeta = cube.swap_halves(beta, width) if n else beta
         perm = _circle_images(res, gc.resolutions[tbeta], pairing.shift_level)
-        off, toff = gc.offsets[beta], gc.offsets[tbeta]
-        for labels in range(1 << res.n_circles):
-            tlabels = 0
-            rest = labels
-            while rest:
-                low = rest & -rest
-                tlabels |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
-            tau[off + labels] = toff + tlabels
+        toff = gc.offsets[tbeta]
+        tau += [toff + t for t in labeling_images([1 << c for c in perm])]
     return tau
 
 
@@ -140,7 +132,9 @@ class TateBicomplex:
     ``cover`` is the full Kh complex of the cover, read through its
     ``theory`` arrows (``khovanov.rows_of``).  Equivariant generators emit
     no horizontal arrows: their two copies g -> g and g -> tau g coincide
-    and cancel mod 2.
+    and cancel mod 2.  Its engine complexes are the cover's (j, k) (AKh) or
+    j (Kh) blocks, filtered by i, with ``row`` as their arrows:
+    ``khovanov._map_blocks(b.cover, b.theory, fn, row_of=b.row)``.
     """
 
     cover: GradedComplex
@@ -160,12 +154,6 @@ class TateBicomplex:
         tg = self.tau[g]
         row = self._cover_row(g)
         return row + [g, tg] if tg != g else row
-
-    def blocks(self) -> Iterator[tuple[FilteredComplex, list[int]]]:
-        """Engine complexes per (j, k) (AKh) or j (Kh) block, filtered by i,
-        built one at a time as ``khovanov._blocks`` yields them; members[x]
-        is the cover generator at engine index x."""
-        return _blocks(self.cover, self.theory, row_of=self.row)
 
 
 @dataclass
@@ -241,9 +229,7 @@ def hv_pages(b: TateBicomplex) -> HvPages:
     for ranks, moved, block_observed, block_strays in _map_blocks(
         b.cover, b.theory, block_pages, row_of=b.row
     ):
-        for r in range(max_page + 1):
-            pages.ranks[r].update(ranks[r])
-            pages.d_nonzero[r] |= moved[r]
+        pages.add(ranks, moved)
         observed.update(block_observed)
         strays += block_strays
     return HvPages(
@@ -269,15 +255,21 @@ def vh_pages(b: TateBicomplex) -> VhPages:
     """Spectral sequence of the column-wise (t) filtration, pages 0-2.
 
     An arrow g -> g' moves a = 1 + i(g) - i(g') columns, so page r cancels
-    the arrows that shift i by 1 - r.
+    the arrows that shift i by 1 - r.  The blocks run on every CPU
+    (``khovanov._map_blocks``).
     """
     pages = PageTable(max_page=2)
-    for C, _ in b.blocks():
+
+    def block_pages(C: FilteredComplex, _):
         masks = degree_masks(C)
+        ranks, moved = [], []
         for r in range(pages.max_page + 1):
-            pages.ranks[r].update(rank_table(C))
-            pages.d_nonzero[r] |= cancel_shift_level(C, 1 - r, masks)
-        del C, masks  # before the next block is built
+            ranks.append(rank_table(C))
+            moved.append(cancel_shift_level(C, 1 - r, masks))
+        return ranks, moved
+
+    for ranks, moved in _map_blocks(b.cover, b.theory, block_pages, row_of=b.row):
+        pages.add(ranks, moved)
     cover_table = {k: r for k, r in homology_of(b.cover, b.theory).items() if r}
     return VhPages(pages=pages, e1_ok=pages.table(1) == cover_table)
 
@@ -371,11 +363,9 @@ def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
                     f"vertex {cube.format_bits(alpha, n)}: circle {qci} lifts to "
                     f"{len(lifts)} circles"
                 )
-        for qlabels in range(1 << qres.n_circles):
-            clabels = 0
-            for ci, qci in enumerate(proj):
-                if (qlabels >> qci) & 1:
-                    clabels |= 1 << ci
+        # each "+" quotient circle labels its lifts "+"
+        masks = [sum(1 << ci for ci in fibers.get(qci, ())) for qci in range(qres.n_circles)]
+        for qlabels, clabels in enumerate(labeling_images(masks)):
             g = gcov.index(beta, clabels)
             if tau[g] != g:
                 problems.append(

@@ -18,8 +18,8 @@ from annulus_tate.f2algebra import (
     homology_ranks,
 )
 from annulus_tate import cube
-from annulus_tate.khovanov import GradedComplex, Theory, _blocks, build_complex, rows_of
-from annulus_tate.links import AnnularDiagram, BraidWord
+from annulus_tate.khovanov import GradedComplex, Theory, _map_blocks, build_complex, rows_of
+from annulus_tate.links import AnnularDiagram, BraidWord, CoverPairing
 from annulus_tate.tate import TateBicomplex
 
 
@@ -272,20 +272,19 @@ def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
 
     Filtration degree is -k so shifts are nonnegative; page keys are
     (-k, i, j).  Page 1 carries the AKh ranks, the last page the Kh ranks.
-    Each j block of the Kh complex is regraded and dropped before the next
-    is built.
+    Each j block of the Kh complex is regraded (``khovanov._map_blocks``).
     """
     gc = build_complex(diagram)
     kspan = (max(gc.gk) - min(gc.gk)) if gc.n_generators else 0
     pages = PageTable(max_page=kspan + 2)
-    for C, members in _blocks(gc, Theory.KH):
+
+    def block_pages(C, members):
         C.fdeg = [-gc.gk[g] for g in members]
         C.aux = [(gc.gi[g], gc.gj[g]) for g in members]
-        block = spectral_pages(C, pages.max_page)
-        del C  # before the next block is built
-        for r in range(pages.max_page + 1):
-            pages.ranks[r].update(block.ranks[r])
-            pages.d_nonzero[r] |= block.d_nonzero[r]
+        return spectral_pages(C, pages.max_page)
+
+    for block in _map_blocks(gc, Theory.KH, block_pages):
+        pages.add(block.ranks, block.d_nonzero)
     return pages
 
 
@@ -293,10 +292,11 @@ def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
     """Total-complex homology ranks of the folded Tate complex keyed (j, k)
     (AKh) or (j,) (Kh); they are the same on every diagonal i + t."""
     table: dict[tuple, int] = {}
-    for C, _ in b.blocks():
-        for key, rank in homology_ranks(C).items():
+    for ranks in _map_blocks(
+        b.cover, b.theory, lambda C, _: homology_ranks(C), row_of=b.row
+    ):
+        for key, rank in ranks.items():
             table[key[1:]] = table.get(key[1:], 0) + rank
-        del C  # before the next block is built
     return table
 
 
@@ -344,6 +344,48 @@ def labels_of(gc: GradedComplex, g: int) -> int:
     """The label bitmask of generator ``g`` (bit c set when circle c is
     "+"), read from its index within its vertex."""
     return (g - gc.offsets[gc.vertex_of[g]]) << gc.reduced
+
+
+def tau_reference(gc: GradedComplex, pairing: CoverPairing, g: int) -> int:
+    """The chain involution on one generator of a cover complex: each "+"
+    circle of its labeling (``labels_of``) goes to the circle of the swapped
+    vertex through the image of its minimal port (oracle for
+    ``tate.tau_table``)."""
+    n = pairing.quotient_crossings
+    m = gc.diagram.strands
+    beta = gc.vertex_of[g]
+    labels = labels_of(gc, g)
+    tbeta = cube.swap_halves(beta, gc.diagram.n_crossings) if n else beta
+    res, tres = gc.resolutions[beta], gc.resolutions[tbeta]
+    circle_of = {port: c for c, circle in enumerate(tres.circles) for port in circle.ports}
+    tlabels = 0
+    for ci, circle in enumerate(res.circles):
+        level, strand = divmod(circle.min_port, m)
+        if (labels >> ci) & 1:
+            tlabels |= 1 << circle_of[pairing.shift_level(level) * m + strand]
+    return gc.index(tbeta, tlabels)
+
+
+def lift_reference(
+    gq: GradedComplex, gcov: GradedComplex, pairing: CoverPairing, v: int
+) -> int:
+    """The equivariant lift of quotient generator v: at the doubled vertex,
+    a cover circle is "+" when the quotient circle through the projection
+    (level mod n, strand) of its minimal port is "+" in v's labeling
+    (``labels_of``; oracle for ``tate._lift_table``)."""
+    n = pairing.quotient_crossings
+    m = gq.diagram.strands
+    alpha = gq.vertex_of[v]
+    labels = labels_of(gq, v)
+    beta = alpha | alpha << n
+    qres, cres = gq.resolutions[alpha], gcov.resolutions[beta]
+    circle_of = {port: c for c, circle in enumerate(qres.circles) for port in circle.ports}
+    clabels = 0
+    for ci, circle in enumerate(cres.circles):
+        level, strand = divmod(circle.min_port, m)
+        if (labels >> circle_of[(level % n if n else level) * m + strand]) & 1:
+            clabels |= 1 << ci
+    return gcov.index(beta, clabels)
 
 
 def arrows(rows: list[list[int]]):

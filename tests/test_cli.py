@@ -198,8 +198,9 @@ def test_periodic_classifies_each_edge_once(runner, monkeypatch):
     [
         ["kh", "--braid", "1 -1 1 -1 1 1 -1 1", "--strands", "2"],
         ["periodic", "--braid", "1 -1 1 1", "--strands", "2"],
+        ["decat", "--braid", "1 -1 1 1", "--strands", "2"],
     ],
-    ids=["kh", "periodic"],
+    ids=["kh", "periodic", "decat"],
 )
 def test_word_computation_pauses_the_gc_and_restores_it(runner, args):
     import gc
@@ -380,6 +381,30 @@ def test_truncated_cache_entry_is_a_miss(runner, tmp_path):
     # the recomputed report replaced the torn entry, with no leftovers
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
     assert json.loads(entry.read_bytes()) == json.loads(second.output)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["akh", "--braid", "1", "--strands", "2"],
+        ["corpus", "--max-strands", "2", "--max-length", "1", "--jobs", "1"],
+    ],
+    ids=["akh", "corpus"],
+)
+def test_an_unusable_cache_directory_is_refused_before_computing(
+    runner, tmp_path, monkeypatch, args
+):
+    built = []
+    for module in (khovanov, tate):
+        monkeypatch.setattr(module, "build_complex", lambda *a, **k: built.append(a))
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    result = runner.invoke(cli.main, [*args, "--cache-dir", str(not_a_dir)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"Error: cannot use cache directory {not_a_dir}: File exists"
+    ]
+    assert not built
 
 
 def test_corpus_empty_bounds(runner):

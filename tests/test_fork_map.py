@@ -12,7 +12,7 @@ from annulus_tate import khovanov
 from annulus_tate.f2algebra import FilteredComplexError
 from annulus_tate.khovanov import Theory, _fork_map, _map_blocks, build_complex, homology_of
 from annulus_tate.links import close_braid, parse_braid_word
-from annulus_tate.tate import PeriodicRun, hv_pages
+from annulus_tate.tate import PeriodicRun, hv_pages, vh_pages
 
 from conftest import view
 
@@ -68,17 +68,19 @@ def test_a_child_exception_is_raised_in_the_parent(monkeypatch, forks):
 
 def test_an_arrow_between_blocks_is_refused_in_a_child(monkeypatch, forks):
     gc = build_complex(HOPF)
-    groups, _ = khovanov._split(gc, Theory.AKH)
-    on_cpus(monkeypatch, len(groups), 0)  # one process per block
+    groups = _map_blocks(gc, Theory.AKH, lambda C, members: members)
     # the parent runs the largest block, the lowest-numbered of equal ones
     largest = max(range(len(groups)), key=lambda b: (len(groups[b]), -b))
     x = next(g for b, members in enumerate(groups) if b != largest for g in members)
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
     rows = view(gc, Theory.AKH)
     rows[x].append(y)
-    with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
-        _map_blocks(gc, Theory.AKH, lambda C, _: None, row_of=rows.__getitem__)
-    assert forks == [1] * (len(groups) - 1)
+    # inline, then with one process per block
+    for cpus, n_forks in ((1, 0), (len(groups), len(groups) - 1)):
+        on_cpus(monkeypatch, cpus, 0)
+        with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
+            _map_blocks(gc, Theory.AKH, lambda C, _: None, row_of=rows.__getitem__)
+        assert forks == [1] * n_forks
 
 
 @pytest.mark.parametrize("action, how", [
@@ -144,6 +146,10 @@ def engine_results(run: PeriodicRun, reduced) -> list:
         out.append([list(hv.pages.ranks[r].items()) for r in hv.pages.ranks])
         out.append(list(hv.pages.d_nonzero.items()))
         out.append((hv.odd_pages_ok, sorted(hv.d2_observed), hv.d2_strays))
+    # vh_pages maps its blocks as hv_pages does; AKh alone keeps the cost down
+    vh = vh_pages(run.tate(Theory.AKH))
+    out.append([list(vh.pages.ranks[r].items()) for r in vh.pages.ranks])
+    out.append((list(vh.pages.d_nonzero.items()), vh.e1_ok))
     return out
 
 

@@ -8,7 +8,7 @@ from annulus_tate.cube import resolve
 from annulus_tate.f2algebra import FilteredComplexError
 from annulus_tate.khovanov import (
     Theory,
-    _blocks,
+    _map_blocks,
     build_complex,
     homology,
     homology_of,
@@ -206,20 +206,10 @@ def test_d_squared_check_catches_a_missing_arrow():
         gc.check_d_squared()
 
 
-def test_blocks_reject_an_arrow_between_blocks():
-    gc = build_complex(HOPF)
-    x = 0
-    y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
-    rows = view(gc, Theory.AKH)
-    rows[x].append(y)
-    with pytest.raises(FilteredComplexError, match="leaves its grading block"):
-        list(_blocks(gc, Theory.AKH, row_of=rows.__getitem__))
-
-
 def test_blocks_partition_the_generators():
     gc = build_complex(close_braid(parse_braid_word("1 -2 1", 3)))
     rows = view(gc, Theory.AKH)
-    blocks = list(_blocks(gc, Theory.AKH))
+    blocks = _map_blocks(gc, Theory.AKH, lambda C, members: (C, members))
     members = sorted(g for _, block in blocks for g in block)
     assert members == list(range(gc.n_generators))
     assert sum(C.n_arrows() for C, _ in blocks) == len(arrows(rows))
@@ -446,7 +436,7 @@ def test_reduced_build_refuses_an_arrow_onto_circle_zero_plus(monkeypatch):
 def test_only_kh_has_a_reduced_complex():
     # AKh is read from the full complex only
     reduced = build_complex(HOPF, reduced=True)
-    for read in (rows_of, lambda gc, t: list(_blocks(gc, t)), homology_of):
+    for read in (rows_of, lambda gc, t: _map_blocks(gc, t, lambda C, m: m), homology_of):
         with pytest.raises(ValueError, match="reduced"):
             read(reduced, Theory.AKH)
 

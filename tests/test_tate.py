@@ -2,14 +2,13 @@ import operator
 
 import pytest
 
-from annulus_tate import cube
 from annulus_tate.cube import hamming
-from annulus_tate.khovanov import Theory, build_complex
+from annulus_tate.khovanov import Theory, _map_blocks, build_complex
 from annulus_tate.links import BraidWord, close_braid, double_cover, parse_braid_word
 from annulus_tate.tate import (
     PeriodicRun,
     TateBicomplex,
-    _port_circle_map,
+    _lift_table,
     check_equivariance,
     hv_pages,
     tau_table,
@@ -28,6 +27,8 @@ from conftest import (
     check_d_squared,
     check_nonnegative,
     labels_of,
+    lift_reference,
+    tau_reference,
     theory_rows,
     total_diagonal_ranks,
     watch_block_builds,
@@ -46,32 +47,12 @@ def hopf_tate(theory=Theory.AKH) -> TateBicomplex:
     return TateBicomplex(cover=gc, tau=tau_table(gc, pairing), theory=theory)
 
 
-def tau_sharp(gc, pairing, g: int) -> int:
-    """Image of one generator under the chain involution, transported
-    circle by circle (oracle for ``tau_table``)."""
-    n = pairing.quotient_crossings
-    width = gc.diagram.n_crossings
-    m = gc.diagram.strands
-    beta = gc.vertex_of[g]
-    labels = labels_of(gc, g)
-    tbeta = cube.swap_halves(beta, width) if n else beta
-    res, tres = gc.resolutions[beta], gc.resolutions[tbeta]
-    target_circle = _port_circle_map(tres)
-    tlabels = 0
-    for ci, circle in enumerate(res.circles):
-        level, strand = divmod(circle.min_port, m)
-        mapped = pairing.shift_level(level) * m + strand
-        if (labels >> ci) & 1:
-            tlabels |= 1 << target_circle[mapped]
-    return gc.index(tbeta, tlabels)
-
-
 def test_tau_moves_single_circle_label():
     gc, pairing = hopf_cover()
     # vertex 10 has a single trivial circle; its positive labeling maps to
     # the positive labeling at vertex 01
     src = gc.index(0b01, 0b1)
-    tgt = tau_sharp(gc, pairing, src)
+    tgt = tau_reference(gc, pairing, src)
     assert gc.vertex_of[tgt] == 0b10
     assert labels_of(gc, tgt) == 0b1
     assert (gc.gi[src], gc.gj[src], gc.gk[src]) == (
@@ -81,7 +62,7 @@ def test_tau_moves_single_circle_label():
 def test_tau_fixes_symmetric_labelings():
     gc, pairing = hopf_cover()
     g = gc.index(0b00, 0b11)  # both strand circles labeled "+"
-    assert tau_sharp(gc, pairing, g) == g
+    assert tau_reference(gc, pairing, g) == g
 
 
 def test_tau_is_involution_on_all_generators():
@@ -96,7 +77,20 @@ def test_tau_table_matches_per_generator_transport():
         cover, pairing = double_cover(parse_braid_word(text, m))
         gc = build_complex(cover)
         tau = tau_table(gc, pairing)
-        assert tau == [tau_sharp(gc, pairing, g) for g in range(gc.n_generators)]
+        assert tau == [tau_reference(gc, pairing, g) for g in range(gc.n_generators)]
+
+
+@pytest.mark.parametrize(
+    "braid,strands", [("", 2), ("1 -1", 2), ("1 1 -1 1", 2), ("1 -2 1", 3), ("2 -1", 3)]
+)
+def test_labeling_images_match_the_per_labeling_reference(braid, strands):
+    # tau and the lifts both transport every labeling of a vertex by doubling
+    run = PeriodicRun(parse_braid_word(braid, strands))
+    gq, gcov = run.complex("quotient"), run.complex("cover")
+    assert run.tau == [tau_reference(gcov, run.pairing, g) for g in range(gcov.n_generators)]
+    lift, problems = _lift_table(run)
+    assert not problems
+    assert lift == {v: lift_reference(gq, gcov, run.pairing, v) for v in range(gq.n_generators)}
 
 
 def test_tau_requires_cover_diagram():
@@ -162,7 +156,7 @@ def test_equivariance_empty_cover():
 def test_folded_tate_is_a_complex_on_the_cover_generators():
     b = hopf_tate()
     assert b.n_generators == 12
-    blocks = list(b.blocks())
+    blocks = _map_blocks(b.cover, b.theory, lambda C, members: (C, members), row_of=b.row)
     assert sum(len(members) for _, members in blocks) == 12
     n_free = sum(1 for g, tg in enumerate(b.tau) if tg != g)
     n_arrows = sum(C.n_arrows() for C, _ in blocks)
@@ -260,8 +254,8 @@ def test_interior_diagonals_independent_of_window():
 def test_folded_blocks_square_to_zero(braid, strands):
     run = PeriodicRun(parse_braid_word(braid, strands))
     for theory in (Theory.AKH, Theory.KH):
-        for C, _ in run.tate(theory).blocks():
-            check_d_squared(C)
+        b = run.tate(theory)
+        _map_blocks(b.cover, b.theory, lambda C, _: check_d_squared(C), row_of=b.row)
 
 
 def test_e2_correspondence_sigma1():
@@ -279,8 +273,6 @@ def test_e2_specific_d2_arrow():
     hv = run.hv(Theory.AKH)
     gq = run.complex("quotient")
     gcov = run.complex("cover")
-    from annulus_tate.tate import _lift_table
-
     lift, problems = _lift_table(run)
     assert not problems
     src = lift[gq.index(0, 0b01)]  # v+ v- at the braid-like vertex
