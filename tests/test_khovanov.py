@@ -206,6 +206,17 @@ def test_d_squared_check_catches_a_missing_arrow():
         gc.check_d_squared()
 
 
+def test_blocks_reject_an_arrow_between_blocks(monkeypatch):
+    monkeypatch.setattr(khovanov, "cpu_count", lambda: 1)
+    gc = build_complex(HOPF)
+    x = 0
+    y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
+    rows = view(gc, Theory.AKH)
+    rows[x].append(y)
+    with pytest.raises(FilteredComplexError, match="leaves its grading block"):
+        _map_blocks(gc, Theory.AKH, lambda C, members: members, row_of=rows.__getitem__)
+
+
 def test_blocks_partition_the_generators():
     gc = build_complex(close_braid(parse_braid_word("1 -2 1", 3)))
     rows = view(gc, Theory.AKH)
