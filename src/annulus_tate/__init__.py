@@ -2,7 +2,7 @@
 
 Computes triply-graded AKh/Kh ranks of annular braid closures, builds the
 Tate bicomplex of a 2-periodic double cover folded over F2[theta, 1/theta],
-runs both of its spectral sequences by filtered cancellation, and
+runs its row-filtered spectral sequence by filtered cancellation, and
 machine-checks the periodicity rank inequalities and their decategorified
 congruences.
 """
@@ -51,7 +51,6 @@ from .tate import (
     verify_e2_correspondence,
     verify_khtate_limit,
     verify_rank_inequality,
-    vh_pages,
 )
 from .decat import (
     CongruenceReport,

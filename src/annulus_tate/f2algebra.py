@@ -13,7 +13,8 @@ returned mask uses absolute indices.  Rows stay narrow when the
 generators are numbered level by level, as ``khovanov._map_blocks``
 numbers them: a cube arrow goes from one level to the next.
 
-Complexes are built whole by ``FilteredComplex.from_rows``.  Homology, and
+Complexes are built whole by ``FilteredComplex.from_rows``; a Tate block
+then gains its theta arrows with ``add_theta_arrows``.  Homology, and
 the pages of a filtration one shift level at a time, are computed by
 Gaussian cancellation in place: cancelling an arrow k -> l removes both
 endpoint generators and toggles an arrow x -> y for every pair x -> l,
@@ -127,6 +128,40 @@ class FilteredComplex:
             inc_off.append(off)
         C.alive = (1 << n) - 1
         return C
+
+    def add_theta_arrows(self, tau: list[int | None]) -> None:
+        """Add the arrows x -> x and x -> tau[x] for every generator x with
+        tau[x] != x: theta (1 + tau) on a complex folded over
+        F2[theta, 1/theta] (see ``tate``).
+
+        Each row is rebased to its new lowest index, so the rows come out
+        as ``from_rows`` would assemble them with these arrows included.
+        ``tau[x]`` is None when the image of x lies outside this complex,
+        which raises FilteredComplexError, as does an arrow that is already
+        present.
+        """
+        out, out_off, inc, inc_off = self.out, self.out_off, self.inc, self.inc_off
+        for x, t in enumerate(tau):
+            if t == x:
+                continue
+            if t is None:
+                raise FilteredComplexError("arrow leaves its grading block")
+            off, row = out_off[x], out[x]
+            low = x if x < t else t
+            if low < off:
+                row <<= off - low
+                out_off[x] = off = low
+            new = 1 << (x - off) | 1 << (t - off)
+            if row & new:
+                raise FilteredComplexError(f"repeated arrow from {x}")
+            out[x] = row | new
+            for y in (x, t):
+                off = inc_off[y]
+                if x < off:
+                    inc[y] = inc[y] << (off - x) | 1
+                    inc_off[y] = x
+                else:
+                    inc[y] |= 1 << (x - off)
 
     # -- queries -------------------------------------------------------
 

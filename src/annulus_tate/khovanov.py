@@ -13,14 +13,18 @@ I-bundles over surfaces", AGT 2004; Roberts, "On knot Floer homology in
 double branched covers", G&T 2013), so it is not built: ``rows_of`` reads
 its arrows off the full Kh complex as the ones that preserve k.
 
-Kh ranks are computed from the reduced complex, a build of its own: the
-generators whose marked circle, circle 0 (the one through port 0), is
-labeled "-" span a subcomplex with half the generators, and over F2 its
-homology h gives Kh^{i,j} = h^{i,j} + h^{i,j-2} (Kh = reduced Kh (x) V,
-Shumakovitch, "Torsion of the Khovanov homology", Fund. Math. 2014;
-reduced Kh as the marked-"-" subcomplex, Khovanov, "Patterns in knot
-cohomology I", Experiment. Math. 2003).  The full complex serves AKh and
-the Tate side, where the deck rotation fixes no basepoint.
+Kh ranks of a closure (``homology``, and the quotient's table in
+``tate.PeriodicRun``) are computed from the reduced complex, a build of
+its own: the generators whose marked circle, circle 0 (the one through
+port 0), is labeled "-" span a subcomplex with half the generators, and
+over F2 its homology h gives Kh^{i,j} = h^{i,j} + h^{i,j-2} (Kh = reduced
+Kh (x) V, Shumakovitch, "Torsion of the Khovanov homology", Fund. Math.
+2014; reduced Kh as the marked-"-" subcomplex, Khovanov, "Patterns in
+knot cohomology I", Experiment. Math. 2003).  The full complex serves AKh
+and the Tate side, where the deck rotation fixes no basepoint.  The
+cover's Kh table is read off the full complex's Kh Tate blocks
+(``tate.hv_pages``), so a ``periodic`` run of both theories makes three
+builds: the full and reduced quotient complexes and the full cover.
 
 The complex is built in one pass per cube edge.  Gradings are read per
 vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a

@@ -26,6 +26,7 @@ from .f2algebra import (
     PageTable,
     cancel_shift_level,
     degree_masks,
+    homology_ranks,
     rank_table,
 )
 from .khovanov import (
@@ -130,58 +131,65 @@ class TateBicomplex:
     """The Tate bicomplex of one theory, folded over F2[theta, 1/theta].
 
     ``cover`` is the full Kh complex of the cover, read through its
-    ``theory`` arrows (``khovanov.rows_of``).  Equivariant generators emit
-    no horizontal arrows: their two copies g -> g and g -> tau g coincide
-    and cancel mod 2.  Its engine complexes are the cover's (j, k) (AKh) or
-    j (Kh) blocks, filtered by i, with ``row`` as their arrows:
-    ``khovanov._map_blocks(b.cover, b.theory, fn, row_of=b.row)``.
+    ``theory`` arrows (``khovanov.rows_of``).  Its engine complexes are the
+    cover's (j, k) (AKh) or j (Kh) blocks, filtered by i: each is assembled
+    from the cover arrows alone (theta^0) by ``khovanov._map_blocks`` and
+    folded in place by :meth:`fold`, which adds the theta^1 arrows.  So one
+    assembly of a block serves both the cover homology, read off a copy
+    before the fold, and the Tate pages (``hv_pages``).
     """
 
     cover: GradedComplex
     tau: list[int] = field(repr=False)
     theory: Theory
 
-    def __post_init__(self) -> None:
-        self._cover_row = rows_of(self.cover, self.theory)
-
     @property
     def n_generators(self) -> int:
         return self.cover.n_generators
 
-    def row(self, g: int) -> list[int]:
-        """Arrow targets of g: the cover arrows (theta^0), then the theta^1
-        arrows g -> g and g -> tau g if g is not equivariant."""
-        tg = self.tau[g]
-        row = self._cover_row(g)
-        return row + [g, tg] if tg != g else row
+    def fold(self, C: FilteredComplex, members: list[int]) -> list[int]:
+        """Add to C, the cover block with members[x] at engine index x, the
+        arrows g -> g and g -> tau g of every generator g that is not
+        equivariant (equivariant generators emit none: their two copies
+        coincide and cancel mod 2).  Returns tau on the block's engine
+        indices.  A tau that leaves the block raises FilteredComplexError.
+        """
+        local = {g: x for x, g in enumerate(members)}
+        tau = [local.get(self.tau[g]) for g in members]
+        C.add_theta_arrows(tau)
+        return tau
 
 
 @dataclass
 class HvPages:
-    """Row-filtered spectral sequence of the Tate complex.
+    """Row-filtered spectral sequence of the Tate complex, and the cover
+    homology its blocks were assembled for.
 
     Keys of ``pages`` are (i, j, k) for AKh and (i, j) for Kh: the ranks of
-    one column.  The odd-page check asserts that ranks do not move from
-    page 2s+1 to page 2s+2.  ``d2_observed`` holds the (delta-i = 2,
-    a = -1) arrows g1 -> g2 read off after cancelling exactly the tau
-    arrows, and ``d2_strays`` any nonequivariant survivors of that
-    cancellation (there should be none).
+    one column.  ``cover`` holds the homology ranks of the cover complex in
+    ``theory``, same keys, read off each block before its theta arrows are
+    added.  The odd-page check asserts that ranks do not move from page
+    2s+1 to page 2s+2.  ``d2_observed`` holds the (delta-i = 2, a = -1)
+    arrows g1 -> g2 read off after cancelling exactly the tau arrows, and
+    ``d2_strays`` any nonequivariant survivors of that cancellation (there
+    should be none).
     """
 
     pages: PageTable
+    cover: dict[tuple, int]
     odd_pages_ok: bool
     d2_observed: set = field(default_factory=set)
     d2_strays: list = field(default_factory=list)
 
 
-def _tau_sweep(C: FilteredComplex, members: list[int], tau: list[int]) -> bool:
-    """Cancel exactly the tau arrows g -> tau g, lower end of each orbit
-    first.  A cancellation removes its whole orbit and toggles only arrows
-    that raise i by at least 2, so one pass reaches every orbit."""
-    local = {g: x for x, g in enumerate(members)}
+def _tau_sweep(C: FilteredComplex, tau: list[int]) -> bool:
+    """Cancel exactly the tau arrows x -> tau x (``tau`` on engine
+    indices), lower end of each orbit first.  A cancellation removes its
+    whole orbit and toggles only arrows that raise i by at least 2, so one
+    pass reaches every orbit."""
     acted = False
     for x in C.generators():
-        tx = local[tau[members[x]]]
+        tx = tau[x]
         if tx != x and C.has_arrow(x, tx):
             C.cancel_arrow(x, tx)
             acted = True
@@ -190,28 +198,32 @@ def _tau_sweep(C: FilteredComplex, members: list[int], tau: list[int]) -> bool:
 
 def hv_pages(b: TateBicomplex) -> HvPages:
     """Spectral sequence of the row-wise (i) filtration, to page
-    max(3, i-span + 2), past the largest shift.
+    max(3, i-span + 2), past the largest shift, and the cover homology.
 
-    Page 0 is cancelled tau-arrows-first (then the lexicographic sweep
-    finishes the shift-0 level); rank tables are order-independent, and
-    the intermediate state after the tau sweep is exactly where the
-    induced length-2 differentials are read off.  The blocks run on every
-    CPU (``khovanov._map_blocks``); each returns its page tables,
-    ``d_nonzero`` flags, observed d2 arrows and strays, merged in block
-    order.
+    Each block is assembled once: its homology ranks, on a copy, are its
+    share of the cover table; then :meth:`TateBicomplex.fold` makes it the
+    Tate block.  Page 0 is cancelled tau-arrows-first (then the
+    lexicographic sweep finishes the shift-0 level); rank tables are
+    order-independent, and the intermediate state after the tau sweep is
+    exactly where the induced length-2 differentials are read off.  The
+    blocks run on every CPU (``khovanov._map_blocks``); each returns its
+    cover ranks, page tables, ``d_nonzero`` flags, observed d2 arrows and
+    strays, merged in block order.
     """
     max_page = max(3, b.cover.i_span() + 2)
-    gi, tau = b.cover.gi, b.tau
+    gi = b.cover.gi
 
     def block_pages(C: FilteredComplex, members: list[int]):
+        cover = homology_ranks(C.copy())
+        tau = b.fold(C, members)
         masks = degree_masks(C)
         ranks = [rank_table(C)]
-        acted = _tau_sweep(C, members, tau)
+        acted = _tau_sweep(C, tau)
         observed: list[tuple[int, int]] = []
         strays: list[int] = []
         for src in C.generators():
             g1 = members[src]
-            if tau[g1] != g1:
+            if tau[src] != src:
                 strays.append(g1)
             for tgt in C.targets(src):
                 g2 = members[tgt]
@@ -221,57 +233,28 @@ def hv_pages(b: TateBicomplex) -> HvPages:
         for r in range(1, max_page + 1):
             ranks.append(rank_table(C))
             moved.append(cancel_shift_level(C, r, masks))
-        return ranks, moved, observed, strays
+        return cover, ranks, moved, observed, strays
 
     pages = PageTable(max_page=max_page)
+    cover: dict[tuple, int] = {}
     observed: set[tuple[int, int]] = set()
     strays: list[int] = []
-    for ranks, moved, block_observed, block_strays in _map_blocks(
-        b.cover, b.theory, block_pages, row_of=b.row
+    for block_cover, ranks, moved, block_observed, block_strays in _map_blocks(
+        b.cover, b.theory, block_pages
     ):
+        cover.update(block_cover)
         pages.add(ranks, moved)
         observed.update(block_observed)
         strays += block_strays
     return HvPages(
         pages=pages,
+        cover=cover,
         odd_pages_ok=all(
             pages.table(r) == pages.table(r + 1) for r in range(1, pages.max_page, 2)
         ),
         d2_observed=observed,
         d2_strays=sorted(strays),
     )
-
-
-@dataclass
-class VhPages:
-    """Column-filtered spectral sequence; page 1 carries the cover
-    homology.  Keys are (i, j, k) for AKh and (i, j) for Kh."""
-
-    pages: PageTable
-    e1_ok: bool
-
-
-def vh_pages(b: TateBicomplex) -> VhPages:
-    """Spectral sequence of the column-wise (t) filtration, pages 0-2.
-
-    An arrow g -> g' moves a = 1 + i(g) - i(g') columns, so page r cancels
-    the arrows that shift i by 1 - r.  The blocks run on every CPU
-    (``khovanov._map_blocks``).
-    """
-    pages = PageTable(max_page=2)
-
-    def block_pages(C: FilteredComplex, _):
-        masks = degree_masks(C)
-        ranks, moved = [], []
-        for r in range(pages.max_page + 1):
-            ranks.append(rank_table(C))
-            moved.append(cancel_shift_level(C, 1 - r, masks))
-        return ranks, moved
-
-    for ranks, moved in _map_blocks(b.cover, b.theory, block_pages, row_of=b.row):
-        pages.add(ranks, moved)
-    cover_table = {k: r for k, r in homology_of(b.cover, b.theory).items() if r}
-    return VhPages(pages=pages, e1_ok=pages.table(1) == cover_table)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +266,12 @@ class PeriodicRun:
 
     One full Kh complex is cached per side, "quotient" (the closure of the
     word) or "cover" (its 2-periodic double cover); AKh is read from it.
-    Rank tables are cached per (side, theory).  Kh tables come from the
-    reduced complex, a second build of the side that is not kept.  Every
-    build on a side reuses the resolutions and classified edges of its
-    first build.
+    The cover's rank tables of both theories come from its Tate pages
+    (``hv``), which assemble each block once for both readings.  The
+    quotient's tables are cached per theory; its Kh table comes from the
+    reduced complex, a second build of the quotient that is not kept and
+    that reuses the resolutions and classified edges of the first.  A run
+    of both theories so makes three builds.
     """
 
     def __init__(self, word: BraidWord) -> None:
@@ -311,6 +296,8 @@ class PeriodicRun:
         return self._complexes[side]
 
     def homology(self, side: str, theory: Theory) -> dict[tuple, int]:
+        if side == "cover":
+            return self.hv(theory).cover
         key = (side, theory)
         if key not in self._homology:
             gc = self._build(side, reduced=True) if theory is Theory.KH else self.complex(side)

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import os
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
@@ -291,13 +292,50 @@ def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
 def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
     """Total-complex homology ranks of the folded Tate complex keyed (j, k)
     (AKh) or (j,) (Kh); they are the same on every diagonal i + t."""
+
+    def block_ranks(C, members):
+        b.fold(C, members)
+        return homology_ranks(C)
+
     table: dict[tuple, int] = {}
-    for ranks in _map_blocks(
-        b.cover, b.theory, lambda C, _: homology_ranks(C), row_of=b.row
-    ):
+    for ranks in _map_blocks(b.cover, b.theory, block_ranks):
         for key, rank in ranks.items():
             table[key[1:]] = table.get(key[1:], 0) + rank
     return table
+
+
+@dataclass
+class VhPages:
+    """Column-filtered spectral sequence; page 1 carries the cover
+    homology.  Keys are (i, j, k) for AKh and (i, j) for Kh."""
+
+    pages: PageTable
+    e1_ok: bool
+
+
+def vh_pages(b: TateBicomplex, cover: dict[tuple, int]) -> VhPages:
+    """Spectral sequence of the column-wise (t) filtration, pages 0-2;
+    ``e1_ok`` holds when page 1 equals ``cover``, the cover table of
+    ``tate.hv_pages``.
+
+    An arrow g -> g' moves a = 1 + i(g) - i(g') columns, so page r cancels
+    the arrows that shift i by 1 - r.  The blocks are folded as
+    ``hv_pages`` folds them and run on every CPU (``khovanov._map_blocks``).
+    """
+    pages = PageTable(max_page=2)
+
+    def block_pages(C, members):
+        b.fold(C, members)
+        masks = f2algebra.degree_masks(C)
+        ranks, moved = [], []
+        for r in range(pages.max_page + 1):
+            ranks.append(f2algebra.rank_table(C))
+            moved.append(f2algebra.cancel_shift_level(C, 1 - r, masks))
+        return ranks, moved
+
+    for ranks, moved in _map_blocks(b.cover, b.theory, block_pages):
+        pages.add(ranks, moved)
+    return VhPages(pages=pages, e1_ok=pages.table(1) == cover)
 
 
 def at_t_minus_one(poly: dict[tuple, int]) -> dict[tuple, int]:

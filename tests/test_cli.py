@@ -7,8 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 from annulus_tate import cli, cube, khovanov, tate
+from annulus_tate.khovanov import Theory
 from annulus_tate.links import parse_braid_word
 from annulus_tate.tate import Verdict
+
+from conftest import watch_block_builds
 
 
 @pytest.fixture
@@ -141,14 +144,28 @@ def _count_builds(monkeypatch) -> list[tuple]:
 
 
 def test_periodic_builds_each_complex_once(runner, monkeypatch):
+    run = tate.PeriodicRun(parse_braid_word("1 -1", 2))
+    quotient, cover = run.complex("quotient"), run.complex("cover")
+    reduced = run._build("quotient", reduced=True)
+
+    def n_blocks(gc, theory):
+        return len(set(khovanov._block_keys(theory, gc.gj, gc.gk)))
+
     calls = _count_builds(monkeypatch)
+    blocks = watch_block_builds(monkeypatch)
     result = invoke(
         runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
     )
     assert result.exit_code == 0
-    # the full complex (AKh, the Tate side) and the reduced one (Kh ranks)
-    # of the quotient and of the cover: congruences reuse the cover table
-    assert sorted(calls) == [(2, False), (2, True), (4, False), (4, True)]
+    # the full complex (AKh) and the reduced one (Kh) of the quotient, and
+    # the full complex of the cover, whose Tate pages give both its tables
+    assert sorted(calls) == [(2, False), (2, True), (4, False)]
+    # one assembly per block of each quotient table, and per cover block per
+    # theory: the cover tables are read off the Tate blocks
+    assert len(blocks) == (
+        n_blocks(quotient, Theory.AKH) + n_blocks(reduced, Theory.KH)
+        + n_blocks(cover, Theory.AKH) + n_blocks(cover, Theory.KH)
+    )
 
 
 @pytest.mark.parametrize("command, reduced", [("akh", False), ("kh", True)])

@@ -12,9 +12,9 @@ from annulus_tate import khovanov
 from annulus_tate.f2algebra import FilteredComplexError
 from annulus_tate.khovanov import Theory, _fork_map, _map_blocks, build_complex, homology_of
 from annulus_tate.links import close_braid, parse_braid_word
-from annulus_tate.tate import PeriodicRun, hv_pages, vh_pages
+from annulus_tate.tate import PeriodicRun, TateBicomplex, hv_pages
 
-from conftest import view
+from conftest import view, vh_pages
 
 HOPF = close_braid(parse_braid_word("1 1", 2))
 
@@ -83,6 +83,24 @@ def test_an_arrow_between_blocks_is_refused_in_a_child(monkeypatch, forks):
         assert forks == [1] * n_forks
 
 
+def test_a_tau_between_blocks_is_refused_in_a_child(monkeypatch, forks):
+    run = PeriodicRun(parse_braid_word("1", 2))
+    gc = run.complex("cover")
+    groups = _map_blocks(gc, Theory.AKH, lambda C, members: members)
+    largest = max(range(len(groups)), key=lambda b: (len(groups[b]), -b))
+    x = next(g for b, members in enumerate(groups) if b != largest for g in members)
+    y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
+    tau = list(run.tau)
+    tau[x] = y
+    b = TateBicomplex(cover=gc, tau=tau, theory=Theory.AKH)
+    # inline, then with one process per block
+    for cpus, n_forks in ((1, 0), (len(groups), len(groups) - 1)):
+        on_cpus(monkeypatch, cpus, 0)
+        with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
+            hv_pages(b)
+        assert forks == [1] * n_forks
+
+
 @pytest.mark.parametrize("action, how", [
     (lambda: os._exit(3), "exit status 3"),
     (lambda: os._exit(0), "exit status 0"),
@@ -141,13 +159,16 @@ def engine_results(run: PeriodicRun, reduced) -> list:
         list(homology_of(full, Theory.AKH).items()),
         list(homology_of(reduced, Theory.KH).items()),
     ]
+    covers = {}
     for theory in Theory:
         hv = hv_pages(run.tate(theory))
+        covers[theory] = hv.cover
+        out.append(list(hv.cover.items()))
         out.append([list(hv.pages.ranks[r].items()) for r in hv.pages.ranks])
         out.append(list(hv.pages.d_nonzero.items()))
         out.append((hv.odd_pages_ok, sorted(hv.d2_observed), hv.d2_strays))
     # vh_pages maps its blocks as hv_pages does; AKh alone keeps the cost down
-    vh = vh_pages(run.tate(Theory.AKH))
+    vh = vh_pages(run.tate(Theory.AKH), covers[Theory.AKH])
     out.append([list(vh.pages.ranks[r].items()) for r in vh.pages.ranks])
     out.append((list(vh.pages.d_nonzero.items()), vh.e1_ok))
     return out

@@ -3,7 +3,7 @@ import operator
 import pytest
 
 from annulus_tate.cube import hamming
-from annulus_tate.khovanov import Theory, _map_blocks, build_complex
+from annulus_tate.khovanov import Theory, _map_blocks, build_complex, homology_of
 from annulus_tate.links import BraidWord, close_braid, double_cover, parse_braid_word
 from annulus_tate.tate import (
     PeriodicRun,
@@ -18,7 +18,6 @@ from annulus_tate.tate import (
     verify_e2_correspondence,
     verify_khtate_limit,
     verify_rank_inequality,
-    vh_pages,
 )
 
 from conftest import (
@@ -31,6 +30,7 @@ from conftest import (
     tau_reference,
     theory_rows,
     total_diagonal_ranks,
+    vh_pages,
     watch_block_builds,
 )
 
@@ -156,7 +156,12 @@ def test_equivariance_empty_cover():
 def test_folded_tate_is_a_complex_on_the_cover_generators():
     b = hopf_tate()
     assert b.n_generators == 12
-    blocks = _map_blocks(b.cover, b.theory, lambda C, members: (C, members), row_of=b.row)
+
+    def folded(C, members):
+        b.fold(C, members)
+        return C, members
+
+    blocks = _map_blocks(b.cover, b.theory, folded)
     assert sum(len(members) for _, members in blocks) == 12
     n_free = sum(1 for g, tg in enumerate(b.tau) if tg != g)
     n_arrows = sum(C.n_arrows() for C, _ in blocks)
@@ -165,7 +170,10 @@ def test_folded_tate_is_a_complex_on_the_cover_generators():
         check_d_squared(C)
 
 
-@pytest.mark.parametrize("pages", [hv_pages, vh_pages, total_diagonal_ranks])
+@pytest.mark.parametrize(
+    "pages", [hv_pages, lambda b: vh_pages(b, {}), total_diagonal_ranks],
+    ids=["hv_pages", "vh_pages", "total_diagonal_ranks"],
+)
 def test_tate_pages_build_each_block_after_the_last_is_gone(monkeypatch, pages):
     b = PeriodicRun(parse_braid_word("1 1", 2)).tate(Theory.AKH)
     expected = pages(b)
@@ -218,7 +226,8 @@ def test_hv_e1_equals_e2():
 
 
 def test_vh_pages_interior_columns_carry_cover_homology():
-    vh = vh_pages(hopf_tate())
+    b = hopf_tate()
+    vh = vh_pages(b, hv_pages(b).cover)
     assert vh.e1_ok
     assert vh.pages.total(1) == 6
     totals = [vh.pages.total(r) for r in range(vh.pages.max_page + 1)]
@@ -228,7 +237,8 @@ def test_vh_pages_interior_columns_carry_cover_homology():
 def test_vh_pages_no_crossings():
     cover, pairing = double_cover(parse_braid_word("", 1))
     gc = build_complex(cover)
-    vh = vh_pages(TateBicomplex(cover=gc, tau=tau_table(gc, pairing), theory=Theory.AKH))
+    b = TateBicomplex(cover=gc, tau=tau_table(gc, pairing), theory=Theory.AKH)
+    vh = vh_pages(b, hv_pages(b).cover)
     assert vh.e1_ok
     assert vh.pages.table(0) == vh.pages.table(1)
 
@@ -255,7 +265,28 @@ def test_folded_blocks_square_to_zero(braid, strands):
     run = PeriodicRun(parse_braid_word(braid, strands))
     for theory in (Theory.AKH, Theory.KH):
         b = run.tate(theory)
-        _map_blocks(b.cover, b.theory, lambda C, _: check_d_squared(C), row_of=b.row)
+
+        def check(C, members):
+            b.fold(C, members)
+            check_d_squared(C)
+
+        _map_blocks(b.cover, b.theory, check)
+
+
+@pytest.mark.parametrize(
+    "braid,strands", [("1 -1 1 1", 2), ("1 2 -1 2", 3), ("1 1 1 1", 2)]
+)
+def test_hv_cover_tables_are_the_cover_homology(braid, strands):
+    # each Tate block's homology before its fold: the cover tables of a run
+    run = PeriodicRun(parse_braid_word(braid, strands))
+    full = run.complex("cover")
+    for theory in (Theory.AKH, Theory.KH):
+        cover = run.hv(theory).cover
+        assert run.homology("cover", theory) is cover
+        assert cover == homology_of(full, theory)
+    # Kh = reduced Kh (x) V, from the reduced build the run no longer makes
+    reduced = run._build("cover", reduced=True)
+    assert run.hv(Theory.KH).cover == homology_of(reduced, Theory.KH)
 
 
 def test_e2_correspondence_sigma1():
