@@ -39,7 +39,6 @@ from .khovanov import (
 )
 from .tate import (
     PeriodicRun,
-    TateBicomplex,
     Verdict,
     check_equivariance,
     hv_pages,

@@ -343,9 +343,6 @@ class PageTable:
     def table(self, r: int) -> dict[tuple, int]:
         return self.ranks[min(r, self.max_page)]
 
-    def total(self, r: int) -> int:
-        return sum(self.table(r).values())
-
 
 def degree_masks(C: FilteredComplex) -> dict[int, int]:
     """Bitmask of generators per filtration degree (computed once; dead

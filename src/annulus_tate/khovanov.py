@@ -13,18 +13,17 @@ I-bundles over surfaces", AGT 2004; Roberts, "On knot Floer homology in
 double branched covers", G&T 2013), so it is not built: ``rows_of`` reads
 its arrows off the full Kh complex as the ones that preserve k.
 
-Kh ranks of a closure (``homology``, and the quotient's table in
-``tate.PeriodicRun``) are computed from the reduced complex, a build of
-its own: the generators whose marked circle, circle 0 (the one through
-port 0), is labeled "-" span a subcomplex with half the generators, and
-over F2 its homology h gives Kh^{i,j} = h^{i,j} + h^{i,j-2} (Kh = reduced
-Kh (x) V, Shumakovitch, "Torsion of the Khovanov homology", Fund. Math.
-2014; reduced Kh as the marked-"-" subcomplex, Khovanov, "Patterns in
-knot cohomology I", Experiment. Math. 2003).  The full complex serves AKh
-and the Tate side, where the deck rotation fixes no basepoint.  The
-cover's Kh table is read off the full complex's Kh Tate blocks
-(``tate.hv_pages``), so a ``periodic`` run of both theories makes three
-builds: the full and reduced quotient complexes and the full cover.
+Kh ranks of a closure (``homology``) are computed from the reduced
+complex, a build of its own: the generators whose marked circle, circle 0
+(the one through port 0), is labeled "-" span a subcomplex with half the
+generators, and over F2 its homology h gives Kh^{i,j} = h^{i,j} +
+h^{i,j-2} (Kh = reduced Kh (x) V, Shumakovitch, "Torsion of the Khovanov
+homology", Fund. Math. 2014; reduced Kh as the marked-"-" subcomplex,
+Khovanov, "Patterns in knot cohomology I", Experiment. Math. 2003).  The
+full complex serves AKh and the Tate side, where the deck rotation fixes
+no basepoint.  A ``periodic`` run reads every table of a side off that
+side's full complex (``tate.PeriodicRun``), so a run of both theories
+makes two builds: the full quotient and the full cover.
 
 The complex is built in one pass per cube edge.  Gradings are read per
 vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
@@ -77,12 +76,11 @@ class GradedComplex:
     lists the Kh arrow targets in construction order; ``rows_of`` reads
     the AKh ones.  A ``reduced`` complex keeps only the labelings with
     circle 0 "-", the one at index ``offsets[vertex] + (labels >> 1)``,
-    and serves Kh only.  ``edges`` holds the classified cube edges, source
-    vertex ascending, then crossing.
+    and serves Kh only.
     """
 
     # Only perfbench/tracer.py reads this, to key its build counts; it goes
-    # with ROADMAP item 6.
+    # with ROADMAP item 8.
     theory = Theory.KH
 
     diagram: AnnularDiagram
@@ -94,7 +92,6 @@ class GradedComplex:
     gj: list[int]
     gk: list[int]
     out: list[list[int]] = field(repr=False)
-    edges: list[cube.EdgeType] = field(repr=False)
     reduced: bool = False
 
     def index(self, vertex: int, labels: int) -> int:
@@ -211,30 +208,22 @@ def _classify_edges(resolutions: list[cube.Resolution], c: int) -> list[cube.Edg
     return edges
 
 
-def build_complex(
-    diagram: AnnularDiagram,
-    resolutions: list[cube.Resolution] | None = None,
-    edges: list[cube.EdgeType] | None = None,
-    reduced: bool = False,
-) -> GradedComplex:
+def build_complex(diagram: AnnularDiagram, reduced: bool = False) -> GradedComplex:
     """Build the Khovanov cube-of-chains complex and verify d^2 = 0.
 
-    ``resolutions`` and ``edges`` (as kept by ``GradedComplex``) are reused
-    when given.  ``reduced`` builds the Kh subcomplex where circle 0
-    is "-", raising FilteredComplexError if an arrow leaves it.  Raises
-    DiagramTooLarge before building any arrow, at the first cube vertex
-    that brings the generators so far past MAX_GENERATORS, before that
-    vertex's labelings are expanded or the next vertex is resolved.
+    ``reduced`` builds the Kh subcomplex where circle 0 is "-", raising
+    FilteredComplexError if an arrow leaves it.  Raises DiagramTooLarge
+    before building any arrow, at the first cube vertex that brings the
+    generators so far past MAX_GENERATORS, before that vertex's labelings
+    are expanded or the next vertex is resolved.
     """
     c = diagram.n_crossings
     n_pos, n_neg = diagram.n_pos, diagram.n_neg
 
-    if resolutions is None:
-        # resolved one vertex at a time, so an oversize cube is refused early
-        resolutions = (cube.resolve(diagram, a) for a in range(1 << c))
-
     resolved, offsets, vertex_of, gi, gj, gk = [], [], [], [], [], []
-    for alpha, res in enumerate(resolutions):
+    # resolved one vertex at a time, so an oversize cube is refused early
+    for alpha in range(1 << c):
+        res = cube.resolve(diagram, alpha)
         size = 1 << res.n_circles >> reduced
         if len(gi) + size > MAX_GENERATORS:
             raise DiagramTooLarge(
@@ -253,11 +242,10 @@ def build_complex(
         gk += ks
     total = len(gi)
 
-    if edges is None:
-        edges = _classify_edges(resolved, c)
     out: list[list[int]] = [[] for _ in range(total)]
     ids = list(range(total))  # one int object per target, shared by its arrows
     maps: dict[int, tuple] = {}  # per distinct edge object: rule, transport
+    edges = _classify_edges(resolved, c)
     for (alpha, alpha2), edge in zip(_cube_edges(c), edges, strict=True):
         if id(edge) not in maps:
             maps[id(edge)] = (_edge_rule(edge), *_transport_table(edge, reduced))
@@ -287,7 +275,6 @@ def build_complex(
         gj=gj,
         gk=gk,
         out=out,
-        edges=edges,
         reduced=reduced,
     )
     gc.check_d_squared()
@@ -314,24 +301,24 @@ def rows_of(gc: GradedComplex, theory: Theory):
     return lambda g: [t for t in out[g] if gk[t] == gk[g]]
 
 
-def _map_blocks(gc: GradedComplex, theory: Theory, fn, row_of=None) -> list:
+def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     """``fn(C, members)`` for every block of ``gc`` along the block keys of
     ``theory``, in block order, with the blocks shared out over the CPUs by
     ``_fork_map``.
 
     C is the block's engine complex: each generator g is filtered by i and
-    carries its block key as auxiliary grading; ``row_of(g)`` lists its
-    arrow targets (default: its ``theory`` arrows, ``rows_of``) and is
-    called once per generator, when its block is assembled.  members[x] is
-    the generator of ``gc`` at engine index x.  Members are numbered level
-    by level: by i, then in generator order.  A cube arrow raises i by one,
-    so each engine row spans at most two adjacent levels.  An arrow that
-    leaves its block raises FilteredComplexError.  Each process assembles
-    its blocks one at a time, and ``fn`` may cancel C in place: C is
-    dropped when ``fn`` returns.
+    carries its block key as auxiliary grading; its arrow targets are its
+    ``theory`` arrows (``rows_of``), read once per generator, when its
+    block is assembled.  members[x] is the generator of ``gc`` at engine
+    index x.  Members are numbered level by level: by i, then in generator
+    order.  A cube arrow raises i by one, so each engine row spans at most
+    two adjacent levels.  An arrow that leaves its block raises
+    FilteredComplexError.  Each process assembles its blocks one at a
+    time, and ``fn`` may cancel C in place: C is dropped when ``fn``
+    returns.
     """
     keys = _block_keys(theory, gc.gj, gc.gk)
-    row_of = rows_of(gc, theory) if row_of is None else row_of
+    targets_of = rows_of(gc, theory)
     ids: dict[tuple, int] = {}
     block_of = [ids.setdefault(key, len(ids)) for key in keys]
     groups: list[list[int]] = [[] for _ in ids]
@@ -345,7 +332,7 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn, row_of=None) -> list:
 
     def run_block(b: int):
         members = groups[b]
-        rows = [row_of(g) for g in members]
+        rows = [targets_of(g) for g in members]
         if {block_of[y] for row in rows for y in row} - {b}:
             raise FilteredComplexError("arrow leaves its grading block")
         C = FilteredComplex.from_rows(

@@ -126,38 +126,19 @@ def check_equivariance(gc: GradedComplex, tau: list[int], theory: Theory) -> Ver
 # the folded Tate complex
 
 
-@dataclass
-class TateBicomplex:
-    """The Tate bicomplex of one theory, folded over F2[theta, 1/theta].
-
-    ``cover`` is the full Kh complex of the cover, read through its
-    ``theory`` arrows (``khovanov.rows_of``).  Its engine complexes are the
-    cover's (j, k) (AKh) or j (Kh) blocks, filtered by i: each is assembled
-    from the cover arrows alone (theta^0) by ``khovanov._map_blocks`` and
-    folded in place by :meth:`fold`, which adds the theta^1 arrows.  So one
-    assembly of a block serves both the cover homology, read off a copy
-    before the fold, and the Tate pages (``hv_pages``).
+def fold(C: FilteredComplex, members: list[int], tau: list[int]) -> list[int]:
+    """Fold C, the cover block with members[x] at engine index x, into
+    its Tate block: add the arrows g -> g and g -> tau g of every
+    generator g that is not equivariant (equivariant generators emit none:
+    their two copies coincide and cancel mod 2).  ``tau`` is the chain
+    involution of the cover (:func:`tau_table`).  Returns tau on the
+    block's engine indices.  A tau that leaves the block raises
+    FilteredComplexError.
     """
-
-    cover: GradedComplex
-    tau: list[int] = field(repr=False)
-    theory: Theory
-
-    @property
-    def n_generators(self) -> int:
-        return self.cover.n_generators
-
-    def fold(self, C: FilteredComplex, members: list[int]) -> list[int]:
-        """Add to C, the cover block with members[x] at engine index x, the
-        arrows g -> g and g -> tau g of every generator g that is not
-        equivariant (equivariant generators emit none: their two copies
-        coincide and cancel mod 2).  Returns tau on the block's engine
-        indices.  A tau that leaves the block raises FilteredComplexError.
-        """
-        local = {g: x for x, g in enumerate(members)}
-        tau = [local.get(self.tau[g]) for g in members]
-        C.add_theta_arrows(tau)
-        return tau
+    local = {g: x for x, g in enumerate(members)}
+    block_tau = [local.get(tau[g]) for g in members]
+    C.add_theta_arrows(block_tau)
+    return block_tau
 
 
 @dataclass
@@ -196,13 +177,16 @@ def _tau_sweep(C: FilteredComplex, tau: list[int]) -> bool:
     return acted
 
 
-def hv_pages(b: TateBicomplex) -> HvPages:
-    """Spectral sequence of the row-wise (i) filtration, to page
+def hv_pages(cover: GradedComplex, tau: list[int], theory: Theory) -> HvPages:
+    """Spectral sequence of the row-wise (i) filtration of the Tate complex
+    of ``cover`` in ``theory``, with chain involution ``tau``, to page
     max(3, i-span + 2), past the largest shift, and the cover homology.
 
-    Each block is assembled once: its homology ranks, on a copy, are its
-    share of the cover table; then :meth:`TateBicomplex.fold` makes it the
-    Tate block.  Page 0 is cancelled tau-arrows-first (then the
+    The engine complexes are the cover's (j, k) (AKh) or j (Kh) blocks,
+    filtered by i, each assembled once from the cover arrows alone
+    (theta^0): its homology ranks, on a copy, are its share of the cover
+    table; then :func:`fold` adds the theta^1 arrows, making it the Tate
+    block.  Page 0 is cancelled tau-arrows-first (then the
     lexicographic sweep finishes the shift-0 level); rank tables are
     order-independent, and the intermediate state after the tau sweep is
     exactly where the induced length-2 differentials are read off.  The
@@ -210,20 +194,20 @@ def hv_pages(b: TateBicomplex) -> HvPages:
     cover ranks, page tables, ``d_nonzero`` flags, observed d2 arrows and
     strays, merged in block order.
     """
-    max_page = max(3, b.cover.i_span() + 2)
-    gi = b.cover.gi
+    max_page = max(3, cover.i_span() + 2)
+    gi = cover.gi
 
     def block_pages(C: FilteredComplex, members: list[int]):
-        cover = homology_ranks(C.copy())
-        tau = b.fold(C, members)
+        block_cover = homology_ranks(C.copy())
+        block_tau = fold(C, members, tau)
         masks = degree_masks(C)
         ranks = [rank_table(C)]
-        acted = _tau_sweep(C, tau)
+        acted = _tau_sweep(C, block_tau)
         observed: list[tuple[int, int]] = []
         strays: list[int] = []
         for src in C.generators():
             g1 = members[src]
-            if tau[src] != src:
+            if block_tau[src] != src:
                 strays.append(g1)
             for tgt in C.targets(src):
                 g2 = members[tgt]
@@ -233,22 +217,22 @@ def hv_pages(b: TateBicomplex) -> HvPages:
         for r in range(1, max_page + 1):
             ranks.append(rank_table(C))
             moved.append(cancel_shift_level(C, r, masks))
-        return cover, ranks, moved, observed, strays
+        return block_cover, ranks, moved, observed, strays
 
     pages = PageTable(max_page=max_page)
-    cover: dict[tuple, int] = {}
+    cover_table: dict[tuple, int] = {}
     observed: set[tuple[int, int]] = set()
     strays: list[int] = []
     for block_cover, ranks, moved, block_observed, block_strays in _map_blocks(
-        b.cover, b.theory, block_pages
+        cover, theory, block_pages
     ):
-        cover.update(block_cover)
+        cover_table.update(block_cover)
         pages.add(ranks, moved)
         observed.update(block_observed)
         strays += block_strays
     return HvPages(
         pages=pages,
-        cover=cover,
+        cover=cover_table,
         odd_pages_ok=all(
             pages.table(r) == pages.table(r + 1) for r in range(1, pages.max_page, 2)
         ),
@@ -264,35 +248,26 @@ def hv_pages(b: TateBicomplex) -> HvPages:
 class PeriodicRun:
     """Shared computations for one quotient braid word.
 
-    One full Kh complex is cached per side, "quotient" (the closure of the
-    word) or "cover" (its 2-periodic double cover); AKh is read from it.
-    The cover's rank tables of both theories come from its Tate pages
-    (``hv``), which assemble each block once for both readings.  The
-    quotient's tables are cached per theory; its Kh table comes from the
-    reduced complex, a second build of the quotient that is not kept and
-    that reuses the resolutions and classified edges of the first.  A run
-    of both theories so makes three builds.
+    One full Kh complex is built per side, "quotient" (the closure of the
+    word) or "cover" (its 2-periodic double cover), and every table of the
+    side is read off it; AKh is read through its k-preserving arrows.  The
+    cover's tables of both theories come from its Tate pages (``hv``),
+    which assemble each block once for both readings; the quotient's are
+    cached per theory.  A run of both theories so makes two builds.
     """
 
     def __init__(self, word: BraidWord) -> None:
         self.word = word
         self.quotient_diagram = close_braid(word)
         self.cover_diagram, self.pairing = double_cover(word)
-        self._cubes: dict = {}
         self._complexes: dict = {}
         self._homology: dict = {}
         self._hv: dict = {}
 
-    def _build(self, side: str, reduced: bool = False) -> GradedComplex:
-        """A new complex of ``side``, on the side's shared cube."""
-        diagram = {"quotient": self.quotient_diagram, "cover": self.cover_diagram}[side]
-        gc = build_complex(diagram, *self._cubes.get(side, ()), reduced=reduced)
-        self._cubes.setdefault(side, (gc.resolutions, gc.edges))
-        return gc
-
     def complex(self, side: str) -> GradedComplex:
         if side not in self._complexes:
-            self._complexes[side] = self._build(side)
+            diagram = {"quotient": self.quotient_diagram, "cover": self.cover_diagram}[side]
+            self._complexes[side] = build_complex(diagram)
         return self._complexes[side]
 
     def homology(self, side: str, theory: Theory) -> dict[tuple, int]:
@@ -300,20 +275,16 @@ class PeriodicRun:
             return self.hv(theory).cover
         key = (side, theory)
         if key not in self._homology:
-            gc = self._build(side, reduced=True) if theory is Theory.KH else self.complex(side)
-            self._homology[key] = homology_of(gc, theory)
+            self._homology[key] = homology_of(self.complex(side), theory)
         return self._homology[key]
 
     @cached_property
     def tau(self) -> list[int]:
         return tau_table(self.complex("cover"), self.pairing)
 
-    def tate(self, theory: Theory) -> TateBicomplex:
-        return TateBicomplex(cover=self.complex("cover"), tau=self.tau, theory=theory)
-
     def hv(self, theory: Theory) -> HvPages:
         if theory not in self._hv:
-            self._hv[theory] = hv_pages(self.tate(theory))
+            self._hv[theory] = hv_pages(self.complex("cover"), self.tau, theory)
         return self._hv[theory]
 
     @property

@@ -21,7 +21,7 @@ from annulus_tate.f2algebra import (
 from annulus_tate import cube
 from annulus_tate.khovanov import GradedComplex, Theory, _map_blocks, build_complex, rows_of
 from annulus_tate.links import AnnularDiagram, BraidWord, CoverPairing
-from annulus_tate.tate import TateBicomplex
+from annulus_tate.tate import fold
 
 
 # hypothesis settings of the property tests: reproducible, no example database
@@ -289,16 +289,19 @@ def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
     return pages
 
 
-def total_diagonal_ranks(b: TateBicomplex) -> dict[tuple, int]:
-    """Total-complex homology ranks of the folded Tate complex keyed (j, k)
-    (AKh) or (j,) (Kh); they are the same on every diagonal i + t."""
+def total_diagonal_ranks(
+    cover: GradedComplex, tau: list[int], theory: Theory
+) -> dict[tuple, int]:
+    """Total-complex homology ranks of the folded Tate complex of ``cover``
+    in ``theory``, with chain involution ``tau``, keyed (j, k) (AKh) or
+    (j,) (Kh); they are the same on every diagonal i + t."""
 
     def block_ranks(C, members):
-        b.fold(C, members)
+        fold(C, members, tau)
         return homology_ranks(C)
 
     table: dict[tuple, int] = {}
-    for ranks in _map_blocks(b.cover, b.theory, block_ranks):
+    for ranks in _map_blocks(cover, theory, block_ranks):
         for key, rank in ranks.items():
             table[key[1:]] = table.get(key[1:], 0) + rank
     return table
@@ -313,10 +316,13 @@ class VhPages:
     e1_ok: bool
 
 
-def vh_pages(b: TateBicomplex, cover: dict[tuple, int]) -> VhPages:
-    """Spectral sequence of the column-wise (t) filtration, pages 0-2;
-    ``e1_ok`` holds when page 1 equals ``cover``, the cover table of
-    ``tate.hv_pages``.
+def vh_pages(
+    cover: GradedComplex, tau: list[int], theory: Theory, cover_homology: dict[tuple, int]
+) -> VhPages:
+    """Spectral sequence of the column-wise (t) filtration of the Tate
+    complex of ``cover`` in ``theory``, with chain involution ``tau``,
+    pages 0-2; ``e1_ok`` holds when page 1 equals ``cover_homology``, the
+    cover table of ``tate.hv_pages``.
 
     An arrow g -> g' moves a = 1 + i(g) - i(g') columns, so page r cancels
     the arrows that shift i by 1 - r.  The blocks are folded as
@@ -325,7 +331,7 @@ def vh_pages(b: TateBicomplex, cover: dict[tuple, int]) -> VhPages:
     pages = PageTable(max_page=2)
 
     def block_pages(C, members):
-        b.fold(C, members)
+        fold(C, members, tau)
         masks = f2algebra.degree_masks(C)
         ranks, moved = [], []
         for r in range(pages.max_page + 1):
@@ -333,9 +339,9 @@ def vh_pages(b: TateBicomplex, cover: dict[tuple, int]) -> VhPages:
             moved.append(f2algebra.cancel_shift_level(C, 1 - r, masks))
         return ranks, moved
 
-    for ranks, moved in _map_blocks(b.cover, b.theory, block_pages):
+    for ranks, moved in _map_blocks(cover, theory, block_pages):
         pages.add(ranks, moved)
-    return VhPages(pages=pages, e1_ok=pages.table(1) == cover)
+    return VhPages(pages=pages, e1_ok=pages.table(1) == cover_homology)
 
 
 def at_t_minus_one(poly: dict[tuple, int]) -> dict[tuple, int]:

@@ -134,9 +134,9 @@ def _count_builds(monkeypatch) -> list[tuple]:
     calls = []
     build = khovanov.build_complex
 
-    def counting(diagram, *shared, reduced=False):
+    def counting(diagram, reduced=False):
         calls.append((diagram.n_crossings, reduced))
-        return build(diagram, *shared, reduced=reduced)
+        return build(diagram, reduced=reduced)
 
     monkeypatch.setattr(khovanov, "build_complex", counting)
     monkeypatch.setattr(tate, "build_complex", counting)
@@ -146,7 +146,6 @@ def _count_builds(monkeypatch) -> list[tuple]:
 def test_periodic_builds_each_complex_once(runner, monkeypatch):
     run = tate.PeriodicRun(parse_braid_word("1 -1", 2))
     quotient, cover = run.complex("quotient"), run.complex("cover")
-    reduced = run._build("quotient", reduced=True)
 
     def n_blocks(gc, theory):
         return len(set(khovanov._block_keys(theory, gc.gj, gc.gk)))
@@ -157,13 +156,13 @@ def test_periodic_builds_each_complex_once(runner, monkeypatch):
         runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
     )
     assert result.exit_code == 0
-    # the full complex (AKh) and the reduced one (Kh) of the quotient, and
-    # the full complex of the cover, whose Tate pages give both its tables
-    assert sorted(calls) == [(2, False), (2, True), (4, False)]
+    # the full complex of each side, which gives both of its tables: the
+    # cover's through its Tate pages
+    assert sorted(calls) == [(2, False), (4, False)]
     # one assembly per block of each quotient table, and per cover block per
     # theory: the cover tables are read off the Tate blocks
     assert len(blocks) == (
-        n_blocks(quotient, Theory.AKH) + n_blocks(reduced, Theory.KH)
+        n_blocks(quotient, Theory.AKH) + n_blocks(quotient, Theory.KH)
         + n_blocks(cover, Theory.AKH) + n_blocks(cover, Theory.KH)
     )
 
@@ -189,7 +188,7 @@ def test_periodic_resolves_each_vertex_once(runner, monkeypatch):
         runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
     )
     assert result.exit_code == 0
-    # 2^2 quotient and 2^4 cover vertices, shared by every build
+    # 2^2 quotient and 2^4 cover vertices, in one build per side
     assert len(calls) == len(set(calls)) == 2**2 + 2**4
 
 
@@ -206,7 +205,7 @@ def test_periodic_classifies_each_edge_once(runner, monkeypatch):
         runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
     )
     assert result.exit_code == 0
-    # 2 * 2 quotient and 4 * 2^3 cover edges, shared by every build
+    # 2 * 2 quotient and 4 * 2^3 cover edges, in one build per side
     assert len(calls) == len(set(calls)) == 2 * 2 + 4 * 2**3
 
 

@@ -12,9 +12,9 @@ from annulus_tate import khovanov
 from annulus_tate.f2algebra import FilteredComplexError
 from annulus_tate.khovanov import Theory, _fork_map, _map_blocks, build_complex, homology_of
 from annulus_tate.links import close_braid, parse_braid_word
-from annulus_tate.tate import PeriodicRun, TateBicomplex, hv_pages
+from annulus_tate.tate import PeriodicRun, hv_pages
 
-from conftest import view, vh_pages
+from conftest import vh_pages
 
 HOPF = close_braid(parse_braid_word("1 1", 2))
 
@@ -68,18 +68,17 @@ def test_a_child_exception_is_raised_in_the_parent(monkeypatch, forks):
 
 def test_an_arrow_between_blocks_is_refused_in_a_child(monkeypatch, forks):
     gc = build_complex(HOPF)
-    groups = _map_blocks(gc, Theory.AKH, lambda C, members: members)
+    groups = _map_blocks(gc, Theory.KH, lambda C, members: members)
     # the parent runs the largest block, the lowest-numbered of equal ones
     largest = max(range(len(groups)), key=lambda b: (len(groups[b]), -b))
     x = next(g for b, members in enumerate(groups) if b != largest for g in members)
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
-    rows = view(gc, Theory.AKH)
-    rows[x].append(y)
+    gc.out[x].append(y)  # a Kh row, which a child reads from its copy-on-write image
     # inline, then with one process per block
     for cpus, n_forks in ((1, 0), (len(groups), len(groups) - 1)):
         on_cpus(monkeypatch, cpus, 0)
         with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
-            _map_blocks(gc, Theory.AKH, lambda C, _: None, row_of=rows.__getitem__)
+            _map_blocks(gc, Theory.KH, lambda C, _: None)
         assert forks == [1] * n_forks
 
 
@@ -92,12 +91,11 @@ def test_a_tau_between_blocks_is_refused_in_a_child(monkeypatch, forks):
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
     tau = list(run.tau)
     tau[x] = y
-    b = TateBicomplex(cover=gc, tau=tau, theory=Theory.AKH)
     # inline, then with one process per block
     for cpus, n_forks in ((1, 0), (len(groups), len(groups) - 1)):
         on_cpus(monkeypatch, cpus, 0)
         with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
-            hv_pages(b)
+            hv_pages(gc, tau, Theory.AKH)
         assert forks == [1] * n_forks
 
 
@@ -161,14 +159,14 @@ def engine_results(run: PeriodicRun, reduced) -> list:
     ]
     covers = {}
     for theory in Theory:
-        hv = hv_pages(run.tate(theory))
+        hv = hv_pages(full, run.tau, theory)
         covers[theory] = hv.cover
         out.append(list(hv.cover.items()))
         out.append([list(hv.pages.ranks[r].items()) for r in hv.pages.ranks])
         out.append(list(hv.pages.d_nonzero.items()))
         out.append((hv.odd_pages_ok, sorted(hv.d2_observed), hv.d2_strays))
     # vh_pages maps its blocks as hv_pages does; AKh alone keeps the cost down
-    vh = vh_pages(run.tate(Theory.AKH), covers[Theory.AKH])
+    vh = vh_pages(full, run.tau, Theory.AKH, covers[Theory.AKH])
     out.append([list(vh.pages.ranks[r].items()) for r in vh.pages.ranks])
     out.append((list(vh.pages.d_nonzero.items()), vh.e1_ok))
     return out
@@ -198,7 +196,7 @@ def runs():
         patch.setattr(khovanov, "cpu_count", lambda: 1)
         for braid in ("1 1 1 1", "1 -1 1 -1 1"):
             run = PeriodicRun(parse_braid_word(braid, 2))
-            reduced = run._build("cover", reduced=True)
+            reduced = build_complex(run.cover_diagram, reduced=True)
             out.append((run, reduced, engine_results(run, reduced)))
     return out
 

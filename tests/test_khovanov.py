@@ -151,8 +151,8 @@ def test_k_filtration_stabilized_unknot():
     pages = k_filtration_pages(STAB)
     akh = homology(STAB, Theory.AKH)
     kh = homology(STAB, Theory.KH)
-    assert pages.total(1) == total_rank(akh) == 4
-    assert pages.total(pages.max_page) == total_rank(kh) == 2
+    assert total_rank(pages.table(1)) == total_rank(akh) == 4
+    assert total_rank(pages.table(pages.max_page)) == total_rank(kh) == 2
     # page 1 carries the AKh table, re-keyed (-k, i, j)
     page1 = {key: r for key, r in pages.table(1).items() if r}
     assert page1 == {(-k, i, j): r for (i, j, k), r in akh.items()}
@@ -171,7 +171,7 @@ def test_k_filtration_no_crossings_collapses_immediately():
 
 def test_k_filtration_totals_monotone():
     pages = k_filtration_pages(HOPF)
-    totals = [pages.total(r) for r in range(pages.max_page + 1)]
+    totals = [total_rank(pages.table(r)) for r in range(pages.max_page + 1)]
     assert all(x >= y for x, y in zip(totals, totals[1:]))
     assert totals[1] == 6  # AKh total
 
@@ -191,9 +191,8 @@ REFERENCE_WORDS = [
 def test_builder_matches_reference(braid, strands, cover):
     word = parse_braid_word(braid, strands)
     diagram = double_cover(word)[0] if cover else close_braid(word)
-    resolutions = [resolve(diagram, a) for a in range(1 << diagram.n_crossings)]
     # the Kh complex and its AKh rows
-    assert builder_matches_reference(build_complex(diagram, resolutions))
+    assert builder_matches_reference(build_complex(diagram))
 
 
 def test_d_squared_check_catches_a_missing_arrow():
@@ -211,10 +210,9 @@ def test_blocks_reject_an_arrow_between_blocks(monkeypatch):
     gc = build_complex(HOPF)
     x = 0
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
-    rows = view(gc, Theory.AKH)
-    rows[x].append(y)
+    gc.out[x].append(y)
     with pytest.raises(FilteredComplexError, match="leaves its grading block"):
-        _map_blocks(gc, Theory.AKH, lambda C, members: members, row_of=rows.__getitem__)
+        _map_blocks(gc, Theory.KH, lambda C, members: members)
 
 
 def test_blocks_partition_the_generators():
@@ -268,8 +266,9 @@ def test_edge_maps_are_computed_once_per_distinct_edge(monkeypatch, theory, redu
         monkeypatch.setattr(khovanov, name, counting(name))
     gc = build_complex(close_braid(parse_braid_word("1 1 -1 1 1", 2)), reduced=reduced)
     homology_of(gc, theory)
-    distinct = len({id(edge) for edge in gc.edges})
-    assert distinct < len(gc.edges) == 80
+    edges = khovanov._classify_edges(gc.resolutions, gc.diagram.n_crossings)
+    distinct = len({id(edge) for edge in edges})
+    assert distinct < len(edges) == 80
     assert calls == {"_edge_rule": distinct, "_transport_table": distinct}
 
 
@@ -346,8 +345,7 @@ def _kh_from_reduced_ranks(h: dict[tuple, int]) -> dict[tuple, int]:
 
 
 def _full_and_reduced(diagram):
-    full = build_complex(diagram)
-    return full, build_complex(diagram, full.resolutions, full.edges, reduced=True)
+    return build_complex(diagram), build_complex(diagram, reduced=True)
 
 
 def test_unknot_kh_from_the_reduced_complex():

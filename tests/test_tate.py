@@ -3,13 +3,19 @@ import operator
 import pytest
 
 from annulus_tate.cube import hamming
-from annulus_tate.khovanov import Theory, _map_blocks, build_complex, homology_of
+from annulus_tate.khovanov import (
+    Theory,
+    _map_blocks,
+    build_complex,
+    homology_of,
+    total_rank,
+)
 from annulus_tate.links import BraidWord, close_braid, double_cover, parse_braid_word
 from annulus_tate.tate import (
     PeriodicRun,
-    TateBicomplex,
     _lift_table,
     check_equivariance,
+    fold,
     hv_pages,
     tau_table,
     verify_cascade,
@@ -42,9 +48,10 @@ def hopf_cover():
     return build_complex(cover), pairing
 
 
-def hopf_tate(theory=Theory.AKH) -> TateBicomplex:
+def hopf_tate():
+    """The Hopf cover complex and its chain involution."""
     gc, pairing = hopf_cover()
-    return TateBicomplex(cover=gc, tau=tau_table(gc, pairing), theory=theory)
+    return gc, tau_table(gc, pairing)
 
 
 def test_tau_moves_single_circle_label():
@@ -154,31 +161,32 @@ def test_equivariance_empty_cover():
 
 
 def test_folded_tate_is_a_complex_on_the_cover_generators():
-    b = hopf_tate()
-    assert b.n_generators == 12
+    gc, tau = hopf_tate()
+    assert gc.n_generators == 12
 
     def folded(C, members):
-        b.fold(C, members)
+        fold(C, members, tau)
         return C, members
 
-    blocks = _map_blocks(b.cover, b.theory, folded)
+    blocks = _map_blocks(gc, Theory.AKH, folded)
     assert sum(len(members) for _, members in blocks) == 12
-    n_free = sum(1 for g, tg in enumerate(b.tau) if tg != g)
+    n_free = sum(1 for g, tg in enumerate(tau) if tg != g)
     n_arrows = sum(C.n_arrows() for C, _ in blocks)
-    assert n_arrows == len(arrows(theory_rows(b.cover, Theory.AKH))) + 2 * n_free
+    assert n_arrows == len(arrows(theory_rows(gc, Theory.AKH))) + 2 * n_free
     for C, _ in blocks:
         check_d_squared(C)
 
 
 @pytest.mark.parametrize(
-    "pages", [hv_pages, lambda b: vh_pages(b, {}), total_diagonal_ranks],
+    "pages", [hv_pages, lambda *args: vh_pages(*args, {}), total_diagonal_ranks],
     ids=["hv_pages", "vh_pages", "total_diagonal_ranks"],
 )
 def test_tate_pages_build_each_block_after_the_last_is_gone(monkeypatch, pages):
-    b = PeriodicRun(parse_braid_word("1 1", 2)).tate(Theory.AKH)
-    expected = pages(b)
+    run = PeriodicRun(parse_braid_word("1 1", 2))
+    args = (run.complex("cover"), run.tau, Theory.AKH)
+    expected = pages(*args)
     live = watch_block_builds(monkeypatch)
-    assert pages(b) == expected
+    assert pages(*args) == expected
     assert len(live) >= 3 and live == [0] * len(live)
 
 
@@ -209,10 +217,10 @@ def test_default_window_has_three_interior_columns():
 
 
 def test_hv_pages_hopf():
-    hv = hv_pages(hopf_tate())
+    hv = hv_pages(*hopf_tate(), Theory.AKH)
     assert hv.odd_pages_ok
     # page 1 is generated by the equivariant generators of one column
-    assert hv.pages.total(1) == 6
+    assert total_rank(hv.pages.table(1)) == 6
     # the limit page carries the quotient ranks along (2j - k, k)
     by_jk = {}
     for (i, j, k), r in hv.pages.table(hv.pages.max_page).items():
@@ -221,24 +229,24 @@ def test_hv_pages_hopf():
 
 
 def test_hv_e1_equals_e2():
-    hv = hv_pages(hopf_tate())
+    hv = hv_pages(*hopf_tate(), Theory.AKH)
     assert hv.pages.table(1) == hv.pages.table(2)
 
 
 def test_vh_pages_interior_columns_carry_cover_homology():
-    b = hopf_tate()
-    vh = vh_pages(b, hv_pages(b).cover)
+    args = (*hopf_tate(), Theory.AKH)
+    vh = vh_pages(*args, hv_pages(*args).cover)
     assert vh.e1_ok
-    assert vh.pages.total(1) == 6
-    totals = [vh.pages.total(r) for r in range(vh.pages.max_page + 1)]
+    assert total_rank(vh.pages.table(1)) == 6
+    totals = [total_rank(vh.pages.table(r)) for r in range(vh.pages.max_page + 1)]
     assert all(x >= y for x, y in zip(totals, totals[1:]))
 
 
 def test_vh_pages_no_crossings():
     cover, pairing = double_cover(parse_braid_word("", 1))
     gc = build_complex(cover)
-    b = TateBicomplex(cover=gc, tau=tau_table(gc, pairing), theory=Theory.AKH)
-    vh = vh_pages(b, hv_pages(b).cover)
+    args = (gc, tau_table(gc, pairing), Theory.AKH)
+    vh = vh_pages(*args, hv_pages(*args).cover)
     assert vh.e1_ok
     assert vh.pages.table(0) == vh.pages.table(1)
 
@@ -246,11 +254,11 @@ def test_vh_pages_no_crossings():
 def test_interior_diagonals_independent_of_window():
     for text, m in [("1", 2), ("-1 2", 3)]:
         run = PeriodicRun(parse_braid_word(text, m))
-        b = run.tate(Theory.AKH)
-        folded = total_diagonal_ranks(b)
-        span = b.cover.i_span()
+        gc = run.complex("cover")
+        folded = total_diagonal_ranks(gc, run.tau, Theory.AKH)
+        span = gc.i_span()
         for window in (2 * span + 5, 2 * span + 7):
-            assert WindowedTate(b.cover, b.tau, b.theory, window).diagonals() == folded
+            assert WindowedTate(gc, run.tau, Theory.AKH, window).diagonals() == folded
         # the limit page of the row filtration, summed over i, agrees
         summed = {}
         for key, r in run.hv(Theory.AKH).pages.table(99).items():
@@ -263,14 +271,14 @@ def test_interior_diagonals_independent_of_window():
 )
 def test_folded_blocks_square_to_zero(braid, strands):
     run = PeriodicRun(parse_braid_word(braid, strands))
+    tau = run.tau
+
+    def check(C, members):
+        fold(C, members, tau)
+        check_d_squared(C)
+
     for theory in (Theory.AKH, Theory.KH):
-        b = run.tate(theory)
-
-        def check(C, members):
-            b.fold(C, members)
-            check_d_squared(C)
-
-        _map_blocks(b.cover, b.theory, check)
+        _map_blocks(run.complex("cover"), theory, check)
 
 
 @pytest.mark.parametrize(
@@ -285,7 +293,7 @@ def test_hv_cover_tables_are_the_cover_homology(braid, strands):
         assert run.homology("cover", theory) is cover
         assert cover == homology_of(full, theory)
     # Kh = reduced Kh (x) V, from the reduced build the run no longer makes
-    reduced = run._build("cover", reduced=True)
+    reduced = build_complex(run.cover_diagram, reduced=True)
     assert run.hv(Theory.KH).cover == homology_of(reduced, Theory.KH)
 
 
