@@ -11,7 +11,6 @@ from .links import (
     AnnularDiagram,
     BraidError,
     BraidWord,
-    CoverPairing,
     DiagramTooLarge,
     close_braid,
     double_cover,

@@ -390,7 +390,7 @@ def cmd_decat(ctx, braid, strands, fmt, cache_dir):
 
     def build():
         quotient = homology(close_braid(word), Theory.AKH)
-        cover = homology(double_cover(word)[0], Theory.AKH)
+        cover = homology(double_cover(word), Theory.AKH)
         report = decat.check_congruences(quotient, cover)
         body = {
             "state_sum": decat.quadruples(decat.state_sum(close_braid(word))),

@@ -74,12 +74,11 @@ class Resolution:
     """A complete smoothing of a diagram at one cube vertex.
 
     Circles are listed in canonical order: ascending minimal port id, so
-    circle 0 is the circle through port 0.
+    circle 0 is the circle through port 0.  The crossing and strand
+    counts that decode a port id are the diagram's, not copied here.
     """
 
     vertex: int
-    width: int
-    strands: int
     circles: tuple[Circle, ...]
 
     @property
@@ -144,7 +143,7 @@ def resolve(diagram: AnnularDiagram, alpha: int) -> Resolution:
         for root, ports in members.items()
     ]
     circles.sort(key=lambda circle: circle.min_port)
-    return Resolution(vertex=alpha, width=c, strands=m, circles=tuple(circles))
+    return Resolution(vertex=alpha, circles=tuple(circles))
 
 
 @dataclass(frozen=True)

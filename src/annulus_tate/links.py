@@ -3,7 +3,7 @@
 A braid word in B_m is a sequence of signed Artin generators.  Its closure
 lives in a thickened annulus, with a marked seam where crossing level c is
 glued back to level 0.  A 2-periodic link is always presented here as the
-closure of a doubled word w.w together with the pairing of crossing i with
+closure of a doubled word w.w, whose 2n crossings pair crossing i with
 crossing i + n; the 180-degree rotation of the annulus then acts on
 bitstrings by swapping the two halves.
 """
@@ -122,20 +122,6 @@ class AnnularDiagram:
         return sum(1 for cr in self.crossings if cr.sign < 0)
 
 
-@dataclass(frozen=True)
-class CoverPairing:
-    """Crossing pairing i <-> i + n of a 2-periodic double cover."""
-
-    quotient_crossings: int
-
-    def shift_level(self, level: int) -> int:
-        """Image of a port level under the half-turn; levels are taken mod 2n."""
-        n = self.quotient_crossings
-        if n == 0:
-            return level
-        return (level + n) % (2 * n)
-
-
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices, e.g. "1 1 -2"."""
     letters = []
@@ -155,7 +141,7 @@ def close_braid(word: BraidWord) -> AnnularDiagram:
     return AnnularDiagram(strands=word.strands, crossings=crossings)
 
 
-def double_cover(word: BraidWord) -> tuple[AnnularDiagram, CoverPairing]:
-    """Closure of the doubled word w.w and the crossing pairing i <-> i + n."""
-    cover = close_braid(word.repeated())
-    return cover, CoverPairing(quotient_crossings=len(word))
+def double_cover(word: BraidWord) -> AnnularDiagram:
+    """Closure of the doubled word w.w: its crossing i + n repeats crossing
+    i, n = len(word), and the half-turn maps each to the other."""
+    return close_braid(word.repeated())

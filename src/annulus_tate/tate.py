@@ -40,7 +40,7 @@ from .khovanov import (
     summed,
     total_rank,
 )
-from .links import BraidWord, CoverPairing, close_braid, double_cover
+from .links import BraidWord, close_braid, double_cover
 
 
 @dataclass
@@ -68,29 +68,34 @@ def _port_circle_map(res: cube.Resolution) -> dict[int, int]:
     return {port: idx for idx, circle in enumerate(res.circles) for port in circle.ports}
 
 
-def _circle_images(res: cube.Resolution, target: cube.Resolution, level_of) -> list[int]:
-    """For each circle of ``res``, the index of the circle of ``target``
-    through the image of its minimal port, (level, strand) going to
-    (level_of(level), strand)."""
-    m = res.strands
+def _circle_images(
+    res: cube.Resolution, target: cube.Resolution, m: int, shift: int, period: int
+) -> list[int]:
+    """For each circle of ``res``, on ``m`` strands, the index of the circle
+    of ``target`` through the image of its minimal port, (level, strand)
+    going to ((level + shift) mod period, strand)."""
     circle_of = _port_circle_map(target)
     images = []
     for circle in res.circles:
         level, strand = divmod(circle.min_port, m)
-        images.append(circle_of[level_of(level) * m + strand])
+        images.append(circle_of[(level + shift) % max(period, 1) * m + strand])
     return images
 
 
-def tau_table(gc: GradedComplex, pairing: CoverPairing) -> list[int]:
-    """The chain involution as a permutation of generator indices."""
-    n = pairing.quotient_crossings
-    width = gc.diagram.n_crossings
-    if width != 2 * n:
-        raise ValueError("complex is not built on a double-cover diagram")
+def tau_table(gc: GradedComplex) -> list[int]:
+    """The chain involution as a permutation of generator indices.  ``gc``
+    must be built on the closure of a doubled word w.w (``double_cover``):
+    the half-turn swaps the halves of each vertex bitstring and takes port
+    level l to (l + n) mod 2n, n = len(w)."""
+    crossings, m = gc.diagram.crossings, gc.diagram.strands
+    width = len(crossings)
+    n = width // 2
+    if width % 2 or crossings[:n] != crossings[n:]:
+        raise ValueError("complex is not built on the closure of a doubled word")
     tau: list[int] = []  # vertex by vertex, labels ascending
     for beta, res in enumerate(gc.resolutions):
-        tbeta = cube.swap_halves(beta, width) if n else beta
-        perm = _circle_images(res, gc.resolutions[tbeta], pairing.shift_level)
+        tbeta = cube.swap_halves(beta, width)
+        perm = _circle_images(res, gc.resolutions[tbeta], m, n, width)
         toff = gc.offsets[tbeta]
         tau += [toff + t for t in labeling_images([1 << c for c in perm])]
     return tau
@@ -259,7 +264,7 @@ class PeriodicRun:
     def __init__(self, word: BraidWord) -> None:
         self.word = word
         self.quotient_diagram = close_braid(word)
-        self.cover_diagram, self.pairing = double_cover(word)
+        self.cover_diagram = double_cover(word)
         self._complexes: dict = {}
         self._homology: dict = {}
         self._hv: dict = {}
@@ -280,7 +285,7 @@ class PeriodicRun:
 
     @cached_property
     def tau(self) -> list[int]:
-        return tau_table(self.complex("cover"), self.pairing)
+        return tau_table(self.complex("cover"))
 
     def hv(self, theory: Theory) -> HvPages:
         if theory not in self._hv:
@@ -303,12 +308,12 @@ def _lift_table(run: PeriodicRun) -> tuple[dict[int, int], list[str]]:
     gq = run.complex("quotient")
     gcov = run.complex("cover")
     tau = run.tau
-    n = run.pairing.quotient_crossings
+    n, m = gq.diagram.n_crossings, gq.diagram.strands
     lift: dict[int, int] = {}
     for alpha, qres in enumerate(gq.resolutions):
-        beta = alpha | (alpha << n) if n else alpha
+        beta = alpha | alpha << n
         cres = gcov.resolutions[beta]
-        proj = _circle_images(cres, qres, lambda level: level % n if n else level)
+        proj = _circle_images(cres, qres, m, 0, n)
         fibers: dict[int, list[int]] = {}
         for ci, qci in enumerate(proj):
             fibers.setdefault(qci, []).append(ci)

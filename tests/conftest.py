@@ -20,7 +20,7 @@ from annulus_tate.f2algebra import (
 )
 from annulus_tate import cube
 from annulus_tate.khovanov import GradedComplex, Theory, _map_blocks, build_complex, rows_of
-from annulus_tate.links import AnnularDiagram, BraidWord, CoverPairing
+from annulus_tate.links import AnnularDiagram, BraidWord
 from annulus_tate.tate import fold
 
 
@@ -365,6 +365,11 @@ def corpus_words() -> list[BraidWord]:
     return words
 
 
+def alphabet(strands: int) -> list[int]:
+    """The letters of B_strands: every generator and its inverse."""
+    return [g for a in range(1, strands) for g in (a, -a)]
+
+
 def mirror(word: BraidWord) -> BraidWord:
     """Mirror image: every letter sign flipped."""
     return BraidWord(word.strands, tuple(-g for g in word.letters))
@@ -390,12 +395,12 @@ def labels_of(gc: GradedComplex, g: int) -> int:
     return (g - gc.offsets[gc.vertex_of[g]]) << gc.reduced
 
 
-def tau_reference(gc: GradedComplex, pairing: CoverPairing, g: int) -> int:
-    """The chain involution on one generator of a cover complex: each "+"
-    circle of its labeling (``labels_of``) goes to the circle of the swapped
-    vertex through the image of its minimal port (oracle for
-    ``tate.tau_table``)."""
-    n = pairing.quotient_crossings
+def tau_reference(gc: GradedComplex, g: int) -> int:
+    """The chain involution on one generator of a cover complex with 2n
+    crossings: each "+" circle of its labeling (``labels_of``) goes to the
+    circle of the swapped vertex through the image of its minimal port,
+    level l going to (l + n) mod 2n (oracle for ``tate.tau_table``)."""
+    n = gc.diagram.n_crossings // 2
     m = gc.diagram.strands
     beta = gc.vertex_of[g]
     labels = labels_of(gc, g)
@@ -406,18 +411,16 @@ def tau_reference(gc: GradedComplex, pairing: CoverPairing, g: int) -> int:
     for ci, circle in enumerate(res.circles):
         level, strand = divmod(circle.min_port, m)
         if (labels >> ci) & 1:
-            tlabels |= 1 << circle_of[pairing.shift_level(level) * m + strand]
+            tlabels |= 1 << circle_of[(level + n) % (2 * n or 1) * m + strand]
     return gc.index(tbeta, tlabels)
 
 
-def lift_reference(
-    gq: GradedComplex, gcov: GradedComplex, pairing: CoverPairing, v: int
-) -> int:
+def lift_reference(gq: GradedComplex, gcov: GradedComplex, v: int) -> int:
     """The equivariant lift of quotient generator v: at the doubled vertex,
     a cover circle is "+" when the quotient circle through the projection
     (level mod n, strand) of its minimal port is "+" in v's labeling
     (``labels_of``; oracle for ``tate._lift_table``)."""
-    n = pairing.quotient_crossings
+    n = gq.diagram.n_crossings
     m = gq.diagram.strands
     alpha = gq.vertex_of[v]
     labels = labels_of(gq, v)
@@ -831,8 +834,3 @@ class WindowedTate:
         band = self.span + 1
         diagonals = range(min(gi) + band, max(gi) + self.window - band)
         return _interior(table, 0, diagonals)
-
-
-@pytest.fixture(scope="session")
-def b2_b3_corpus():
-    return corpus_words()

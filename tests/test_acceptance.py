@@ -76,7 +76,7 @@ def test_criterion_2_rank_inequality_corpus():
     ok = True
     for word in corpus_words():
         quotient = homology(close_braid(word), Theory.AKH)
-        cover_diagram, _ = double_cover(word)
+        cover_diagram = double_cover(word)
         cover = homology(cover_diagram, Theory.AKH)
         by_jk: dict = {}
         for (i, j, k), r in cover.items():

@@ -249,8 +249,8 @@ def test_periodic_computes_tau_once(runner, monkeypatch):
     tables = []
     table = tate.tau_table
 
-    def counting(gc, pairing):
-        tables.append(table(gc, pairing))
+    def counting(gc):
+        tables.append(table(gc))
         return tables[-1]
 
     monkeypatch.setattr(tate, "tau_table", counting)
@@ -261,7 +261,7 @@ def test_periodic_computes_tau_once(runner, monkeypatch):
     assert len(tables) == 1
     # one cover complex serves both theories, so one tau table serves both
     run = tate.PeriodicRun(parse_braid_word("1 -2", 3))
-    assert table(run.complex("cover"), run.pairing) == run.tau == tables[0]
+    assert table(run.complex("cover")) == run.tau == tables[0]
 
 
 @pytest.mark.parametrize(

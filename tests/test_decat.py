@@ -12,7 +12,7 @@ def _tables(text, strands):
     word = parse_braid_word(text, strands)
     return (
         homology(close_braid(word), Theory.AKH),
-        homology(double_cover(word)[0], Theory.AKH),
+        homology(double_cover(word), Theory.AKH),
     )
 
 

@@ -25,6 +25,7 @@ from annulus_tate.links import (
 
 from conftest import (
     PROPERTY,
+    alphabet,
     arrows,
     builder_matches_reference,
     corpus_words,
@@ -190,7 +191,7 @@ REFERENCE_WORDS = [
 )
 def test_builder_matches_reference(braid, strands, cover):
     word = parse_braid_word(braid, strands)
-    diagram = double_cover(word)[0] if cover else close_braid(word)
+    diagram = double_cover(word) if cover else close_braid(word)
     # the Kh complex and its AKh rows
     assert builder_matches_reference(build_complex(diagram))
 
@@ -279,7 +280,7 @@ def _resolution(seams: tuple[int, ...]) -> cube.Resolution:
     halves = [range(4)] if len(seams) == 1 else [range(2), range(2, 4)]
     circles = [cube.Circle(frozenset(p), s) for p, s in zip(halves, seams)]
     circles.append(cube.Circle(frozenset({4, 5}), 0))
-    return cube.Resolution(vertex=0, width=2, strands=2, circles=tuple(circles))
+    return cube.Resolution(vertex=0, circles=tuple(circles))
 
 
 @pytest.mark.parametrize("source, target", [
@@ -416,7 +417,7 @@ def test_circle_zero_contains_port_zero():
     for word in corpus_words():
         if len(word) > 3:
             continue
-        for diagram in (close_braid(word), double_cover(word)[0]):
+        for diagram in (close_braid(word), double_cover(word)):
             for alpha in range(1 << diagram.n_crossings):
                 assert 0 in resolve(diagram, alpha).circles[0].ports
 
@@ -472,15 +473,11 @@ def test_kh_memory_guard_counts_reduced_blocks(monkeypatch):
 # breaks them
 
 
-def _alphabet(strands: int) -> list[int]:
-    return [g for a in range(1, strands) for g in (a, -a)]
-
-
 def _words(strands: list[int], max_letters: int):
     def on(m: int):
         if m == 1:
             return st.just(BraidWord(1, ()))
-        letters = st.lists(st.sampled_from(_alphabet(m)), max_size=max_letters)
+        letters = st.lists(st.sampled_from(alphabet(m)), max_size=max_letters)
         return letters.map(lambda word: BraidWord(m, tuple(word)))
 
     return st.sampled_from(strands).flatmap(on)
@@ -519,7 +516,7 @@ def test_conjugation_keeps_kh(word, turn, data):
     rotated = BraidWord(word.strands, letters[turn:] + letters[:turn])
     assert _kh(rotated) == _kh(word)
     if len(letters) <= 2:
-        g = data.draw(st.sampled_from(_alphabet(word.strands)))
+        g = data.draw(st.sampled_from(alphabet(word.strands)))
         assert _kh(BraidWord(word.strands, (g, *letters, -g))) == _kh(word)
 
 
@@ -533,13 +530,13 @@ def _related_words(draw):
     braid relation: g g^-1 = 1, sigma_a sigma_{a+1} sigma_a =
     sigma_{a+1} sigma_a sigma_{a+1} (both signs), or far commutation."""
     m = draw(st.sampled_from([2, 3, 4]))
-    letters = st.lists(st.sampled_from(_alphabet(m)), max_size=2)
+    letters = st.lists(st.sampled_from(alphabet(m)), max_size=2)
     prefix, suffix = draw(letters), draw(letters)
     sign = st.sampled_from([1, -1])
     kinds = ["inverse", "braid", "far"][: m - 1]
     kind = draw(st.sampled_from(kinds))
     if kind == "inverse":
-        g = draw(st.sampled_from(_alphabet(m)))
+        g = draw(st.sampled_from(alphabet(m)))
         left, right = (g, -g), ()
     elif kind == "braid":
         a, e = draw(st.integers(1, m - 2)), draw(sign)
@@ -572,5 +569,5 @@ def test_conjugation_keeps_akh(word, turn, data):
     rotated = BraidWord(word.strands, letters[turn:] + letters[:turn])
     assert _akh(rotated) == _akh(word)
     if len(letters) <= 2:
-        g = data.draw(st.sampled_from(_alphabet(word.strands)))
+        g = data.draw(st.sampled_from(alphabet(word.strands)))
         assert _akh(BraidWord(word.strands, (g, *letters, -g))) == _akh(word)

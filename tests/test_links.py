@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from annulus_tate.cube import resolve
-from annulus_tate.khovanov import Theory, homology, total_rank
+from annulus_tate.khovanov import Theory, build_complex, homology, total_rank
 from annulus_tate.links import (
     MAX_CROSSINGS,
     MAX_GENERATORS,
@@ -16,6 +16,7 @@ from annulus_tate.links import (
     double_cover,
     parse_braid_word,
 )
+from annulus_tate.tate import tau_table
 
 from conftest import mirror
 
@@ -74,32 +75,38 @@ def test_strand_guard():
 
 
 def test_double_cover_sigma1():
-    cover, pairing = double_cover(parse_braid_word("1", 2))
+    cover = double_cover(parse_braid_word("1", 2))
     assert cover.n_crossings == 2
-    assert pairing.quotient_crossings == 1
+    assert cover.crossings[0] == cover.crossings[1] == Crossing(0, 1)
 
 
 def test_double_cover_empty():
-    cover, pairing = double_cover(parse_braid_word("", 1))
-    assert cover.n_crossings == 0
-    assert pairing.quotient_crossings == 0
-    assert pairing.shift_level(0) == 0
+    cover = double_cover(parse_braid_word("", 1))
+    assert cover == AnnularDiagram(1, ())
+    # the half-turn of the crossingless cover fixes its one circle's labels
+    assert tau_table(build_complex(cover)) == [0, 1]
 
 
 def test_double_cover_mixed_word():
-    cover, pairing = double_cover(parse_braid_word("1 -2", 3))
+    cover = double_cover(parse_braid_word("1 -2", 3))
     assert [(c.position, c.sign) for c in cover.crossings] == [
         (0, 1), (1, -1), (0, 1), (1, -1)]
-    assert pairing.quotient_crossings == 2
+    assert cover.crossings[:2] == cover.crossings[2:]
 
 
 def test_pairing_is_fixed_point_free_involution():
+    # crossing l of the cover equals crossing (l + n) mod 2n, and that
+    # level map moves every level and is its own inverse
     for length in (1, 2, 3):
         for letters in itertools.product([1, -1], repeat=length):
-            _, pairing = double_cover(BraidWord(2, letters))
-            for level in range(2 * length):
-                assert pairing.shift_level(level) != level
-                assert pairing.shift_level(pairing.shift_level(level)) == level
+            cover = double_cover(BraidWord(2, letters))
+            n = cover.n_crossings // 2
+            assert 2 * n == cover.n_crossings and n == length
+            for level in range(2 * n):
+                image = (level + n) % (2 * n)
+                assert cover.crossings[image] == cover.crossings[level]
+                assert image != level
+                assert (image + n) % (2 * n) == level
 
 
 def test_mirror_flips_signs():

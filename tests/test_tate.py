@@ -1,6 +1,9 @@
+import functools
 import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annulus_tate.cube import hamming
 from annulus_tate.khovanov import (
@@ -27,7 +30,9 @@ from annulus_tate.tate import (
 )
 
 from conftest import (
+    PROPERTY,
     WindowedTate,
+    alphabet,
     arrows,
     check_d_squared,
     check_nonnegative,
@@ -44,22 +49,21 @@ SIGMA1 = parse_braid_word("1", 2)
 
 
 def hopf_cover():
-    cover, pairing = double_cover(SIGMA1)
-    return build_complex(cover), pairing
+    return build_complex(double_cover(SIGMA1))
 
 
 def hopf_tate():
     """The Hopf cover complex and its chain involution."""
-    gc, pairing = hopf_cover()
-    return gc, tau_table(gc, pairing)
+    gc = hopf_cover()
+    return gc, tau_table(gc)
 
 
 def test_tau_moves_single_circle_label():
-    gc, pairing = hopf_cover()
+    gc = hopf_cover()
     # vertex 10 has a single trivial circle; its positive labeling maps to
     # the positive labeling at vertex 01
     src = gc.index(0b01, 0b1)
-    tgt = tau_reference(gc, pairing, src)
+    tgt = tau_reference(gc, src)
     assert gc.vertex_of[tgt] == 0b10
     assert labels_of(gc, tgt) == 0b1
     assert (gc.gi[src], gc.gj[src], gc.gk[src]) == (
@@ -67,24 +71,23 @@ def test_tau_moves_single_circle_label():
 
 
 def test_tau_fixes_symmetric_labelings():
-    gc, pairing = hopf_cover()
+    gc = hopf_cover()
     g = gc.index(0b00, 0b11)  # both strand circles labeled "+"
-    assert tau_reference(gc, pairing, g) == g
+    assert tau_reference(gc, g) == g
 
 
 def test_tau_is_involution_on_all_generators():
-    gc, pairing = hopf_cover()
-    tau = tau_table(gc, pairing)
+    gc = hopf_cover()
+    tau = tau_table(gc)
     assert len(tau) == 12
     assert all(tau[tau[g]] == g for g in range(12))
 
 
 def test_tau_table_matches_per_generator_transport():
     for text, m in [("1", 2), ("1 -2", 3), ("1 1 -1", 2)]:
-        cover, pairing = double_cover(parse_braid_word(text, m))
-        gc = build_complex(cover)
-        tau = tau_table(gc, pairing)
-        assert tau == [tau_reference(gc, pairing, g) for g in range(gc.n_generators)]
+        gc = build_complex(double_cover(parse_braid_word(text, m)))
+        tau = tau_table(gc)
+        assert tau == [tau_reference(gc, g) for g in range(gc.n_generators)]
 
 
 @pytest.mark.parametrize(
@@ -94,26 +97,28 @@ def test_labeling_images_match_the_per_labeling_reference(braid, strands):
     # tau and the lifts both transport every labeling of a vertex by doubling
     run = PeriodicRun(parse_braid_word(braid, strands))
     gq, gcov = run.complex("quotient"), run.complex("cover")
-    assert run.tau == [tau_reference(gcov, run.pairing, g) for g in range(gcov.n_generators)]
+    assert run.tau == [tau_reference(gcov, g) for g in range(gcov.n_generators)]
     lift, problems = _lift_table(run)
     assert not problems
-    assert lift == {v: lift_reference(gq, gcov, run.pairing, v) for v in range(gq.n_generators)}
+    assert lift == {v: lift_reference(gq, gcov, v) for v in range(gq.n_generators)}
 
 
 def test_tau_requires_cover_diagram():
     gc = build_complex(close_braid(SIGMA1))
-    _, pairing = double_cover(SIGMA1)
     with pytest.raises(ValueError):
-        tau_table(gc, pairing)
+        tau_table(gc)
+    # an even crossing count is not enough: the halves must repeat
+    with pytest.raises(ValueError, match="doubled word"):
+        tau_table(build_complex(close_braid(parse_braid_word("1 -1", 2))))
 
 
 def test_equivariance_hopf_akh():
-    gc, pairing = hopf_cover()
-    verdict = check_equivariance(gc, tau_table(gc, pairing), Theory.AKH)
+    gc = hopf_cover()
+    verdict = check_equivariance(gc, tau_table(gc), Theory.AKH)
     assert verdict.name == "equivariance-akh"
     assert verdict.passed
     assert verdict.details == {"equivariant_generators": 6}
-    tau = tau_table(gc, pairing)
+    tau = tau_table(gc)
     by_vertex = {}
     for g in range(gc.n_generators):
         if tau[g] == g:
@@ -123,15 +128,15 @@ def test_equivariance_hopf_akh():
 
 
 def test_equivariance_hopf_kh():
-    gc, pairing = hopf_cover()
-    verdict = check_equivariance(gc, tau_table(gc, pairing), Theory.KH)
+    gc = hopf_cover()
+    verdict = check_equivariance(gc, tau_table(gc), Theory.KH)
     assert verdict.name == "equivariance-kh" and verdict.passed
 
 
 @pytest.mark.parametrize("theory", [Theory.AKH, Theory.KH])
 def test_equivariance_catches_a_broken_differential_or_involution(theory):
-    gc, pairing = hopf_cover()
-    tau = tau_table(gc, pairing)
+    gc = hopf_cover()
+    tau = tau_table(gc)
     assert check_equivariance(gc, tau, theory).passed
     # one arrow of the theory removed from the row of a fixed generator, or
     # of the lower or the higher generator of a free pair: tau, still an
@@ -153,9 +158,8 @@ def test_equivariance_catches_a_broken_differential_or_involution(theory):
 
 
 def test_equivariance_empty_cover():
-    cover, pairing = double_cover(parse_braid_word("", 2))
-    gc = build_complex(cover)
-    verdict = check_equivariance(gc, tau_table(gc, pairing), Theory.AKH)
+    gc = build_complex(double_cover(parse_braid_word("", 2)))
+    verdict = check_equivariance(gc, tau_table(gc), Theory.AKH)
     assert verdict.passed
     assert verdict.details["equivariant_generators"] == gc.n_generators
 
@@ -191,8 +195,8 @@ def test_tate_pages_build_each_block_after_the_last_is_gone(monkeypatch, pages):
 
 
 def test_build_tate_window_and_total_differential():
-    gc, pairing = hopf_cover()
-    oracle = WindowedTate(gc, tau_table(gc, pairing), Theory.AKH, window=7)
+    gc = hopf_cover()
+    oracle = WindowedTate(gc, tau_table(gc), Theory.AKH, window=7)
     assert oracle.columns == [3]
     for C, _ in oracle.blocks(
         lambda g, t: gc.gi[g] + t, lambda g, t: (gc.gj[g], gc.gk[g])
@@ -202,16 +206,16 @@ def test_build_tate_window_and_total_differential():
 
 
 def test_build_tate_rejects_small_window():
-    gc, pairing = hopf_cover()
+    gc = hopf_cover()
     assert gc.i_span() == 2
     # interior columns need a window of at least 2 * span + 3
     with pytest.raises(ValueError):
-        WindowedTate(gc, tau_table(gc, pairing), Theory.AKH, window=6)
+        WindowedTate(gc, tau_table(gc), Theory.AKH, window=6)
 
 
 def test_default_window_has_three_interior_columns():
-    gc, pairing = hopf_cover()
-    oracle = WindowedTate(gc, tau_table(gc, pairing), Theory.AKH)
+    gc = hopf_cover()
+    oracle = WindowedTate(gc, tau_table(gc), Theory.AKH)
     assert oracle.window == 9
     assert oracle.columns == [3, 4, 5]
 
@@ -243,9 +247,8 @@ def test_vh_pages_interior_columns_carry_cover_homology():
 
 
 def test_vh_pages_no_crossings():
-    cover, pairing = double_cover(parse_braid_word("", 1))
-    gc = build_complex(cover)
-    args = (gc, tau_table(gc, pairing), Theory.AKH)
+    gc = build_complex(double_cover(parse_braid_word("", 1)))
+    args = (gc, tau_table(gc), Theory.AKH)
     vh = vh_pages(*args, hv_pages(*args).cover)
     assert vh.e1_ok
     assert vh.pages.table(0) == vh.pages.table(1)
@@ -382,3 +385,47 @@ def test_hv_pages_cached_on_run():
     run = PeriodicRun(SIGMA1)
     assert run.hv(Theory.AKH) is run.hv(Theory.AKH)
 
+
+# -- isotopy invariance on the Tate side: conjugating the quotient word
+# conjugates its cover equivariantly
+
+
+@st.composite
+def _b2_b3_words(draw, min_letters, max_letters):
+    m = draw(st.sampled_from([2, 3]))
+    letters = st.lists(st.sampled_from(alphabet(m)), min_size=min_letters, max_size=max_letters)
+    return BraidWord(m, tuple(draw(letters)))
+
+
+@functools.cache
+def _tate_pages(word: BraidWord) -> dict[Theory, list[dict]]:
+    """Every page table of the cover's Tate spectral sequence, per theory."""
+    gc = build_complex(double_cover(word))
+    tau = tau_table(gc)
+    tables = {}
+    for theory in Theory:
+        pages = hv_pages(gc, tau, theory).pages
+        tables[theory] = [pages.table(r) for r in range(pages.max_page + 1)]
+    return tables
+
+
+@PROPERTY
+@given(_b2_b3_words(2, 3), st.data())
+def test_rotation_keeps_every_tate_page(word, data):
+    letters = word.letters
+    turn = data.draw(st.integers(1, len(letters) - 1))
+    rotated = BraidWord(word.strands, letters[turn:] + letters[:turn])
+    assert _tate_pages(rotated) == _tate_pages(word)
+
+
+# fewer examples: each four-letter conjugate's cover takes about 0.15 s
+@settings(PROPERTY, max_examples=20)
+@given(_b2_b3_words(1, 2), st.data())
+def test_conjugation_keeps_tate_page_3_and_the_limit(word, data):
+    # pages 0-2 differ between w and g w g^-1 on every pair measured, so
+    # E^2 is no conjugation invariant; from page 3 on the pages agree
+    g = data.draw(st.sampled_from(alphabet(word.strands)))
+    conjugate = _tate_pages(BraidWord(word.strands, (g, *word.letters, -g)))
+    for theory, pages in _tate_pages(word).items():
+        assert conjugate[theory][3] == pages[3]
+        assert conjugate[theory][-1] == pages[-1]
