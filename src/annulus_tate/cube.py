@@ -148,20 +148,20 @@ def resolve(diagram: AnnularDiagram, alpha: int) -> Resolution:
 
 @dataclass(frozen=True)
 class EdgeType:
-    """A classified cube edge.
+    """A classified cube edge; equal edges hash alike.
 
     ``source_circles``/``target_circles`` hold the participating circle
-    indices, ascending; ``correspondence`` maps each nonparticipating
-    source circle index to its (identical-port-set) target index.  The
-    participating circles conserve seam count (the source counts add up
-    to the target counts), so a merge or split changes the number of
-    nontrivial circles by 0 or 2.
+    indices, ascending; ``correspondence`` pairs each nonparticipating
+    source circle index, ascending, with its (identical-port-set) target
+    index.  The participating circles conserve seam count (the source
+    counts add up to the target counts), so a merge or split changes the
+    number of nontrivial circles by 0 or 2.
     """
 
     kind: str  # "merge" | "split"
     source_circles: tuple[int, ...]
     target_circles: tuple[int, ...]
-    correspondence: dict[int, int]
+    correspondence: tuple[tuple[int, int], ...]
 
 
 def classify_resolutions(source: Resolution, target: Resolution) -> EdgeType:
@@ -175,11 +175,11 @@ def classify_resolutions(source: Resolution, target: Resolution) -> EdgeType:
     tgt_part = tuple(
         i for i, circle in enumerate(target.circles) if circle.ports not in source_index
     )
-    correspondence = {
-        i: target_index[circle.ports]
+    correspondence = tuple(
+        (i, target_index[circle.ports])
         for i, circle in enumerate(source.circles)
         if circle.ports in target_index
-    }
+    )
 
     if len(src_part) == 2 and len(tgt_part) == 1:
         kind = "merge"

@@ -13,8 +13,7 @@ returned mask uses absolute indices.  Rows stay narrow when the
 generators are numbered level by level, as ``khovanov._map_blocks``
 numbers them: a cube arrow goes from one level to the next.
 
-Complexes are built whole by ``FilteredComplex.from_rows``; a Tate block
-then gains its theta arrows with ``add_theta_arrows``.  Homology, and
+Complexes are built whole by ``FilteredComplex.from_rows``.  Homology, and
 the pages of a filtration one shift level at a time, are computed by
 Gaussian cancellation in place: cancelling an arrow k -> l removes both
 endpoint generators and toggles an arrow x -> y for every pair x -> l,
@@ -32,7 +31,7 @@ from typing import Iterable, Iterator
 
 
 class MissingArrowError(KeyError):
-    """Requested arrow is not present in the complex."""
+    """Requested arrow, or pair of generators, is not present in the complex."""
 
 
 class FilteredComplexError(ValueError):
@@ -129,40 +128,6 @@ class FilteredComplex:
         C.alive = (1 << n) - 1
         return C
 
-    def add_theta_arrows(self, tau: list[int | None]) -> None:
-        """Add the arrows x -> x and x -> tau[x] for every generator x with
-        tau[x] != x: theta (1 + tau) on a complex folded over
-        F2[theta, 1/theta] (see ``tate``).
-
-        Each row is rebased to its new lowest index, so the rows come out
-        as ``from_rows`` would assemble them with these arrows included.
-        ``tau[x]`` is None when the image of x lies outside this complex,
-        which raises FilteredComplexError, as does an arrow that is already
-        present.
-        """
-        out, out_off, inc, inc_off = self.out, self.out_off, self.inc, self.inc_off
-        for x, t in enumerate(tau):
-            if t == x:
-                continue
-            if t is None:
-                raise FilteredComplexError("arrow leaves its grading block")
-            off, row = out_off[x], out[x]
-            low = x if x < t else t
-            if low < off:
-                row <<= off - low
-                out_off[x] = off = low
-            new = 1 << (x - off) | 1 << (t - off)
-            if row & new:
-                raise FilteredComplexError(f"repeated arrow from {x}")
-            out[x] = row | new
-            for y in (x, t):
-                off = inc_off[y]
-                if x < off:
-                    inc[y] = inc[y] << (off - x) | 1
-                    inc_off[y] = x
-                else:
-                    inc[y] |= 1 << (x - off)
-
     # -- queries -------------------------------------------------------
 
     def generators(self) -> Iterator[int]:
@@ -210,26 +175,34 @@ class FilteredComplex:
     # -- cancellation ---------------------------------------------------
 
     def cancel_arrow(self, k: int, l: int) -> tuple[int, int]:
-        """Cancel the arrow k -> l, toggling x -> y for all x -> l, k -> y.
+        """Cancel the arrow k -> l: :meth:`cancel_pair` once the arrow is
+        found.  A missing arrow raises MissingArrowError, and so does a
+        self-loop k -> k, which is not an invertible pair.
+        """
+        off = self.out_off[k]
+        if l < off or not (self.out[k] >> (l - off)) & 1:
+            raise MissingArrowError(f"no arrow {k}->{l} to cancel")
+        return self.cancel_pair(k, l)
+
+    def cancel_pair(self, k: int, l: int) -> tuple[int, int]:
+        """Cancel k against l along an arrow k -> l, stored or not:
+        remove both and toggle x -> y for all x -> l, k -> y.
 
         Returns the absolute (predecessor, successor) masks that were
-        toggled against each other; neither contains k or l.  Homology
-        ranks at every grading are preserved.  A self-loop k -> k is not
-        an invertible pair and raises MissingArrowError.
+        toggled against each other; neither contains k or l.  The caller
+        vouches for the arrow: :meth:`cancel_arrow` finds it stored, and a
+        Tate block (``tate``) cancels along its implicit theta arrows
+        x -> tau x.  k == l, or an end already cancelled, raises
+        MissingArrowError.
         """
-        out, out_off = self.out, self.out_off
-        succ_off = out_off[k]
         pair = (1 << k) | (1 << l)
         alive = self.alive
-        if (
-            k == l
-            or l < succ_off
-            or alive & pair != pair
-            or not (out[k] >> (l - succ_off)) & 1
-        ):
-            raise MissingArrowError(f"no arrow {k}->{l} to cancel")
+        if k == l or alive & pair != pair:
+            raise MissingArrowError(f"no pair {k}, {l} to cancel")
         alive ^= pair
         self.alive = alive
+        out, out_off = self.out, self.out_off
+        succ_off = out_off[k]
         pred_off = self.inc_off[l]
         preds = self.inc[l] & (alive >> pred_off)
         succs = out[k] & (alive >> succ_off)

@@ -169,7 +169,7 @@ def _transport_table(edge: cube.EdgeType, reduced: bool) -> tuple[list[int], lis
     one, the reduced index offsets.
     """
     bits, tbits = [], []
-    for si, ti in edge.correspondence.items():
+    for si, ti in edge.correspondence:
         if reduced:
             if si == 0:
                 continue
@@ -188,24 +188,6 @@ def _cube_edges(c: int):
         (alpha, alpha | 1 << b) for alpha in range(1 << c) for b in range(c)
         if not (alpha >> b) & 1
     )
-
-
-def _classify_edges(resolutions: list[cube.Resolution], c: int) -> list[cube.EdgeType]:
-    """Every cube edge, classified, in ``_cube_edges`` order.
-
-    Equal edge types are one shared object: a 10-crossing cube has 5,120
-    edges but about a hundred types.
-    """
-    types: dict[tuple, cube.EdgeType] = {}
-    edges = []
-    for alpha, alpha2 in _cube_edges(c):
-        edge = cube.classify_resolutions(resolutions[alpha], resolutions[alpha2])
-        key = (
-            edge.kind, edge.source_circles, edge.target_circles,
-            tuple(edge.correspondence.items()),
-        )
-        edges.append(types.setdefault(key, edge))
-    return edges
 
 
 def build_complex(diagram: AnnularDiagram, reduced: bool = False) -> GradedComplex:
@@ -244,12 +226,14 @@ def build_complex(diagram: AnnularDiagram, reduced: bool = False) -> GradedCompl
 
     out: list[list[int]] = [[] for _ in range(total)]
     ids = list(range(total))  # one int object per target, shared by its arrows
-    maps: dict[int, tuple] = {}  # per distinct edge object: rule, transport
-    edges = _classify_edges(resolved, c)
-    for (alpha, alpha2), edge in zip(_cube_edges(c), edges, strict=True):
-        if id(edge) not in maps:
-            maps[id(edge)] = (_edge_rule(edge), *_transport_table(edge, reduced))
-        rule, rest, image = maps[id(edge)]
+    # per distinct edge: rule, transport; a 10-crossing cube has 5,120
+    # edges but about a hundred distinct ones
+    maps: dict[cube.EdgeType, tuple] = {}
+    for alpha, alpha2 in _cube_edges(c):
+        edge = cube.classify_resolutions(resolved[alpha], resolved[alpha2])
+        if edge not in maps:
+            maps[edge] = (_edge_rule(edge), *_transport_table(edge, reduced))
+        rule, rest, image = maps[edge]
         src_off, tgt_off = offsets[alpha], offsets[alpha2]
         for plus, tplus in rule.items():
             if not tplus or (reduced and plus & 1):

@@ -4,15 +4,20 @@ The Tate bicomplex of a cover complex C with chain involution tau has one
 column per power of a deck variable theta: it is C (x) F2[theta, 1/theta]
 with differential d + theta (1 + tau).  Every column is a copy of C, so
 the bicomplex is computed folded: one engine generator g per cover
-generator stands for all of its column copies (g, t).  The arrows are the
-cover arrows (coefficient theta^0) and, for each non-equivariant g, the
-horizontal arrows g -> g and g -> tau g (theta^1).  Under the total grading
-i + t an arrow g -> g' can only carry theta^a with a = 1 + i(g) - i(g'), so
-one bit per entry determines the complex and Gaussian cancellation is exact
-on it, with one rule: a self-loop g -> g (theta times the identity, a chain
-through all columns) is never a pivot.  Ranks read off the folded complex
-are ranks of one column (row filtration) or one diagonal (total homology)
-of the bi-infinite bicomplex, with no truncation to finitely many columns.
+generator stands for all of its column copies (g, t).  Under the total
+grading i + t an arrow g -> g' can only carry theta^a with
+a = 1 + i(g) - i(g'), so one bit per entry determines the complex, and
+Gaussian cancellation is exact on it.  Only the cover arrows (theta^0) are
+stored.  The theta^1 arrows g -> g and g -> tau g of each non-equivariant
+g stay implicit (an equivariant g has none: its two copies coincide and
+cancel mod 2).  They are the whole page-0 differential of the row (i)
+filtration, and page 0 cancels each free pair g < tau g along its arrow
+g -> tau g (``FilteredComplex.cancel_pair``).  tau keeps every grading and
+a cover arrow raises i by exactly 1, so each such cancellation toggles
+only arrows from level i - 1 to level i + 1: no theta arrow or self-loop is
+ever created, removed or read, and none is left once every pair is gone.
+Ranks read off the folded complex are ranks of one column of the
+bi-infinite bicomplex, with no truncation to finitely many columns.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from functools import cached_property
 from . import cube, decat
 from .f2algebra import (
     FilteredComplex,
+    FilteredComplexError,
     PageTable,
     cancel_shift_level,
     degree_masks,
@@ -131,19 +137,17 @@ def check_equivariance(gc: GradedComplex, tau: list[int], theory: Theory) -> Ver
 # the folded Tate complex
 
 
-def fold(C: FilteredComplex, members: list[int], tau: list[int]) -> list[int]:
-    """Fold C, the cover block with members[x] at engine index x, into
-    its Tate block: add the arrows g -> g and g -> tau g of every
-    generator g that is not equivariant (equivariant generators emit none:
-    their two copies coincide and cancel mod 2).  ``tau`` is the chain
-    involution of the cover (:func:`tau_table`).  Returns tau on the
-    block's engine indices.  A tau that leaves the block raises
+def block_tau(members: list[int], tau: list[int]) -> list[int]:
+    """tau on the engine indices of a cover block that holds the cover
+    generator members[x] at engine index x; ``tau`` is the chain involution
+    of the cover (:func:`tau_table`).  A tau that leaves the block raises
     FilteredComplexError.
     """
     local = {g: x for x, g in enumerate(members)}
-    block_tau = [local.get(tau[g]) for g in members]
-    C.add_theta_arrows(block_tau)
-    return block_tau
+    try:
+        return [local[tau[g]] for g in members]
+    except KeyError:
+        raise FilteredComplexError("arrow leaves its grading block") from None
 
 
 @dataclass
@@ -153,12 +157,12 @@ class HvPages:
 
     Keys of ``pages`` are (i, j, k) for AKh and (i, j) for Kh: the ranks of
     one column.  ``cover`` holds the homology ranks of the cover complex in
-    ``theory``, same keys, read off each block before its theta arrows are
-    added.  The odd-page check asserts that ranks do not move from page
+    ``theory``, same keys, read off each block before page 0 cancels its
+    free pairs.  The odd-page check asserts that ranks do not move from page
     2s+1 to page 2s+2.  ``d2_observed`` holds the (delta-i = 2, a = -1)
-    arrows g1 -> g2 read off after cancelling exactly the tau arrows, and
-    ``d2_strays`` any nonequivariant survivors of that cancellation (there
-    should be none).
+    arrows g1 -> g2 read off once page 0 has cancelled every free pair, and
+    ``d2_strays`` any nonequivariant survivors of page 0 (there should be
+    none).
     """
 
     pages: PageTable
@@ -169,15 +173,14 @@ class HvPages:
 
 
 def _tau_sweep(C: FilteredComplex, tau: list[int]) -> bool:
-    """Cancel exactly the tau arrows x -> tau x (``tau`` on engine
-    indices), lower end of each orbit first.  A cancellation removes its
-    whole orbit and toggles only arrows that raise i by at least 2, so one
-    pass reaches every orbit."""
+    """Page 0 of a Tate block: cancel each free pair x < tau x (``tau`` on
+    engine indices) along its implicit arrow x -> tau x; returns True if
+    the block has one.  A cancellation toggles only arrows that raise i by
+    2, so it leaves every other pair as it found it."""
     acted = False
-    for x in C.generators():
-        tx = tau[x]
-        if tx != x and C.has_arrow(x, tx):
-            C.cancel_arrow(x, tx)
+    for x, tx in enumerate(tau):
+        if x < tx:
+            C.cancel_pair(x, tx)
             acted = True
     return acted
 
@@ -188,14 +191,14 @@ def hv_pages(cover: GradedComplex, tau: list[int], theory: Theory) -> HvPages:
     max(3, i-span + 2), past the largest shift, and the cover homology.
 
     The engine complexes are the cover's (j, k) (AKh) or j (Kh) blocks,
-    filtered by i, each assembled once from the cover arrows alone
-    (theta^0): its homology ranks, on a copy, are its share of the cover
-    table; then :func:`fold` adds the theta^1 arrows, making it the Tate
-    block.  Page 0 is cancelled tau-arrows-first (then the
-    lexicographic sweep finishes the shift-0 level); rank tables are
-    order-independent, and the intermediate state after the tau sweep is
-    exactly where the induced length-2 differentials are read off.  The
-    blocks run on every CPU (``khovanov._map_blocks``); each returns its
+    filtered by i, each assembled once from the cover arrows: its homology
+    ranks, on a copy, are its share of the cover table, and the block
+    itself is its Tate block, whose theta arrows are implicit (see the
+    module docstring).  Page 0's differential is theta (1 + tau), so page 0
+    cancels each free pair x < tau x in place (:func:`_tau_sweep`), and
+    pages r >= 1 cancel the arrows of shift r.  The state after page 0 is
+    where the induced length-2 differentials are read off.  The blocks
+    run on every CPU (``khovanov._map_blocks``); each returns its
     cover ranks, page tables, ``d_nonzero`` flags, observed d2 arrows and
     strays, merged in block order.
     """
@@ -203,22 +206,21 @@ def hv_pages(cover: GradedComplex, tau: list[int], theory: Theory) -> HvPages:
     gi = cover.gi
 
     def block_pages(C: FilteredComplex, members: list[int]):
+        local_tau = block_tau(members, tau)
         block_cover = homology_ranks(C.copy())
-        block_tau = fold(C, members, tau)
         masks = degree_masks(C)
         ranks = [rank_table(C)]
-        acted = _tau_sweep(C, block_tau)
+        moved = [_tau_sweep(C, local_tau)]
         observed: list[tuple[int, int]] = []
         strays: list[int] = []
         for src in C.generators():
             g1 = members[src]
-            if block_tau[src] != src:
+            if local_tau[src] != src:
                 strays.append(g1)
             for tgt in C.targets(src):
                 g2 = members[tgt]
                 if gi[g2] - gi[g1] == 2:
                     observed.append((g1, g2))
-        moved = [cancel_shift_level(C, 0, masks) or acted]
         for r in range(1, max_page + 1):
             ranks.append(rank_table(C))
             moved.append(cancel_shift_level(C, r, masks))
@@ -255,10 +257,11 @@ class PeriodicRun:
 
     One full Kh complex is built per side, "quotient" (the closure of the
     word) or "cover" (its 2-periodic double cover), and every table of the
-    side is read off it; AKh is read through its k-preserving arrows.  The
-    cover's tables of both theories come from its Tate pages (``hv``),
-    which assemble each block once for both readings; the quotient's are
-    cached per theory.  A run of both theories so makes two builds.
+    side is read off it; AKh is read through its k-preserving arrows.  A
+    cover table is read off the Tate pages of its theory (``hv``), which
+    assemble each block once for both readings, when they have run;
+    otherwise, as on the quotient, it is one ``homology_of`` pass, cached
+    per theory.  A run of both theories so makes two builds.
     """
 
     def __init__(self, word: BraidWord) -> None:
@@ -276,8 +279,8 @@ class PeriodicRun:
         return self._complexes[side]
 
     def homology(self, side: str, theory: Theory) -> dict[tuple, int]:
-        if side == "cover":
-            return self.hv(theory).cover
+        if side == "cover" and theory in self._hv:
+            return self._hv[theory].cover
         key = (side, theory)
         if key not in self._homology:
             self._homology[key] = homology_of(self.complex(side), theory)

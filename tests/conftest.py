@@ -21,7 +21,7 @@ from annulus_tate.f2algebra import (
 from annulus_tate import cube
 from annulus_tate.khovanov import GradedComplex, Theory, _map_blocks, build_complex, rows_of
 from annulus_tate.links import AnnularDiagram, BraidWord
-from annulus_tate.tate import fold
+from annulus_tate.tate import block_tau
 
 
 # hypothesis settings of the property tests: reproducible, no example database
@@ -289,6 +289,36 @@ def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
     return pages
 
 
+def _add_arrow(C: FilteredComplex, x: int, y: int) -> None:
+    """Add the arrow x -> y to C in place, rebasing a row whose offset lies
+    above the new bit; an arrow already present raises."""
+    for rows, offsets, a, b in ((C.out, C.out_off, x, y), (C.inc, C.inc_off, y, x)):
+        off = offsets[a]
+        if b < off:
+            rows[a] <<= off - b
+            offsets[a] = off = b
+        bit = 1 << (b - off)
+        if rows[a] & bit:
+            raise FilteredComplexError(f"repeated arrow from {x}")
+        rows[a] |= bit
+
+
+def fold(C: FilteredComplex, members: list[int], tau: list[int]) -> list[int]:
+    """Fold C, the cover block with members[x] at engine index x, into its
+    materialized Tate block: add the theta arrows g -> g and g -> tau g of
+    every generator g that is not equivariant, which ``tate.hv_pages``
+    leaves implicit.  Returns tau on the block's engine indices
+    (``tate.block_tau``, which raises on a tau that leaves the block).
+    The total-homology and column-filtration oracles read these blocks,
+    with the self-loops that ``f2algebra``'s sweep never pivots on."""
+    local_tau = block_tau(members, tau)
+    for x, t in enumerate(local_tau):
+        if t != x:
+            _add_arrow(C, x, x)
+            _add_arrow(C, x, t)
+    return local_tau
+
+
 def total_diagonal_ranks(
     cover: GradedComplex, tau: list[int], theory: Theory
 ) -> dict[tuple, int]:
@@ -496,7 +526,7 @@ def annular_class(source: cube.Resolution, target: cube.Resolution, edge: cube.E
 
 def _transport(edge: cube.EdgeType, labels: int) -> int:
     base = 0
-    for si, ti in edge.correspondence.items():
+    for si, ti in edge.correspondence:
         if (labels >> si) & 1:
             base |= 1 << ti
     return base

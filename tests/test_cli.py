@@ -167,6 +167,37 @@ def test_periodic_builds_each_complex_once(runner, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("theory, tate_passes, cover_passes", [
+    ("kh", [Theory.KH], [Theory.AKH]),
+    ("akh", [Theory.AKH], []),
+    ("both", [Theory.AKH, Theory.KH], []),
+])
+def test_periodic_runs_the_tate_pages_of_its_theories_only(
+    runner, monkeypatch, theory, tate_passes, cover_passes
+):
+    # a cover table is read off the Tate pages of its theory when the run
+    # has them, and is one homology pass of its own otherwise
+    passes, homology = [], []
+    hv_pages, homology_of = tate.hv_pages, tate.homology_of
+
+    def counting_pages(cover, tau, which):
+        passes.append(which)
+        return hv_pages(cover, tau, which)
+
+    def counting_homology(gc, which):
+        homology.append((gc.diagram.n_crossings, which))
+        return homology_of(gc, which)
+
+    monkeypatch.setattr(tate, "hv_pages", counting_pages)
+    monkeypatch.setattr(tate, "homology_of", counting_homology)
+    result = invoke(
+        runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", theory]
+    )
+    assert result.exit_code == 0
+    assert passes == tate_passes
+    assert [which for crossings, which in homology if crossings == 4] == cover_passes
+
+
 @pytest.mark.parametrize("command, reduced", [("akh", False), ("kh", True)])
 def test_rank_commands_build_one_complex(runner, monkeypatch, command, reduced):
     calls = _count_builds(monkeypatch)

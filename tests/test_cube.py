@@ -84,7 +84,7 @@ def test_edge_correspondence_keeps_port_sets():
     d = close_braid(parse_braid_word("1 2", 3))
     src, tgt = resolve(d, 0b00), resolve(d, 0b10)
     edge = classify_resolutions(src, tgt)
-    for si, ti in edge.correspondence.items():
+    for si, ti in edge.correspondence:
         assert src.circles[si].ports == tgt.circles[ti].ports
 
 

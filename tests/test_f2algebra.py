@@ -101,26 +101,6 @@ def test_from_rows_rejects_a_repeated_arrow():
         FilteredComplex.from_rows([0, 1], [(), ()], [[1, 1], []])
 
 
-@pytest.mark.parametrize("rows", [[[1], []], [[0], []]], ids=["to-tau", "self-loop"])
-def test_add_theta_arrows_rejects_an_arrow_already_present(rows):
-    C = FilteredComplex.from_rows([0, 0], [(), ()], rows)
-    with pytest.raises(FilteredComplexError, match="repeated arrow from 0"):
-        C.add_theta_arrows([1, 0])
-
-
-def test_add_theta_arrows_assembles_the_rows_from_rows_would():
-    # generators 2 and 3 are swapped, 0, 1 and 4 fixed; rows as in a block
-    fdeg, aux = [0, 0, 1, 1, 2], [()] * 5
-    rows = [[2, 3], [3], [4], [4], []]
-    tau = [0, 1, 3, 2, 4]
-    C = FilteredComplex.from_rows(fdeg, aux, rows)
-    C.add_theta_arrows(tau)
-    theta = [row + [x, tau[x]] if tau[x] != x else row for x, row in enumerate(rows)]
-    want = FilteredComplex.from_rows(fdeg, aux, theta)
-    assert (C.out, C.out_off, C.inc, C.inc_off) == (
-        want.out, want.out_off, want.inc, want.inc_off)
-
-
 def test_homology_zero_differential():
     C = FilteredComplex.from_rows([0, 0, 2], [(5,), (5,), (7,)], [[], [], []])
     assert homology_ranks(C) == {(0, 5): 2, (2, 7): 1}

@@ -91,8 +91,9 @@ def test_a_tau_between_blocks_is_refused_in_a_child(monkeypatch, forks):
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
     tau = list(run.tau)
     tau[x] = y
-    # inline, then with one process per block
-    for cpus, n_forks in ((1, 0), (len(groups), len(groups) - 1)):
+    # inline, on two processes, then with one process per block
+    for cpus, n_forks in ((1, 0), (2, 1), (len(groups), len(groups) - 1)):
+        forks.clear()
         on_cpus(monkeypatch, cpus, 0)
         with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
             hv_pages(gc, tau, Theory.AKH)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annulus_tate.cube import hamming
+from annulus_tate.f2algebra import cancel_shift_level, degree_masks
 from annulus_tate.khovanov import (
     Theory,
     _map_blocks,
@@ -17,8 +19,9 @@ from annulus_tate.links import BraidWord, close_braid, double_cover, parse_braid
 from annulus_tate.tate import (
     PeriodicRun,
     _lift_table,
+    _tau_sweep,
+    block_tau,
     check_equivariance,
-    fold,
     hv_pages,
     tau_table,
     verify_cascade,
@@ -36,6 +39,7 @@ from conftest import (
     arrows,
     check_d_squared,
     check_nonnegative,
+    fold,
     labels_of,
     lift_reference,
     tau_reference,
@@ -284,11 +288,41 @@ def test_folded_blocks_square_to_zero(braid, strands):
         _map_blocks(run.complex("cover"), theory, check)
 
 
+def _block_state(C) -> list[tuple[int, list[int]]]:
+    return [(x, list(C.targets(x))) for x in C.generators()]
+
+
+@pytest.mark.parametrize("theory", [Theory.AKH, Theory.KH])
+def test_tau_pair_sweep_leaves_what_the_folded_shift_0_sweep_leaves(theory):
+    # page 0 of hv_pages cancels each free pair in place, with no theta
+    # arrow stored; on the materialized Tate block the whole shift-0 sweep
+    # must reach the same generators and arrows
+    words = [
+        BraidWord(m, letters)
+        for m, max_letters in ((2, 3), (3, 2))
+        for n in range(max_letters + 1)
+        for letters in itertools.product(alphabet(m), repeat=n)
+    ]
+    for word in words:
+        run = PeriodicRun(word)
+        tau = run.tau
+
+        def both_sweeps(C, members):
+            folded = C.copy()
+            fold(folded, members, tau)
+            cancel_shift_level(folded, 0, degree_masks(folded))
+            _tau_sweep(C, block_tau(members, tau))
+            return _block_state(folded), _block_state(C)
+
+        for folded, in_place in _map_blocks(run.complex("cover"), theory, both_sweeps):
+            assert in_place == folded, word
+
+
 @pytest.mark.parametrize(
     "braid,strands", [("1 -1 1 1", 2), ("1 2 -1 2", 3), ("1 1 1 1", 2)]
 )
 def test_hv_cover_tables_are_the_cover_homology(braid, strands):
-    # each Tate block's homology before its fold: the cover tables of a run
+    # each Tate block's homology before page 0: the cover tables of a run
     run = PeriodicRun(parse_braid_word(braid, strands))
     full = run.complex("cover")
     for theory in (Theory.AKH, Theory.KH):
