@@ -32,6 +32,7 @@ from .khovanov import (
     GradedComplex,
     Theory,
     build_complex,
+    homologies_of,
     homology,
     homology_of,
     total_rank,

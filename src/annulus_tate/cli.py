@@ -35,7 +35,6 @@ from .links import (
 from .tate import (
     PeriodicRun,
     Verdict,
-    check_equivariance,
     verify_cascade,
     verify_collapse,
     verify_congruences,
@@ -324,19 +323,27 @@ def cmd_resolve(ctx, braid, strands, alpha, fmt, cache_dir):
     _emit(ctx, config, build, fmt, _cache_dir(cache_dir))
 
 
-def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
+# the Tate checks of each --theory choice
+PERIODIC_THEORIES = {
+    "both": (Theory.AKH, Theory.KH),
+    "akh": (Theory.AKH,),
+    "kh": (Theory.KH,),
+}
+
+
+def _periodic_verdicts(run: PeriodicRun) -> list[Verdict]:
     verdicts: list[Verdict] = []
-    if theory in ("both", "akh"):
+    if Theory.AKH in run.theories:
         verdicts += [
-            check_equivariance(run.complex("cover"), run.tau, Theory.AKH),
+            run.equivariance[Theory.AKH],
             verify_e2_correspondence(run),
             verify_collapse(run, Theory.AKH),
             verify_diagonals(run),
             verify_rank_inequality(run),
         ]
-    if theory in ("both", "kh"):
+    if Theory.KH in run.theories:
         verdicts += [
-            check_equivariance(run.complex("cover"), run.tau, Theory.KH),
+            run.equivariance[Theory.KH],
             verify_collapse(run, Theory.KH),
             verify_khtate_limit(run),
             verify_cascade(run),
@@ -345,8 +352,8 @@ def _periodic_verdicts(run: PeriodicRun, theory: str) -> list[Verdict]:
 
 
 def _periodic_body(word: BraidWord, theory: str) -> tuple[dict, bool]:
-    run = PeriodicRun(word)
-    verdicts = _periodic_verdicts(run, theory)
+    run = PeriodicRun(word, PERIODIC_THEORIES[theory])
+    verdicts = _periodic_verdicts(run)
     body = {
         "proven_family": run.proven_family,
         "verdicts": [_verdict_json(v) for v in verdicts],

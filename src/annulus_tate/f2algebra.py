@@ -154,9 +154,16 @@ class FilteredComplex:
             for tgt in self.targets(src):
                 yield src, tgt
 
-    def n_arrows(self) -> int:
+    def n_arrows(self, target_mask_of=None) -> int:
+        """The arrows between alive generators; with ``target_mask_of``,
+        only those x -> y whose target it allows, as in ``_sweep_cancel``."""
         out, off, alive = self.out, self.out_off, self.alive
-        return sum((out[g] & (alive >> off[g])).bit_count() for g in self.generators())
+        if target_mask_of is None:
+            return sum((out[g] & (alive >> off[g])).bit_count() for g in self.generators())
+        return sum(
+            (out[g] & ((alive & target_mask_of(g)) >> off[g])).bit_count()
+            for g in self.generators()
+        )
 
     def grading_key(self, g: int) -> tuple:
         return (self.fdeg[g], *self.aux[g])
@@ -276,11 +283,24 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of=None) -> bool:
     return acted
 
 
-def homology_ranks(C: FilteredComplex) -> dict[tuple, int]:
+def homology_ranks(C: FilteredComplex, key: list | None = None) -> dict[tuple, int]:
     """Homology ranks per grading, by cancelling ``C`` in place until no
-    arrows remain; pass ``C.copy()`` to keep the complex."""
-    _sweep_cancel(C)
-    if C.n_arrows():
+    arrows remain; pass ``C.copy()`` to keep the complex.
+
+    With ``key``, a list that no arrow raises (a second filtration), only
+    the arrows x -> y with key[y] == key[x] are cancelled, until none
+    remains: the ranks of the associated graded complex.  Cancelling such
+    an arrow creates no arrow that raises ``key``, so ``homology_ranks(C)``
+    afterwards finishes the homology of C itself.
+    """
+    target_mask_of = None
+    if key is not None:
+        same: dict = {}
+        for g in C.generators():
+            same[key[g]] = same.get(key[g], 0) | (1 << g)
+        target_mask_of = [same.get(k, 0) for k in key].__getitem__
+    _sweep_cancel(C, target_mask_of)
+    if C.n_arrows(target_mask_of):
         raise FilteredComplexError("cancellation finished with arrows left")
     return rank_table(C)
 
@@ -317,21 +337,27 @@ class PageTable:
         return self.ranks[min(r, self.max_page)]
 
 
-def degree_masks(C: FilteredComplex) -> dict[int, int]:
+def degree_masks(C: FilteredComplex, key: list | None = None) -> dict:
     """Bitmask of generators per filtration degree (computed once; dead
-    bits are masked out by the callers)."""
-    masks: dict[int, int] = {}
+    bits are masked out by the callers); with ``key``, a list, one such
+    dict per value of ``key``, over the generators g with that key[g]."""
+    masks: dict = {}
     for g in C.generators():
-        masks[C.fdeg[g]] = masks.get(C.fdeg[g], 0) | (1 << g)
+        level = masks if key is None else masks.setdefault(key[g], {})
+        level[C.fdeg[g]] = level.get(C.fdeg[g], 0) | (1 << g)
     return masks
 
 
 def cancel_shift_level(
-    work: FilteredComplex, r: int, masks: dict[int, int]
+    work: FilteredComplex, r: int, masks: dict, key: list | None = None
 ) -> bool:
     """Cancel every arrow of filtration shift exactly r (mutating ``work``);
-    returns True if anything acted."""
-    return _sweep_cancel(work, lambda x: masks.get(work.fdeg[x] + r, 0))
+    returns True if anything acted.  ``masks`` is ``degree_masks(work,
+    key)``: with ``key``, only the arrows x -> y with key[y] == key[x]."""
+    fdeg = work.fdeg
+    if key is None:
+        return _sweep_cancel(work, lambda x: masks.get(fdeg[x] + r, 0))
+    return _sweep_cancel(work, lambda x: masks[key[x]].get(fdeg[x] + r, 0))
 
 
 def dense_rank(matrix: Iterable[Iterable[int]]) -> int:

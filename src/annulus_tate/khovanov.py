@@ -23,7 +23,10 @@ Khovanov, "Patterns in knot cohomology I", Experiment. Math. 2003).  The
 full complex serves AKh and the Tate side, where the deck rotation fixes
 no basepoint.  A ``periodic`` run reads every table of a side off that
 side's full complex (``tate.PeriodicRun``), so a run of both theories
-makes two builds: the full quotient and the full cover.
+makes two builds: the full quotient and the full cover.  It also
+assembles each block of a side once for both theories: on a j block of
+the Kh rows, cancelling the arrows that keep k first gives AKh, and
+cancelling the rest then gives Kh (``homologies_of``).
 
 The complex is built in one pass per cube edge.  Gradings are read per
 vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
@@ -33,9 +36,9 @@ that transport (``labeling_images``) are tabulated once per distinct edge
 type.  d^2 = 0 is checked on every built complex.  ``_map_blocks`` is the
 one reader of a complex's blocks: it splits the complex into engine
 complexes along the gradings every arrow of a theory preserves, filtered
-by i, assembling each bitset row once.  A block numbers its generators
-level by level, so that each offset-relative engine row spans one or two
-levels of i rather than the whole block.  The blocks share nothing, so
+by i and graded by (j, k), assembling each bitset row once.  A block
+numbers its generators level by level, so that each offset-relative
+engine row spans one or two levels of i rather than the whole block.  The blocks share nothing, so
 ``_fork_map`` shares them out over every CPU: it forks one child per extra
 CPU, and each process assembles its blocks one at a time from its
 (copy-on-write) image of the complex, hands each to the caller's function,
@@ -291,17 +294,19 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     ``_fork_map``.
 
     C is the block's engine complex: each generator g is filtered by i and
-    carries its block key as auxiliary grading; its arrow targets are its
-    ``theory`` arrows (``rows_of``), read once per generator, when its
-    block is assembled.  members[x] is the generator of ``gc`` at engine
-    index x.  Members are numbered level by level: by i, then in generator
-    order.  A cube arrow raises i by one, so each engine row spans at most
+    carries (j, k) as auxiliary grading, so that its rank tables are keyed
+    (i, j, k) in either theory; its arrow targets are its ``theory``
+    arrows (``rows_of``), read once per generator, when its block is
+    assembled.  members[x] is the generator of ``gc`` at engine index x.
+    Members are numbered level by level: by i, then in generator order.
+    A cube arrow raises i by one, so each engine row spans at most
     two adjacent levels.  An arrow that leaves its block raises
     FilteredComplexError.  Each process assembles its blocks one at a
     time, and ``fn`` may cancel C in place: C is dropped when ``fn``
     returns.
     """
-    keys = _block_keys(theory, gc.gj, gc.gk)
+    aux = _block_keys(Theory.AKH, gc.gj, gc.gk)
+    keys = aux if theory is Theory.AKH else _block_keys(theory, gc.gj, gc.gk)
     targets_of = rows_of(gc, theory)
     ids: dict[tuple, int] = {}
     block_of = [ids.setdefault(key, len(ids)) for key in keys]
@@ -321,7 +326,7 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
             raise FilteredComplexError("arrow leaves its grading block")
         C = FilteredComplex.from_rows(
             [gc.gi[g] for g in members],
-            [keys[g] for g in members],
+            [aux[g] for g in members],
             ([local[y] for y in row] for row in rows),
         )
         del rows  # before fn cancels C
@@ -338,11 +343,17 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
 # took 2.5-2.75 ms (median) from a 22-30 MB parent, and block assembly and
 # cancellation 6-11 us per generator, more in larger complexes.  A second
 # process takes at most half the work off the parent, and less when the
-# blocks are uneven, so forking pays from about 1,000-2,000 generators on:
-# two processes took homology_of from 10.3 to 12.3 ms on a 1,602-generator
-# cover and from 58 to 40 ms on a 6,564-generator one.  The four-letter
-# quotients and the three-letter covers stay inline; four-letter covers
-# and 10-crossing closures fork.
+# blocks are uneven, so forking pays from about 1,000-2,000 generators on.
+# Re-measured on a 2-vCPU virtual machine (Python 3.11.7), minimum and
+# median of 60 runs, inline against two processes: on the 6,564-generator
+# cover of "1 1 1 1"/2, the AKh homology_of took 31.7/56.0 ms against
+# 30.3/35.3 ms, and hv_pages of both theories 41.4/76.6 ms against
+# 32.4/44.1 ms; on the 59,052-generator cover of "1 1 1 1 1"/2 (12 runs),
+# 445/686 ms against 310/440 ms and 658/1005 ms against 363/553 ms.  Near
+# the crossover the minima are within that host's noise: one CPU-bound
+# loop took 1.9-3.1 s from run to run, and two at once 2.3-3.3 s each.
+# The four-letter quotients and the three-letter covers stay inline;
+# four-letter covers and 10-crossing closures fork.
 FORK_MIN_GENERATORS = 2_000
 
 _max_processes: int | None = None
@@ -477,24 +488,58 @@ def _run_share(fn, items: list, share: list[int], sink) -> NoReturn:
         os._exit(0)
 
 
-def homology_of(gc: GradedComplex, theory: Theory) -> dict[tuple, int]:
-    """Graded homology ranks of ``theory``: keys (i, j, k) for AKh, (i, j)
-    for Kh.
+def _drop_k(i: int, j: int, k: int) -> tuple:
+    return i, j
+
+
+def _block_homology(C: FilteredComplex, theories) -> dict[Theory, dict[tuple, int]]:
+    """The homology ranks of each of ``theories`` on the block C, which is
+    cancelled in place: a j block of the Kh rows when Kh is among them, a
+    (j, k) block of the AKh rows otherwise (``_map_blocks``).
+
+    On a Kh block, AKh is read first, by cancelling the arrows that keep k
+    (``homology_ranks(C, key)``): AKh is the associated graded of Kh under
+    the k-filtration, and no arrow raises k, so these are exactly the
+    AKh cancellations.  Cancelling the arrows left then gives Kh, keyed
+    (i, j) once summed over k.
+    """
+    if Theory.KH not in theories:
+        return {Theory.AKH: homology_ranks(C)}
+    tables = {}
+    if Theory.AKH in theories:
+        tables[Theory.AKH] = homology_ranks(C, [k for _, k in C.aux])
+    tables[Theory.KH] = summed(homology_ranks(C), _drop_k)
+    return tables
+
+
+def homologies_of(gc: GradedComplex, theories) -> dict[Theory, dict[tuple, int]]:
+    """Graded homology ranks of each of ``theories`` from one assembly of
+    each block (``_block_homology``): keys (i, j, k) for AKh, (i, j) for
+    Kh.
 
     A reduced complex, with homology h, gives the Kh ranks
-    h^{i,j} + h^{i,j-2}.
+    h^{i,j} + h^{i,j-2}; it has no AKh.
     """
-    table: dict[tuple, int] = {}
-    # homology_ranks cancels each block in place
-    for ranks in _map_blocks(gc, theory, lambda C, _: homology_ranks(C)):
-        table.update(ranks)
+    if gc.reduced and Theory.AKH in theories:
+        raise ValueError("AKh is read from the full complex, not the reduced one")
+    blocks = Theory.KH if Theory.KH in theories else Theory.AKH
+    tables: dict[Theory, dict[tuple, int]] = {theory: {} for theory in theories}
+    for block in _map_blocks(gc, blocks, lambda C, _: _block_homology(C, theories)):
+        for theory, ranks in block.items():
+            tables[theory].update(ranks)
     if gc.reduced:
-        table = {
-            (i, j): table.get((i, j), 0) + table.get((i, j - 2), 0)
-            for i, j0 in table
+        h = tables[Theory.KH]
+        tables[Theory.KH] = {
+            (i, j): h.get((i, j), 0) + h.get((i, j - 2), 0)
+            for i, j0 in h
             for j in (j0, j0 + 2)
         }
-    return table
+    return tables
+
+
+def homology_of(gc: GradedComplex, theory: Theory) -> dict[tuple, int]:
+    """Graded homology ranks of ``theory`` (``homologies_of``)."""
+    return homologies_of(gc, (theory,))[theory]
 
 
 def homology(diagram: AnnularDiagram, theory: Theory) -> dict[tuple, int]:

@@ -18,6 +18,12 @@ only arrows from level i - 1 to level i + 1: no theta arrow or self-loop is
 ever created, removed or read, and none is left once every pair is gone.
 Ranks read off the folded complex are ranks of one column of the
 bi-infinite bicomplex, with no truncation to finitely many columns.
+
+The AKh Tate complex is the associated graded of the Kh one under the
+k-filtration: theta (1 + tau) keeps k, and a cover arrow never raises it.
+So one Kh Tate block serves both theories (``hv_pages``): page 0 is
+swept once, and the AKh pages cancel, on a copy, only the arrows that
+keep k, which are exactly the AKh cancellations.
 """
 
 from __future__ import annotations
@@ -32,15 +38,16 @@ from .f2algebra import (
     PageTable,
     cancel_shift_level,
     degree_masks,
-    homology_ranks,
     rank_table,
 )
 from .khovanov import (
     GradedComplex,
     Theory,
+    _block_homology,
+    _drop_k,
     _map_blocks,
     build_complex,
-    homology_of,
+    homologies_of,
     labeling_images,
     rows_of,
     summed,
@@ -107,62 +114,90 @@ def tau_table(gc: GradedComplex) -> list[int]:
     return tau
 
 
-def check_equivariance(gc: GradedComplex, tau: list[int], theory: Theory) -> Verdict:
-    """The ``equivariance-<theory>`` verdict: the involution ``tau`` (from
+def check_equivariance(
+    gc: GradedComplex, tau: list[int], theories
+) -> dict[Theory, Verdict]:
+    """The ``equivariance-<theory>`` verdict of each of ``theories``, from
+    one walk over the cover: the involution ``tau`` (from
     :func:`tau_table`) squares to the identity, preserves the gradings,
-    commutes with the differential of ``theory`` (it maps the targets of
+    commutes with the differential of the theory (it maps the targets of
     each generator x onto the targets of tau x), and fixes generators only
-    at even Hamming weight."""
+    at even Hamming weight.
+
+    The Kh rows are compared at each x <= tau x, and the AKh rows, the
+    arrows that keep k, only where the Kh rows differ: tau keeps k, so
+    equal Kh rows have equal AKh rows.
+    """
     rng = range(gc.n_generators)
-    row = rows_of(gc, theory)
+    out, gk = gc.out, gc.gk
     fixed = [g for g in rng if tau[g] == g]
-    passed = (
+    akh_ok = kh_ok = (
         all(tau[tau[g]] == g for g in rng)
         and all(
             (gc.gi[g], gc.gj[g], gc.gk[g]) == (gc.gi[t], gc.gj[t], gc.gk[t])
             for g, t in enumerate(tau)
         )
-        # tau is an involution by now, so the condition at x is the one at tau x
-        and all({tau[y] for y in row(x)} == set(row(tau[x])) for x in rng if x <= tau[x])
         and all(cube.hamming(gc.vertex_of[g]) % 2 == 0 for g in fixed)
     )
-    return Verdict(
-        name=f"equivariance-{theory.value}",
-        passed=passed,
-        details={"equivariant_generators": len(fixed)},
-    )
+    if akh_ok:
+        # tau is an involution by now, so the condition at x is the one at tau x
+        for x in rng:
+            tx = tau[x]
+            if x > tx:
+                continue
+            image, row = {tau[y] for y in out[x]}, set(out[tx])
+            if image != row:
+                kh_ok = False
+                k = gk[x]
+                if {y for y in image if gk[y] == k} != {y for y in row if gk[y] == k}:
+                    akh_ok = False
+                    break  # and Kh has failed too
+    passed = {Theory.AKH: akh_ok, Theory.KH: kh_ok}
+    return {
+        theory: Verdict(
+            name=f"equivariance-{theory.value}",
+            passed=passed[theory],
+            details={"equivariant_generators": len(fixed)},
+        )
+        for theory in theories
+    }
 
 
 # ---------------------------------------------------------------------------
 # the folded Tate complex
 
 
-def block_tau(members: list[int], tau: list[int]) -> list[int]:
-    """tau on the engine indices of a cover block that holds the cover
-    generator members[x] at engine index x; ``tau`` is the chain involution
-    of the cover (:func:`tau_table`).  A tau that leaves the block raises
+def block_tau(C: FilteredComplex, members: list[int], tau: list[int]) -> list[int]:
+    """tau on the engine indices of the cover block C, which holds the
+    cover generator members[x] at engine index x; ``tau`` is the chain
+    involution of the cover (:func:`tau_table`).  A tau that leaves the
+    block, or moves a generator to another (j, k), raises
     FilteredComplexError.
     """
     local = {g: x for x, g in enumerate(members)}
     try:
-        return [local[tau[g]] for g in members]
+        images = [local[tau[g]] for g in members]
     except KeyError:
         raise FilteredComplexError("arrow leaves its grading block") from None
+    aux = C.aux
+    if any(aux[t] != aux[x] for x, t in enumerate(images)):
+        raise FilteredComplexError("arrow leaves its grading block")
+    return images
 
 
 @dataclass
 class HvPages:
-    """Row-filtered spectral sequence of the Tate complex, and the cover
-    homology its blocks were assembled for.
+    """Row-filtered spectral sequence of the Tate complex in one theory,
+    and the cover homology its blocks were assembled for.
 
     Keys of ``pages`` are (i, j, k) for AKh and (i, j) for Kh: the ranks of
     one column.  ``cover`` holds the homology ranks of the cover complex in
-    ``theory``, same keys, read off each block before page 0 cancels its
+    the theory, same keys, read off each block before page 0 cancels its
     free pairs.  The odd-page check asserts that ranks do not move from page
     2s+1 to page 2s+2.  ``d2_observed`` holds the (delta-i = 2, a = -1)
-    arrows g1 -> g2 read off once page 0 has cancelled every free pair, and
-    ``d2_strays`` any nonequivariant survivors of page 0 (there should be
-    none).
+    arrows g1 -> g2 of the theory read off once page 0 has cancelled every
+    free pair (for AKh, the ones that keep k), and ``d2_strays`` any
+    nonequivariant survivors of page 0 (there should be none).
     """
 
     pages: PageTable
@@ -185,32 +220,54 @@ def _tau_sweep(C: FilteredComplex, tau: list[int]) -> bool:
     return acted
 
 
-def hv_pages(cover: GradedComplex, tau: list[int], theory: Theory) -> HvPages:
-    """Spectral sequence of the row-wise (i) filtration of the Tate complex
-    of ``cover`` in ``theory``, with chain involution ``tau``, to page
-    max(3, i-span + 2), past the largest shift, and the cover homology.
+def hv_pages(
+    cover: GradedComplex, tau: list[int], theories
+) -> tuple[dict[Theory, dict[tuple, int]], dict[Theory, HvPages]]:
+    """The homology of ``cover`` in AKh and in each of ``theories``, and the
+    spectral sequence of the row-wise (i) filtration of its Tate complex
+    in each of ``theories``, with chain involution ``tau``, to page
+    max(3, i-span + 2), past the largest shift.
 
-    The engine complexes are the cover's (j, k) (AKh) or j (Kh) blocks,
-    filtered by i, each assembled once from the cover arrows: its homology
-    ranks, on a copy, are its share of the cover table, and the block
-    itself is its Tate block, whose theta arrows are implicit (see the
-    module docstring).  Page 0's differential is theta (1 + tau), so page 0
-    cancels each free pair x < tau x in place (:func:`_tau_sweep`), and
-    pages r >= 1 cancel the arrows of shift r.  The state after page 0 is
-    where the induced length-2 differentials are read off.  The blocks
-    run on every CPU (``khovanov._map_blocks``); each returns its
-    cover ranks, page tables, ``d_nonzero`` flags, observed d2 arrows and
-    strays, merged in block order.
+    Each block is assembled once from the cover arrows, and every table
+    of the block is read off it: the j blocks of the Kh rows when Kh is
+    among ``theories``, the (j, k) blocks of the AKh rows otherwise
+    (``khovanov._map_blocks``).  AKh is the associated graded of Kh under
+    the k-filtration, and neither an arrow nor tau raises k, so on a Kh
+    block the cancellations of the arrows that keep k are exactly the
+    AKh ones.  Per block:
+
+    - on a copy, the cover homology (``khovanov._block_homology``);
+    - on the block itself, its Tate block, whose theta arrows are implicit
+      (see the module docstring): page 0's differential is
+      theta (1 + tau), so page 0 cancels each free pair x < tau x in place
+      (:func:`_tau_sweep`), once for both theories.  The state after page
+      0 is where the induced length-2 differentials are read off;
+    - pages r >= 1 cancel the arrows of shift r: in AKh, on a copy when Kh
+      runs too, only those that keep k; in Kh, every one.
+
+    The blocks run on every CPU; each returns its cover ranks, page tables,
+    ``d_nonzero`` flags, observed d2 arrows and strays, merged in block
+    order.
     """
+    kh = Theory.KH in theories
+    read = (Theory.AKH, Theory.KH) if kh else (Theory.AKH,)
     max_page = max(3, cover.i_span() + 2)
-    gi = cover.gi
+    gi, gk = cover.gi, cover.gk
 
-    def block_pages(C: FilteredComplex, members: list[int]):
-        local_tau = block_tau(members, tau)
-        block_cover = homology_ranks(C.copy())
-        masks = degree_masks(C)
-        ranks = [rank_table(C)]
-        moved = [_tau_sweep(C, local_tau)]
+    def pages_from(C: FilteredComplex, start: dict, acted: bool, key=None):
+        """Pages 0 (given) to max_page, cancelling C from page 1 on."""
+        ranks, moved = [start], [acted]
+        masks = degree_masks(C, key)
+        for r in range(1, max_page + 1):
+            ranks.append(rank_table(C))
+            moved.append(cancel_shift_level(C, r, masks, key))
+        return ranks, moved
+
+    def run_block(C: FilteredComplex, members: list[int]):
+        local_tau = block_tau(C, members, tau)
+        block_cover = _block_homology(C.copy(), read)
+        start = rank_table(C)
+        acted = _tau_sweep(C, local_tau)
         observed: list[tuple[int, int]] = []
         strays: list[int] = []
         for src in C.generators():
@@ -221,31 +278,45 @@ def hv_pages(cover: GradedComplex, tau: list[int], theory: Theory) -> HvPages:
                 g2 = members[tgt]
                 if gi[g2] - gi[g1] == 2:
                     observed.append((g1, g2))
-        for r in range(1, max_page + 1):
-            ranks.append(rank_table(C))
-            moved.append(cancel_shift_level(C, r, masks))
-        return block_cover, ranks, moved, observed, strays
+        pages = {}
+        if Theory.AKH in theories:
+            key = [k for _, k in C.aux] if kh else None
+            pages[Theory.AKH] = pages_from(C.copy() if kh else C, start, acted, key)
+        if kh:
+            ranks, moved = pages_from(C, start, acted)
+            pages[Theory.KH] = [summed(table, _drop_k) for table in ranks], moved
+        return block_cover, pages, observed, strays
 
-    pages = PageTable(max_page=max_page)
-    cover_table: dict[tuple, int] = {}
-    observed: set[tuple[int, int]] = set()
+    covers: dict[Theory, dict[tuple, int]] = {theory: {} for theory in read}
+    pages = {theory: PageTable(max_page=max_page) for theory in theories}
+    observed: list[tuple[int, int]] = []
     strays: list[int] = []
-    for block_cover, ranks, moved, block_observed, block_strays in _map_blocks(
-        cover, theory, block_pages
+    for block_cover, block_pages, block_observed, block_strays in _map_blocks(
+        cover, Theory.KH if kh else Theory.AKH, run_block
     ):
-        cover_table.update(block_cover)
-        pages.add(ranks, moved)
-        observed.update(block_observed)
+        for theory, table in block_cover.items():
+            covers[theory].update(table)
+        for theory, (ranks, moved) in block_pages.items():
+            pages[theory].add(ranks, moved)
+        observed += block_observed
         strays += block_strays
-    return HvPages(
-        pages=pages,
-        cover=cover_table,
-        odd_pages_ok=all(
-            pages.table(r) == pages.table(r + 1) for r in range(1, pages.max_page, 2)
-        ),
-        d2_observed=observed,
-        d2_strays=sorted(strays),
-    )
+    d2 = {
+        Theory.AKH: {(g1, g2) for g1, g2 in observed if gk[g1] == gk[g2]},
+        Theory.KH: set(observed),
+    }
+    return covers, {
+        theory: HvPages(
+            pages=pages[theory],
+            cover=covers[theory],
+            odd_pages_ok=all(
+                pages[theory].table(r) == pages[theory].table(r + 1)
+                for r in range(1, max_page, 2)
+            ),
+            d2_observed=d2[theory],
+            d2_strays=sorted(strays),
+        )
+        for theory in theories
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +324,27 @@ def hv_pages(cover: GradedComplex, tau: list[int], theory: Theory) -> HvPages:
 
 
 class PeriodicRun:
-    """Shared computations for one quotient braid word.
+    """Shared computations for one quotient braid word, for the Tate checks
+    of ``theories``.
 
     One full Kh complex is built per side, "quotient" (the closure of the
-    word) or "cover" (its 2-periodic double cover), and every table of the
-    side is read off it; AKh is read through its k-preserving arrows.  A
-    cover table is read off the Tate pages of its theory (``hv``), which
-    assemble each block once for both readings, when they have run;
-    otherwise, as on the quotient, it is one ``homology_of`` pass, cached
-    per theory.  A run of both theories so makes two builds.
+    word) or "cover" (its 2-periodic double cover), and every table of a
+    side is read off one assembly of each of its blocks: the j blocks of
+    the Kh rows when Kh is among the theories, where AKh is read through
+    the arrows that keep k, and the (j, k) blocks of the AKh rows
+    otherwise.  The quotient's tables come from one homology pass
+    (``homologies_of``); the cover's from its Tate pass (:func:`hv_pages`),
+    which also runs the Tate pages of the theories.  AKh tables are read in
+    every run.  Both equivariance verdicts come from one walk
+    (:func:`check_equivariance`).
     """
 
-    def __init__(self, word: BraidWord) -> None:
+    def __init__(self, word: BraidWord, theories=tuple(Theory)) -> None:
         self.word = word
+        self.theories = tuple(theories)
         self.quotient_diagram = close_braid(word)
         self.cover_diagram = double_cover(word)
         self._complexes: dict = {}
-        self._homology: dict = {}
-        self._hv: dict = {}
 
     def complex(self, side: str) -> GradedComplex:
         if side not in self._complexes:
@@ -278,22 +352,29 @@ class PeriodicRun:
             self._complexes[side] = build_complex(diagram)
         return self._complexes[side]
 
+    @cached_property
+    def _quotient_tables(self) -> dict[Theory, dict[tuple, int]]:
+        read = (Theory.AKH, Theory.KH) if Theory.KH in self.theories else (Theory.AKH,)
+        return homologies_of(self.complex("quotient"), read)
+
+    @cached_property
+    def _cover_pass(self) -> tuple[dict[Theory, dict[tuple, int]], dict[Theory, HvPages]]:
+        return hv_pages(self.complex("cover"), self.tau, self.theories)
+
     def homology(self, side: str, theory: Theory) -> dict[tuple, int]:
-        if side == "cover" and theory in self._hv:
-            return self._hv[theory].cover
-        key = (side, theory)
-        if key not in self._homology:
-            self._homology[key] = homology_of(self.complex(side), theory)
-        return self._homology[key]
+        tables = self._cover_pass[0] if side == "cover" else self._quotient_tables
+        return tables[theory]
 
     @cached_property
     def tau(self) -> list[int]:
         return tau_table(self.complex("cover"))
 
     def hv(self, theory: Theory) -> HvPages:
-        if theory not in self._hv:
-            self._hv[theory] = hv_pages(self.complex("cover"), self.tau, theory)
-        return self._hv[theory]
+        return self._cover_pass[1][theory]
+
+    @cached_property
+    def equivariance(self) -> dict[Theory, Verdict]:
+        return check_equivariance(self.complex("cover"), self.tau, self.theories)
 
     @property
     def proven_family(self) -> bool:

@@ -105,8 +105,7 @@ def compute_word_result(args: tuple[str, int]) -> dict:
 
     odd_pages_ok = run.hv(Theory.AKH).odd_pages_ok and run.hv(Theory.KH).odd_pages_ok
 
-    eq_akh = check_equivariance(run.complex("cover"), run.tau, Theory.AKH)
-    eq_kh = check_equivariance(run.complex("cover"), run.tau, Theory.KH)
+    eq_akh, eq_kh = check_equivariance(run.complex("cover"), run.tau, THEORIES).values()
     lap("verdicts")
 
     complexes = [run.complex(side) for side in ("quotient", "cover")]

@@ -21,7 +21,7 @@ from annulus_tate.f2algebra import (
 from annulus_tate import cube
 from annulus_tate.khovanov import GradedComplex, Theory, _map_blocks, build_complex, rows_of
 from annulus_tate.links import AnnularDiagram, BraidWord
-from annulus_tate.tate import block_tau
+from annulus_tate.tate import HvPages, block_tau, hv_pages
 
 
 # hypothesis settings of the property tests: reproducible, no example database
@@ -311,7 +311,7 @@ def fold(C: FilteredComplex, members: list[int], tau: list[int]) -> list[int]:
     (``tate.block_tau``, which raises on a tau that leaves the block).
     The total-homology and column-filtration oracles read these blocks,
     with the self-loops that ``f2algebra``'s sweep never pivots on."""
-    local_tau = block_tau(members, tau)
+    local_tau = block_tau(C, members, tau)
     for x, t in enumerate(local_tau):
         if t != x:
             _add_arrow(C, x, x)
@@ -333,7 +333,8 @@ def total_diagonal_ranks(
     table: dict[tuple, int] = {}
     for ranks in _map_blocks(cover, theory, block_ranks):
         for key, rank in ranks.items():
-            table[key[1:]] = table.get(key[1:], 0) + rank
+            key = key[1:] if theory is Theory.AKH else key[1:2]
+            table[key] = table.get(key, 0) + rank
     return table
 
 
@@ -365,13 +366,29 @@ def vh_pages(
         masks = f2algebra.degree_masks(C)
         ranks, moved = [], []
         for r in range(pages.max_page + 1):
-            ranks.append(f2algebra.rank_table(C))
+            ranks.append(graded_as(theory, f2algebra.rank_table(C)))
             moved.append(f2algebra.cancel_shift_level(C, 1 - r, masks))
         return ranks, moved
 
     for ranks, moved in _map_blocks(cover, theory, block_pages):
         pages.add(ranks, moved)
     return VhPages(pages=pages, e1_ok=pages.table(1) == cover_homology)
+
+
+def graded_as(theory: Theory, table: dict[tuple, int]) -> dict[tuple, int]:
+    """A block rank table keyed (i, j, k) with the keys of ``theory``:
+    (i, j, k) for AKh, (i, j) for Kh, summed over k."""
+    if theory is Theory.AKH:
+        return table
+    out: dict[tuple, int] = {}
+    for (i, j, _), rank in table.items():
+        out[i, j] = out.get((i, j), 0) + rank
+    return out
+
+
+def hv_pages_of(cover: GradedComplex, tau: list[int], theory: Theory) -> HvPages:
+    """The ``tate.hv_pages`` of ``theory`` run alone."""
+    return hv_pages(cover, tau, (theory,))[1][theory]
 
 
 def at_t_minus_one(poly: dict[tuple, int]) -> dict[tuple, int]:

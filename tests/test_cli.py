@@ -147,55 +147,61 @@ def test_periodic_builds_each_complex_once(runner, monkeypatch):
     run = tate.PeriodicRun(parse_braid_word("1 -1", 2))
     quotient, cover = run.complex("quotient"), run.complex("cover")
 
-    def n_blocks(gc, theory):
-        return len(set(khovanov._block_keys(theory, gc.gj, gc.gk)))
+    def n_blocks(theory):
+        return sum(
+            len(set(khovanov._block_keys(theory, gc.gj, gc.gk))) for gc in (quotient, cover)
+        )
 
     calls = _count_builds(monkeypatch)
     blocks = watch_block_builds(monkeypatch)
-    result = invoke(
-        runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", "both"]
-    )
-    assert result.exit_code == 0
-    # the full complex of each side, which gives both of its tables: the
-    # cover's through its Tate pages
-    assert sorted(calls) == [(2, False), (4, False)]
-    # one assembly per block of each quotient table, and per cover block per
-    # theory: the cover tables are read off the Tate blocks
-    assert len(blocks) == (
-        n_blocks(quotient, Theory.AKH) + n_blocks(quotient, Theory.KH)
-        + n_blocks(cover, Theory.AKH) + n_blocks(cover, Theory.KH)
-    )
+    # each side's blocks are the j blocks of its Kh rows when Kh runs, and
+    # the (j, k) blocks of its AKh rows otherwise
+    for theory, blocks_of in (("both", Theory.KH), ("kh", Theory.KH), ("akh", Theory.AKH)):
+        calls.clear()
+        blocks.clear()
+        result = invoke(
+            runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", theory]
+        )
+        assert result.exit_code == 0
+        # the full complex of each side, which gives both of its tables
+        assert sorted(calls) == [(2, False), (4, False)]
+        # one assembly per block of each side: every table of the side, the
+        # cover's Tate pages included, is read off it
+        assert len(blocks) == n_blocks(blocks_of), theory
 
 
 @pytest.mark.parametrize("theory, tate_passes, cover_passes", [
-    ("kh", [Theory.KH], [Theory.AKH]),
-    ("akh", [Theory.AKH], []),
-    ("both", [Theory.AKH, Theory.KH], []),
+    ("kh", [(Theory.KH,)], []),
+    ("akh", [(Theory.AKH,)], []),
+    ("both", [(Theory.AKH, Theory.KH)], []),
 ])
 def test_periodic_runs_the_tate_pages_of_its_theories_only(
     runner, monkeypatch, theory, tate_passes, cover_passes
 ):
-    # a cover table is read off the Tate pages of its theory when the run
-    # has them, and is one homology pass of its own otherwise
+    # one Tate pass gives every cover table, whatever the run's theories,
+    # and one homology pass every quotient table
     passes, homology = [], []
-    hv_pages, homology_of = tate.hv_pages, tate.homology_of
+    hv_pages, homologies_of = tate.hv_pages, tate.homologies_of
 
     def counting_pages(cover, tau, which):
-        passes.append(which)
+        passes.append(tuple(which))
         return hv_pages(cover, tau, which)
 
     def counting_homology(gc, which):
-        homology.append((gc.diagram.n_crossings, which))
-        return homology_of(gc, which)
+        homology.append((gc.diagram.n_crossings, tuple(which)))
+        return homologies_of(gc, which)
 
     monkeypatch.setattr(tate, "hv_pages", counting_pages)
-    monkeypatch.setattr(tate, "homology_of", counting_homology)
+    monkeypatch.setattr(tate, "homologies_of", counting_homology)
     result = invoke(
         runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", theory]
     )
     assert result.exit_code == 0
     assert passes == tate_passes
     assert [which for crossings, which in homology if crossings == 4] == cover_passes
+    # AKh is read in every run: the congruences read both sides' AKh tables
+    read = (Theory.AKH, Theory.KH) if theory != "akh" else (Theory.AKH,)
+    assert homology == [(2, read)]
 
 
 @pytest.mark.parametrize("command, reduced", [("akh", False), ("kh", True)])

@@ -58,6 +58,22 @@ def test_cancel_square_toggles_existing_arrow():
     assert dense_rank([[1, 1], [1, 1]]) == 1
 
 
+def test_a_key_keeps_the_sweeps_to_the_arrows_that_keep_it():
+    # 0 -> 2 keeps the key, 1 -> 3 lowers it, as a Kh arrow may lower k
+    key = [0, 0, 0, -2]
+
+    def complex_():
+        return FilteredComplex.from_rows([0, 0, 1, 1], [(k,) for k in key], [[2], [3], [], []])
+
+    C = complex_()
+    # the associated graded keeps 1 and 3; the complex itself keeps nothing
+    assert homology_ranks(C, key) == {(0, 0): 1, (1, -2): 1}
+    assert homology_ranks(C) == {}
+    C = complex_()
+    assert cancel_shift_level(C, 1, degree_masks(C, key), key)
+    assert list(C.arrows()) == [(1, 3)]
+
+
 def test_cancel_missing_arrow_raises():
     C, (x, b, a, z) = bipartite_square()
     C.cancel_arrow(x, a)

@@ -10,7 +10,14 @@ import pytest
 
 from annulus_tate import khovanov
 from annulus_tate.f2algebra import FilteredComplexError
-from annulus_tate.khovanov import Theory, _fork_map, _map_blocks, build_complex, homology_of
+from annulus_tate.khovanov import (
+    Theory,
+    _fork_map,
+    _map_blocks,
+    build_complex,
+    homologies_of,
+    homology_of,
+)
 from annulus_tate.links import close_braid, parse_braid_word
 from annulus_tate.tate import PeriodicRun, hv_pages
 
@@ -96,7 +103,7 @@ def test_a_tau_between_blocks_is_refused_in_a_child(monkeypatch, forks):
         forks.clear()
         on_cpus(monkeypatch, cpus, 0)
         with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
-            hv_pages(gc, tau, Theory.AKH)
+            hv_pages(gc, tau, [Theory.AKH])
         assert forks == [1] * n_forks
 
 
@@ -152,20 +159,22 @@ def test_small_work_and_one_cpu_stay_inline(monkeypatch, forks, cpus, total, for
 
 
 def engine_results(run: PeriodicRun, reduced) -> list:
-    """Every engine output, item order included."""
+    """Every engine output, item order included: the tables of one pass of
+    both theories and of AKh alone, and the Tate pass of each."""
     full = run.complex("cover")
     out = [
+        [list(table.items()) for table in homologies_of(full, list(Theory)).values()],
         list(homology_of(full, Theory.AKH).items()),
         list(homology_of(reduced, Theory.KH).items()),
     ]
-    covers = {}
-    for theory in Theory:
-        hv = hv_pages(full, run.tau, theory)
-        covers[theory] = hv.cover
-        out.append(list(hv.cover.items()))
-        out.append([list(hv.pages.ranks[r].items()) for r in hv.pages.ranks])
-        out.append(list(hv.pages.d_nonzero.items()))
-        out.append((hv.odd_pages_ok, sorted(hv.d2_observed), hv.d2_strays))
+    for theories in (list(Theory), [Theory.AKH]):
+        covers, pages = hv_pages(full, run.tau, theories)
+        out.append([(theory, list(table.items())) for theory, table in covers.items()])
+        for theory, hv in pages.items():
+            assert hv.cover is covers[theory]
+            out.append([list(hv.pages.ranks[r].items()) for r in hv.pages.ranks])
+            out.append(list(hv.pages.d_nonzero.items()))
+            out.append((hv.odd_pages_ok, sorted(hv.d2_observed), hv.d2_strays))
     # vh_pages maps its blocks as hv_pages does; AKh alone keeps the cost down
     vh = vh_pages(full, run.tau, Theory.AKH, covers[Theory.AKH])
     out.append([list(vh.pages.ranks[r].items()) for r in vh.pages.ranks])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annulus_tate.cube import hamming
-from annulus_tate.f2algebra import cancel_shift_level, degree_masks
+from annulus_tate.f2algebra import FilteredComplexError, cancel_shift_level, degree_masks
 from annulus_tate.khovanov import (
     Theory,
     _map_blocks,
@@ -39,7 +39,9 @@ from conftest import (
     arrows,
     check_d_squared,
     check_nonnegative,
+    dense_homology_of,
     fold,
+    hv_pages_of,
     labels_of,
     lift_reference,
     tau_reference,
@@ -118,7 +120,7 @@ def test_tau_requires_cover_diagram():
 
 def test_equivariance_hopf_akh():
     gc = hopf_cover()
-    verdict = check_equivariance(gc, tau_table(gc), Theory.AKH)
+    verdict = check_equivariance(gc, tau_table(gc), [Theory.AKH])[Theory.AKH]
     assert verdict.name == "equivariance-akh"
     assert verdict.passed
     assert verdict.details == {"equivariant_generators": 6}
@@ -133,7 +135,7 @@ def test_equivariance_hopf_akh():
 
 def test_equivariance_hopf_kh():
     gc = hopf_cover()
-    verdict = check_equivariance(gc, tau_table(gc), Theory.KH)
+    verdict = check_equivariance(gc, tau_table(gc), [Theory.KH])[Theory.KH]
     assert verdict.name == "equivariance-kh" and verdict.passed
 
 
@@ -141,7 +143,11 @@ def test_equivariance_hopf_kh():
 def test_equivariance_catches_a_broken_differential_or_involution(theory):
     gc = hopf_cover()
     tau = tau_table(gc)
-    assert check_equivariance(gc, tau, theory).passed
+
+    def passed(tau):  # the verdict of the walk that gives both
+        return check_equivariance(gc, tau, list(Theory))[theory].passed
+
+    assert passed(tau)
     # one arrow of the theory removed from the row of a fixed generator, or
     # of the lower or the higher generator of a free pair: tau, still an
     # involution, no longer commutes with d, whichever end the check reads
@@ -152,18 +158,34 @@ def test_equivariance_catches_a_broken_differential_or_involution(theory):
             and (theory is Theory.KH or gc.gk[y] == gc.gk[g])
         )
         gc.out[x].remove(dropped)
-        assert not check_equivariance(gc, tau, theory).passed
+        assert not passed(tau)
         gc.out[x].append(dropped)
     # two tau entries swapped
     a, b = [g for g in range(gc.n_generators) if tau[g] != g][:2]
     broken = list(tau)
     broken[a], broken[b] = tau[b], tau[a]
-    assert not check_equivariance(gc, broken, theory).passed
+    assert not passed(broken)
+
+
+@pytest.mark.parametrize("braid, strands", [("1 2 -1 -2", 3), ("1 -2 3", 4)])
+def test_equivariance_verdicts_stay_separate(braid, strands):
+    # a k-lowering arrow is a Kh arrow only: dropped from the row of a free
+    # generator, it breaks equivariance-kh and leaves equivariance-akh
+    run = PeriodicRun(parse_braid_word(braid, strands))
+    gc, tau = run.complex("cover"), run.tau
+    x, dropped = next(
+        (g, y) for g, row in enumerate(gc.out) for y in row
+        if tau[g] != g and gc.gk[y] < gc.gk[g]
+    )
+    gc.out[x].remove(dropped)
+    verdicts = check_equivariance(gc, tau, list(Theory))
+    assert [v.name for v in verdicts.values()] == ["equivariance-akh", "equivariance-kh"]
+    assert verdicts[Theory.AKH].passed and not verdicts[Theory.KH].passed
 
 
 def test_equivariance_empty_cover():
     gc = build_complex(double_cover(parse_braid_word("", 2)))
-    verdict = check_equivariance(gc, tau_table(gc), Theory.AKH)
+    verdict = check_equivariance(gc, tau_table(gc), [Theory.AKH])[Theory.AKH]
     assert verdict.passed
     assert verdict.details["equivariant_generators"] == gc.n_generators
 
@@ -186,7 +208,7 @@ def test_folded_tate_is_a_complex_on_the_cover_generators():
 
 
 @pytest.mark.parametrize(
-    "pages", [hv_pages, lambda *args: vh_pages(*args, {}), total_diagonal_ranks],
+    "pages", [hv_pages_of, lambda *args: vh_pages(*args, {}), total_diagonal_ranks],
     ids=["hv_pages", "vh_pages", "total_diagonal_ranks"],
 )
 def test_tate_pages_build_each_block_after_the_last_is_gone(monkeypatch, pages):
@@ -225,7 +247,7 @@ def test_default_window_has_three_interior_columns():
 
 
 def test_hv_pages_hopf():
-    hv = hv_pages(*hopf_tate(), Theory.AKH)
+    hv = hv_pages_of(*hopf_tate(), Theory.AKH)
     assert hv.odd_pages_ok
     # page 1 is generated by the equivariant generators of one column
     assert total_rank(hv.pages.table(1)) == 6
@@ -237,13 +259,13 @@ def test_hv_pages_hopf():
 
 
 def test_hv_e1_equals_e2():
-    hv = hv_pages(*hopf_tate(), Theory.AKH)
+    hv = hv_pages_of(*hopf_tate(), Theory.AKH)
     assert hv.pages.table(1) == hv.pages.table(2)
 
 
 def test_vh_pages_interior_columns_carry_cover_homology():
     args = (*hopf_tate(), Theory.AKH)
-    vh = vh_pages(*args, hv_pages(*args).cover)
+    vh = vh_pages(*args, hv_pages_of(*args).cover)
     assert vh.e1_ok
     assert total_rank(vh.pages.table(1)) == 6
     totals = [total_rank(vh.pages.table(r)) for r in range(vh.pages.max_page + 1)]
@@ -253,7 +275,7 @@ def test_vh_pages_interior_columns_carry_cover_homology():
 def test_vh_pages_no_crossings():
     gc = build_complex(double_cover(parse_braid_word("", 1)))
     args = (gc, tau_table(gc), Theory.AKH)
-    vh = vh_pages(*args, hv_pages(*args).cover)
+    vh = vh_pages(*args, hv_pages_of(*args).cover)
     assert vh.e1_ok
     assert vh.pages.table(0) == vh.pages.table(1)
 
@@ -311,7 +333,7 @@ def test_tau_pair_sweep_leaves_what_the_folded_shift_0_sweep_leaves(theory):
             folded = C.copy()
             fold(folded, members, tau)
             cancel_shift_level(folded, 0, degree_masks(folded))
-            _tau_sweep(C, block_tau(members, tau))
+            _tau_sweep(C, block_tau(C, members, tau))
             return _block_state(folded), _block_state(C)
 
         for folded, in_place in _map_blocks(run.complex("cover"), theory, both_sweeps):
@@ -332,6 +354,36 @@ def test_hv_cover_tables_are_the_cover_homology(braid, strands):
     # Kh = reduced Kh (x) V, from the reduced build the run no longer makes
     reduced = build_complex(run.cover_diagram, reduced=True)
     assert run.hv(Theory.KH).cover == homology_of(reduced, Theory.KH)
+
+
+def test_a_tau_that_moves_k_is_refused_on_a_kh_block():
+    # a j block of a pass of both theories holds several k; tau must keep k
+    run = PeriodicRun(parse_braid_word("1 2 -1 -2", 3))
+    gc, tau = run.complex("cover"), list(run.tau)
+    x, y = next(
+        (x, y) for x in range(gc.n_generators) if tau[x] != x
+        for y in range(gc.n_generators) if gc.gj[y] == gc.gj[x] and gc.gk[y] != gc.gk[x]
+    )
+    tau[x] = y
+    with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
+        hv_pages(gc, tau, list(Theory))
+
+
+@pytest.mark.parametrize("braid, strands", [("1 2 -1 -2", 3), ("1 -2 3", 4)])
+def test_k_lowering_arrows_keep_the_theories_apart(braid, strands):
+    # a pass of both theories runs on the j blocks of the Kh rows, where AKh
+    # may cancel only the arrows that keep k
+    run = PeriodicRun(parse_braid_word(braid, strands))
+    gc, tau = run.complex("cover"), run.tau
+    assert len(arrows(gc.out)) > len(arrows(theory_rows(gc, Theory.AKH)))
+    covers, shared = hv_pages(gc, tau, list(Theory))
+    for theory in Theory:
+        assert covers[theory] == dense_homology_of(gc, theory)
+    # the AKh pass alone runs on the (j, k) blocks of the AKh rows
+    alone, akh = hv_pages_of(gc, tau, Theory.AKH), shared[Theory.AKH]
+    assert akh.pages.ranks == alone.pages.ranks
+    assert akh.pages.d_nonzero == alone.pages.d_nonzero
+    assert akh.d2_observed == alone.d2_observed
 
 
 def test_e2_correspondence_sigma1():
@@ -437,9 +489,8 @@ def _tate_pages(word: BraidWord) -> dict[Theory, list[dict]]:
     gc = build_complex(double_cover(word))
     tau = tau_table(gc)
     tables = {}
-    for theory in Theory:
-        pages = hv_pages(gc, tau, theory).pages
-        tables[theory] = [pages.table(r) for r in range(pages.max_page + 1)]
+    for theory, hv in hv_pages(gc, tau, list(Theory))[1].items():
+        tables[theory] = [hv.pages.table(r) for r in range(hv.pages.max_page + 1)]
     return tables
 
 
