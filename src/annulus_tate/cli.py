@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import __version__, decat, khovanov
-from .cube import format_bits, parse_bits, resolve
+from .cube import PortLinks, format_bits, parse_bits, resolve
 from .khovanov import Theory, homology, total_rank
 from .links import (
     BraidError,
@@ -308,8 +308,9 @@ def cmd_resolve(ctx, braid, strands, alpha, fmt, cache_dir):
         else:
             vertices = range(1 << c)
         rows = []
+        links = PortLinks(diagram)
         for v in vertices:
-            res = resolve(diagram, v)
+            res = resolve(diagram, v, links)
             rows.append(
                 {
                     "alpha": format_bits(v, c),

@@ -3,15 +3,24 @@
 The port model is fixed once and for all.  Ports are pairs (level, strand)
 with level in [0, c] and strand in [0, m); a port is encoded as the int
 level * m + strand, so sorting port ids is level-major.  The crossing at
-level l and position p unions
+level l and position p links
 
   * braid-like smoothing: (l, s)-(l+1, s) for every strand s,
   * turnback smoothing:   (l, p)-(l, p+1), (l+1, p)-(l+1, p+1), and
     (l, s)-(l+1, s) for s outside {p, p+1},
 
-and the seam unions (c, s)-(0, s) close the diagram.  A circle is a
-union-find class of ports; it is nontrivial exactly when it meets the seam
-an odd number of times.
+and the seam links (c, s)-(0, s) close the diagram.  Every port has
+exactly two links, one through the crossing or seam above it and one
+through the crossing or seam below it, so the circles are the cycles of
+a 2-regular graph.  ``PortLinks`` tabulates each crossing's links once
+per cube, and ``resolve`` traces each circle from its lowest unvisited
+port, so the circles come out in ascending order of their lowest port.
+A circle is nontrivial exactly when it meets the seam an odd number of
+times, that is, when it holds an odd number of level-0 ports.
+
+An edge of the cube flips one crossing.  The circles it changes are the
+circles through that crossing's four ports on each side, and every other
+circle keeps its ports (``classify_resolutions``).
 
 Smoothing convention: at a positive crossing bit 0 is braid-like and bit 1
 is the turnback; at a negative crossing the bits are swapped.
@@ -91,59 +100,91 @@ class UnclassifiableEdge(ValueError):
     conserves seam count."""
 
 
-def resolve(diagram: AnnularDiagram, alpha: int) -> Resolution:
-    """Smooth every crossing of ``diagram`` according to the bitstring ``alpha``."""
-    c, m = diagram.n_crossings, diagram.strands
+class PortLinks:
+    """The links of every port of one diagram, tabulated once for its cube.
+
+    A port has two ends: its up end (side 1) meets the crossing at its
+    level, or the seam at level c, and its down end (side 0) meets the
+    crossing below it, or the seam at level 0.  End 2 * port + side is
+    linked to exactly one other end, so the circles of a resolution are
+    the cycles of a 2-regular graph.  ``step[e]`` is the end by which a
+    walk that arrives at the mate of end e leaves that port; the seam's
+    entries are fixed, and each crossing contributes the entries of its
+    up and down slices for each of its two smoothings.
+    """
+
+    __slots__ = ("diagram", "n_ports", "crossing_ports", "_seam", "_smoothings")
+
+    def __init__(self, diagram: AnnularDiagram) -> None:
+        c, m = diagram.n_crossings, diagram.strands
+        self.diagram = diagram
+        self.n_ports = (c + 1) * m
+        seam = [0] * (2 * self.n_ports)
+        for s in range(m):
+            top = c * m + s
+            seam[2 * top + 1] = 2 * s + 1  # (c, s) up -> (0, s) down
+            seam[2 * s] = 2 * top  # (0, s) down -> (c, s) up
+        self._seam = seam
+        self.crossing_ports: list[frozenset[int]] = []
+        self._smoothings = []
+        for level, cr in enumerate(diagram.crossings):
+            lo, hi, p = level * m, (level + 1) * m, cr.position
+            braid_up = [2 * (hi + s) + 1 for s in range(m)]
+            braid_down = [2 * (lo + s) for s in range(m)]
+            turn_up, turn_down = braid_up[:], braid_down[:]
+            turn_up[p], turn_up[p + 1] = 2 * (lo + p + 1), 2 * (lo + p)
+            turn_down[p], turn_down[p + 1] = 2 * (hi + p + 1) + 1, 2 * (hi + p) + 1
+            braid, turn = (braid_up, braid_down), (turn_up, turn_down)
+            self._smoothings.append((
+                slice(2 * lo + 1, 2 * hi, 2),
+                slice(2 * hi, 2 * (hi + m), 2),
+                (braid, turn) if cr.sign > 0 else (turn, braid),
+            ))
+            self.crossing_ports.append(frozenset({lo + p, lo + p + 1, hi + p, hi + p + 1}))
+
+    def trace(self, alpha: int) -> tuple[Circle, ...]:
+        """The circles at vertex ``alpha``, each traced from its lowest
+        port, in ascending order of that port."""
+        step = self._seam[:]
+        for level, (up, down, smoothings) in enumerate(self._smoothings):
+            step[up], step[down] = smoothings[(alpha >> level) & 1]
+        n, m = self.n_ports, self.diagram.strands
+        circle_of = [-1] * n
+        traced: list[list[int]] = []
+        for start in range(n):
+            if circle_of[start] >= 0:
+                continue
+            idx = len(traced)
+            ports = [start]
+            circle_of[start] = idx
+            end = step[2 * start + 1]
+            port = end >> 1
+            while port != start:
+                ports.append(port)
+                circle_of[port] = idx
+                end = step[end]
+                port = end >> 1
+            traced.append(ports)
+        seams = [0] * len(traced)
+        for s in range(m):  # each level-0 port meets the seam once
+            seams[circle_of[s]] += 1
+        return tuple(Circle(frozenset(ports), k) for ports, k in zip(traced, seams))
+
+
+def resolve(
+    diagram: AnnularDiagram, alpha: int, links: PortLinks | None = None
+) -> Resolution:
+    """Smooth every crossing of ``diagram`` according to the bitstring
+    ``alpha``.  ``links`` is ``PortLinks(diagram)``, which a caller that
+    resolves many vertices builds once."""
+    c = diagram.n_crossings
     if alpha < 0 or alpha >> c:
         raise ValueError(f"bitstring {alpha} does not fit {c} crossings")
-
-    n_ports = (c + 1) * m
-    parent = list(range(n_ports))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for level, cr in enumerate(diagram.crossings):
-        bit = (alpha >> level) & 1
-        braidlike = (bit == 0) == (cr.sign > 0)
-        base, above = level * m, (level + 1) * m
-        if braidlike:
-            for s in range(m):
-                union(base + s, above + s)
-        else:
-            p = cr.position
-            union(base + p, base + p + 1)
-            union(above + p, above + p + 1)
-            for s in range(m):
-                if s != p and s != p + 1:
-                    union(base + s, above + s)
-
-    seam_base = c * m
-    for s in range(m):
-        union(seam_base + s, s)
-
-    members: dict[int, list[int]] = {}
-    for port in range(n_ports):
-        members.setdefault(find(port), []).append(port)
-    seam_counts: dict[int, int] = {}
-    for s in range(m):
-        root = find(seam_base + s)
-        seam_counts[root] = seam_counts.get(root, 0) + 1
-
-    circles = [
-        Circle(ports=frozenset(ports), seam_count=seam_counts.get(root, 0))
-        for root, ports in members.items()
-    ]
-    circles.sort(key=lambda circle: circle.min_port)
-    return Resolution(vertex=alpha, circles=tuple(circles))
+    if links is None:
+        links = PortLinks(diagram)
+    elif links.diagram != diagram:
+        raise ValueError("port links of another diagram")
+    return Resolution(vertex=alpha, circles=links.trace(alpha))
 
 
 @dataclass(frozen=True)
@@ -164,41 +205,60 @@ class EdgeType:
     correspondence: tuple[tuple[int, int], ...]
 
 
-def classify_resolutions(source: Resolution, target: Resolution) -> EdgeType:
-    """Classify the edge between two resolutions differing at one crossing."""
-    target_index = {circle.ports: i for i, circle in enumerate(target.circles)}
-    source_index = {circle.ports: i for i, circle in enumerate(source.circles)}
+def classify_resolutions(
+    source: Resolution, target: Resolution, ports: frozenset[int], types: dict | None = None
+) -> EdgeType:
+    """Classify the edge between two resolutions that differ at the crossing
+    whose four ports are ``ports``.
 
-    src_part = tuple(
-        i for i, circle in enumerate(source.circles) if circle.ports not in target_index
-    )
-    tgt_part = tuple(
-        i for i, circle in enumerate(target.circles) if circle.ports not in source_index
-    )
-    correspondence = tuple(
-        (i, target_index[circle.ports])
-        for i, circle in enumerate(source.circles)
-        if circle.ports in target_index
-    )
+    The participating circles are the circles through those ports on each
+    side; every other circle keeps its ports, so the rest pair off in index
+    order.  ``types``, a dict kept for one cube, holds one EdgeType per
+    (source part, target part, circle counts).  Raises UnclassifiableEdge
+    unless the edge is a merge or a split whose participating circles
+    conserve seam count.
+    """
+    circles, tcircles = source.circles, target.circles
+    src: list[int] = []
+    tgt: list[int] = []
+    seams = 0  # the source's participating seam counts less the target's
+    for i, circle in enumerate(circles):
+        if not ports.isdisjoint(circle.ports):
+            src.append(i)
+            seams += circle.seam_count
+    for i, circle in enumerate(tcircles):
+        if not ports.isdisjoint(circle.ports):
+            tgt.append(i)
+            seams -= circle.seam_count
+    key = (tuple(src), tuple(tgt), len(circles), len(tcircles))
+    edge = types.get(key) if types is not None else None
+    if edge is None:
+        edge = _edge_type(*key)
+        if types is not None:
+            types[key] = edge
+    if seams:
+        raise UnclassifiableEdge(
+            f"{edge.kind} with seam counts {[circles[i].seam_count for i in src]} -> "
+            f"{[tcircles[i].seam_count for i in tgt]}"
+        )
+    return edge
 
-    if len(src_part) == 2 and len(tgt_part) == 1:
+
+def _edge_type(src: tuple[int, ...], tgt: tuple[int, ...], n_src: int, n_tgt: int) -> EdgeType:
+    """The merge or split of the participating circles ``src`` -> ``tgt``
+    between resolutions of ``n_src`` and ``n_tgt`` circles."""
+    if len(src) == 2 and len(tgt) == 1:
         kind = "merge"
-    elif len(src_part) == 1 and len(tgt_part) == 2:
+    elif len(src) == 1 and len(tgt) == 2:
         kind = "split"
     else:
-        raise UnclassifiableEdge(
-            f"{len(src_part)} source / {len(tgt_part)} target circles changed"
-        )
-
-    src_seams = [source.circles[i].seam_count for i in src_part]
-    tgt_seams = [target.circles[i].seam_count for i in tgt_part]
-    if sum(src_seams) != sum(tgt_seams):
-        raise UnclassifiableEdge(f"{kind} with seam counts {src_seams} -> {tgt_seams}")
+        raise UnclassifiableEdge(f"{len(src)} source / {len(tgt)} target circles changed")
+    rest = [i for i in range(n_src) if i not in src]
+    trest = [i for i in range(n_tgt) if i not in tgt]
+    if len(rest) != len(trest):
+        raise UnclassifiableEdge(f"{kind} of {n_src} circles into {n_tgt}")
     return EdgeType(
-        kind=kind,
-        source_circles=src_part,
-        target_circles=tgt_part,
-        correspondence=correspondence,
+        kind=kind, source_circles=src, target_circles=tgt, correspondence=tuple(zip(rest, trest))
     )
 
 
@@ -209,17 +269,17 @@ def vertex_gradings(
     its labelings, label bitmasks ascending (bit c is 1 when circle c is
     "+").
 
-    j counts "+" circles, k the "+" minus the "-" nontrivial circles, so
-    both are read from popcounts against per-vertex constants.
+    j counts "+" circles, k the "+" minus the "-" nontrivial circles.  Both
+    lists are built one circle at a time by doubling: labeling ``lab | 1 <<
+    c`` follows all labelings of circles 0..c-1.
     """
     weight = hamming(res.vertex)
-    nontrivial = 0
-    for idx, circle in enumerate(res.circles):
-        if not circle.trivial:
-            nontrivial |= 1 << idx
-    labels = range(1 << res.n_circles)
-    j_min = weight + n_pos - 2 * n_neg - res.n_circles
-    k_min = -nontrivial.bit_count()
-    js = [j_min + 2 * lab.bit_count() for lab in labels]
-    ks = [k_min + 2 * (lab & nontrivial).bit_count() for lab in labels]
+    js = [weight + n_pos - 2 * n_neg - res.n_circles]
+    ks = [0]
+    for circle in res.circles:
+        js += [j + 2 for j in js]
+        if circle.trivial:
+            ks += ks
+        else:
+            ks = [k - 1 for k in ks] + [k + 1 for k in ks]
     return weight - n_neg, js, ks

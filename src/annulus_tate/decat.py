@@ -39,8 +39,9 @@ def state_sum(diagram: AnnularDiagram) -> Poly:
     (tq)^{|alpha|} (q + q^-1)^{#trivial} (qx + q^-1 x^-1)^{#nontrivial}.
     """
     states: Counter = Counter()  # (|alpha|, #trivial, #nontrivial) -> resolutions
+    links = cube.PortLinks(diagram)
     for alpha in range(1 << diagram.n_crossings):
-        res = cube.resolve(diagram, alpha)
+        res = cube.resolve(diagram, alpha, links)
         trivial = sum(1 for circle in res.circles if circle.trivial)
         states[cube.hamming(alpha), trivial, res.n_circles - trivial] += 1
     shift = diagram.n_pos - 2 * diagram.n_neg

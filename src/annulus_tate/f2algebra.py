@@ -13,7 +13,11 @@ returned mask uses absolute indices.  Rows stay narrow when the
 generators are numbered level by level, as ``khovanov._map_blocks``
 numbers them: a cube arrow goes from one level to the next.
 
-Complexes are built whole by ``FilteredComplex.from_rows``.  Homology, and
+Complexes are built whole by ``FilteredComplex.from_rows``, in one pass
+over the arrows that sets each arrow's ``out`` and ``inc`` bits.  It can
+read a block of a larger complex straight from that complex's rows:
+``index`` maps each row entry to the block's numbering, and ``keep``
+leaves out the arrows of another grading.  Homology, and
 the pages of a filtration one shift level at a time, are computed by
 Gaussian cancellation in place: cancelling an arrow k -> l removes both
 endpoint generators and toggles an arrow x -> y for every pair x -> l,
@@ -86,45 +90,69 @@ class FilteredComplex:
 
     @classmethod
     def from_rows(
-        cls, fdeg: list[int], aux: list[tuple], targets: Iterable[list[int]]
+        cls,
+        fdeg: list[int],
+        aux: list[tuple],
+        targets: Iterable[Iterable[int]],
+        index: tuple[list[int], int] | None = None,
+        keep: tuple[list, object] | None = None,
     ) -> "FilteredComplex":
         """The complex on generators 0..n-1 with filtration degrees
         ``fdeg``, auxiliary gradings ``aux`` and an arrow x -> t for every
         t in ``targets[x]``.
 
-        Each ``out`` and ``inc`` row is assembled once, relative to its
-        lowest index; a repeated arrow raises.
+        The rows may hold the indices of a larger complex.  With ``index``,
+        a pair (slot, base), this complex is the block of slots
+        base..base+n-1 of that complex's numbering: entry y stands for
+        generator slot[y] - base, and one outside the block raises
+        FilteredComplexError("arrow leaves its grading block").  With
+        ``keep``, a pair (key, value), entry y is left out unless
+        key[y] == value.
+
+        Each ``out`` and ``inc`` row is assembled in one pass over the
+        arrows, relative to its lowest index.  Sources are read in
+        ascending order, so the first source of a target is its ``inc``
+        offset.  A target outside 0..n-1 and a repeated arrow raise
+        FilteredComplexError.
         """
         C = cls()
         n = len(fdeg)
         C.fdeg = list(fdeg)
         C.aux = list(aux)
+        slot, base = index if index is not None else (None, 0)
+        key, value = keep if keep is not None else (None, None)
         out, out_off = C.out, C.out_off
-        sources: list[list[int]] = [[] for _ in range(n)]
+        inc, inc_off = [0] * n, [n] * n
         for x, row in enumerate(targets):
-            if row:
-                off = min(row)
-                bits = 0
-                for t in row:
+            off = n
+            bits = count = 0
+            for y in row:
+                if key is not None and key[y] != value:
+                    continue
+                t = y if slot is None else slot[y] - base
+                if not 0 <= t < n:
+                    if slot is None:
+                        raise FilteredComplexError(
+                            f"arrow {x} -> {t} leaves the generators 0..{n - 1}"
+                        )
+                    raise FilteredComplexError("arrow leaves its grading block")
+                if t >= off:
                     bits |= 1 << (t - off)
-                    sources[t].append(x)
-                if bits.bit_count() != len(row):
-                    raise FilteredComplexError(f"repeated arrow from {x}")
-            else:
-                off, bits = n, 0
+                else:  # a new lowest target: rebase the row to it
+                    bits = bits << (off - t) | 1
+                    off = t
+                count += 1
+                first = inc_off[t]
+                if first == n:
+                    inc_off[t] = x
+                    inc[t] = 1
+                else:
+                    inc[t] |= 1 << (x - first)
+            if bits.bit_count() != count:
+                raise FilteredComplexError(f"repeated arrow from {x}")
             out.append(bits)
             out_off.append(off)
-        inc, inc_off = C.inc, C.inc_off
-        for xs in sources:  # ascending
-            if xs:
-                off = xs[0]
-                bits = 0
-                for x in xs:
-                    bits |= 1 << (x - off)
-            else:
-                off, bits = n, 0
-            inc.append(bits)
-            inc_off.append(off)
+        C.inc, C.inc_off = inc, inc_off
         C.alive = (1 << n) - 1
         return C
 

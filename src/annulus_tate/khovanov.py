@@ -28,17 +28,22 @@ assembles each block of a side once for both theories: on a j block of
 the Kh rows, cancelling the arrows that keep k first gives AKh, and
 cancelling the rest then gives Kh (``homologies_of``).
 
-The complex is built in one pass per cube edge.  Gradings are read per
-vertex from popcounts (``cube.vertex_gradings``).  Each edge map is a
-table from the labels of its participating circles to their images,
-applied at once to every labeling of the other circles; the table and
-that transport (``labeling_images``) are tabulated once per distinct edge
-type.  d^2 = 0 is checked on every built complex.  ``_map_blocks`` is the
-one reader of a complex's blocks: it splits the complex into engine
-complexes along the gradings every arrow of a theory preserves, filtered
-by i and graded by (j, k), assembling each bitset row once.  A block
-numbers its generators level by level, so that each offset-relative
-engine row spans one or two levels of i rather than the whole block.  The blocks share nothing, so
+The complex is built in one pass per cube vertex and one per cube edge.
+Each vertex is traced once (``cube.resolve``, on one ``cube.PortLinks``
+table per build), and its gradings are built per vertex by doubling
+(``cube.vertex_gradings``).  Each edge is classified once, from the
+crossing it flips (``cube.classify_resolutions``, with one EdgeType per
+distinct edge for the build).  Each edge map is a table from the labels
+of its participating circles to their images, applied at once to every
+labeling of the other circles; the table and that transport
+(``labeling_images``) are tabulated once per distinct edge type.  d^2 = 0
+is checked on every built complex.  ``_map_blocks`` is the one reader of
+a complex's blocks: it splits the complex into engine complexes along the
+gradings every arrow of a theory preserves, filtered by i and graded by
+(j, k).  A block numbers its generators level by level, so that each
+offset-relative engine row spans one or two levels of i rather than the
+whole block, and ``FilteredComplex.from_rows`` assembles it in one pass
+over its members' arrows.  The blocks share nothing, so
 ``_fork_map`` shares them out over every CPU: it forks one child per extra
 CPU, and each process assembles its blocks one at a time from its
 (copy-on-write) image of the complex, hands each to the caller's function,
@@ -186,9 +191,10 @@ def _transport_table(edge: cube.EdgeType, reduced: bool) -> tuple[list[int], lis
 
 
 def _cube_edges(c: int):
-    """The edges alpha -> alpha | 1 << b of a c-cube, alpha ascending, then b."""
+    """The edges alpha -> alpha | 1 << b of a c-cube with the crossing b
+    each flips, alpha ascending, then b."""
     return (
-        (alpha, alpha | 1 << b) for alpha in range(1 << c) for b in range(c)
+        (alpha, alpha | 1 << b, b) for alpha in range(1 << c) for b in range(c)
         if not (alpha >> b) & 1
     )
 
@@ -205,10 +211,11 @@ def build_complex(diagram: AnnularDiagram, reduced: bool = False) -> GradedCompl
     c = diagram.n_crossings
     n_pos, n_neg = diagram.n_pos, diagram.n_neg
 
+    links = cube.PortLinks(diagram)
     resolved, offsets, vertex_of, gi, gj, gk = [], [], [], [], [], []
     # resolved one vertex at a time, so an oversize cube is refused early
     for alpha in range(1 << c):
-        res = cube.resolve(diagram, alpha)
+        res = cube.resolve(diagram, alpha, links)
         size = 1 << res.n_circles >> reduced
         if len(gi) + size > MAX_GENERATORS:
             raise DiagramTooLarge(
@@ -231,9 +238,11 @@ def build_complex(diagram: AnnularDiagram, reduced: bool = False) -> GradedCompl
     ids = list(range(total))  # one int object per target, shared by its arrows
     # per distinct edge: rule, transport; a 10-crossing cube has 5,120
     # edges but about a hundred distinct ones
+    types: dict[tuple, cube.EdgeType] = {}
     maps: dict[cube.EdgeType, tuple] = {}
-    for alpha, alpha2 in _cube_edges(c):
-        edge = cube.classify_resolutions(resolved[alpha], resolved[alpha2])
+    ports = links.crossing_ports
+    for alpha, alpha2, b in _cube_edges(c):
+        edge = cube.classify_resolutions(resolved[alpha], resolved[alpha2], ports[b], types)
         if edge not in maps:
             maps[edge] = (_edge_rule(edge), *_transport_table(edge, reduced))
         rule, rest, image = maps[edge]
@@ -296,40 +305,48 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     C is the block's engine complex: each generator g is filtered by i and
     carries (j, k) as auxiliary grading, so that its rank tables are keyed
     (i, j, k) in either theory; its arrow targets are its ``theory``
-    arrows (``rows_of``), read once per generator, when its block is
-    assembled.  members[x] is the generator of ``gc`` at engine index x.
-    Members are numbered level by level: by i, then in generator order.
-    A cube arrow raises i by one, so each engine row spans at most
-    two adjacent levels.  An arrow that leaves its block raises
-    FilteredComplexError.  Each process assembles its blocks one at a
-    time, and ``fn`` may cancel C in place: C is dropped when ``fn``
-    returns.
+    arrows (``rows_of``).  members[x] is the generator of ``gc`` at engine
+    index x.  Members are numbered level by level: by i, then in
+    generator order.  A cube arrow raises i by one, so each engine row
+    spans at most two adjacent levels.
+
+    The blocks are laid end to end in one numbering, ``slot``, so that
+    ``FilteredComplex.from_rows`` reads each member's ``gc.out`` row once:
+    it drops an AKh row's arrows that change k, maps each target to its
+    engine index, slot - the block's first slot, and refuses one that
+    falls outside the block (FilteredComplexError, "arrow leaves its
+    grading block").  Each process assembles its blocks one at a time, and
+    ``fn`` may cancel C in place: C is dropped when ``fn`` returns.
     """
+    if theory is Theory.AKH and gc.reduced:
+        raise ValueError("AKh is read from the full complex, not the reduced one")
     aux = _block_keys(Theory.AKH, gc.gj, gc.gk)
     keys = aux if theory is Theory.AKH else _block_keys(theory, gc.gj, gc.gk)
-    targets_of = rows_of(gc, theory)
     ids: dict[tuple, int] = {}
     block_of = [ids.setdefault(key, len(ids)) for key in keys]
     groups: list[list[int]] = [[] for _ in ids]
     for g, b in enumerate(block_of):
         groups[b].append(g)
-    local = [0] * gc.n_generators
+    gi, gk, out = gc.gi, gc.gk, gc.out
+    slot = [0] * gc.n_generators
+    starts = []
+    first = 0
     for members in groups:
-        members.sort(key=gc.gi.__getitem__)  # stable: level by level
-        for x, g in enumerate(members):
-            local[g] = x
+        members.sort(key=gi.__getitem__)  # stable: level by level
+        starts.append(first)
+        for x, g in enumerate(members, first):
+            slot[g] = x
+        first += len(members)
 
     def run_block(b: int):
         members = groups[b]
-        rows = [targets_of(g) for g in members]
-        if {block_of[y] for row in rows for y in row} - {b}:
-            raise FilteredComplexError("arrow leaves its grading block")
         C = FilteredComplex.from_rows(
-            [gc.gi[g] for g in members],
+            [gi[g] for g in members],
             [aux[g] for g in members],
-            ([local[y] for y in row] for row in rows),
+            (out[g] for g in members),
+            index=(slot, starts[b]),
+            keep=(gk, gk[members[0]]) if theory is Theory.AKH else None,
         )
-        del rows  # before fn cancels C
         return fn(C, members)
 
     return _fork_map(run_block, range(len(groups)), [len(members) for members in groups])

@@ -44,9 +44,9 @@ def watch_block_builds(monkeypatch) -> list[int]:
     live: list[int] = []
     build = FilteredComplex.from_rows.__func__
 
-    def from_rows(cls, *args):
+    def from_rows(cls, *args, **kwargs):
         live.append(sum(isinstance(o, FilteredComplex) for o in pygc.get_objects()))
-        return build(cls, *args)
+        return build(cls, *args, **kwargs)
 
     monkeypatch.setattr(FilteredComplex, "from_rows", classmethod(from_rows))
     return live
@@ -422,17 +422,120 @@ def mirror(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple(-g for g in word.letters))
 
 
+# -- reference resolutions and edge types (oracle path): union-find over
+# the ports, and edges classified by comparing port sets, sharing no code
+# with ``cube.PortLinks`` or ``cube.classify_resolutions``
+
+
+def reference_resolve(diagram: AnnularDiagram, alpha: int) -> cube.Resolution:
+    """The resolution at ``alpha``: the circles are the union-find classes
+    of the ports, sorted by their lowest port, with their seam counts
+    counted over the seam's m unions."""
+    c, m = diagram.n_crossings, diagram.strands
+    if alpha < 0 or alpha >> c:
+        raise ValueError(f"bitstring {alpha} does not fit {c} crossings")
+
+    n_ports = (c + 1) * m
+    parent = list(range(n_ports))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for level, cr in enumerate(diagram.crossings):
+        bit = (alpha >> level) & 1
+        braidlike = (bit == 0) == (cr.sign > 0)
+        base, above = level * m, (level + 1) * m
+        if braidlike:
+            for s in range(m):
+                union(base + s, above + s)
+        else:
+            p = cr.position
+            union(base + p, base + p + 1)
+            union(above + p, above + p + 1)
+            for s in range(m):
+                if s != p and s != p + 1:
+                    union(base + s, above + s)
+
+    seam_base = c * m
+    for s in range(m):
+        union(seam_base + s, s)
+
+    members: dict[int, list[int]] = {}
+    for port in range(n_ports):
+        members.setdefault(find(port), []).append(port)
+    seam_counts: dict[int, int] = {}
+    for s in range(m):
+        root = find(seam_base + s)
+        seam_counts[root] = seam_counts.get(root, 0) + 1
+
+    circles = [
+        cube.Circle(ports=frozenset(ports), seam_count=seam_counts.get(root, 0))
+        for root, ports in members.items()
+    ]
+    circles.sort(key=lambda circle: circle.min_port)
+    return cube.Resolution(vertex=alpha, circles=tuple(circles))
+
+
+def reference_classify(source: cube.Resolution, target: cube.Resolution) -> cube.EdgeType:
+    """The edge between two resolutions that differ at one crossing: the
+    participating circles are those whose port set the other side lacks,
+    and the rest pair off by equal port sets."""
+    target_index = {circle.ports: i for i, circle in enumerate(target.circles)}
+    source_index = {circle.ports: i for i, circle in enumerate(source.circles)}
+
+    src_part = tuple(
+        i for i, circle in enumerate(source.circles) if circle.ports not in target_index
+    )
+    tgt_part = tuple(
+        i for i, circle in enumerate(target.circles) if circle.ports not in source_index
+    )
+    correspondence = tuple(
+        (i, target_index[circle.ports])
+        for i, circle in enumerate(source.circles)
+        if circle.ports in target_index
+    )
+
+    if len(src_part) == 2 and len(tgt_part) == 1:
+        kind = "merge"
+    elif len(src_part) == 1 and len(tgt_part) == 2:
+        kind = "split"
+    else:
+        raise cube.UnclassifiableEdge(
+            f"{len(src_part)} source / {len(tgt_part)} target circles changed"
+        )
+
+    src_seams = [source.circles[i].seam_count for i in src_part]
+    tgt_seams = [target.circles[i].seam_count for i in tgt_part]
+    if sum(src_seams) != sum(tgt_seams):
+        raise cube.UnclassifiableEdge(f"{kind} with seam counts {src_seams} -> {tgt_seams}")
+    return cube.EdgeType(
+        kind=kind,
+        source_circles=src_part,
+        target_circles=tgt_part,
+        correspondence=correspondence,
+    )
+
+
 def classify_edge(diagram: AnnularDiagram, alpha: int, alpha_prime: int) -> cube.EdgeType:
     """Classify a cube edge given by a bit increment alpha -> alpha_prime,
-    resolving both ends afresh."""
+    resolving both ends afresh (``reference_resolve``,
+    ``reference_classify``)."""
     diff = alpha ^ alpha_prime
     if cube.hamming(diff) != 1 or not (alpha_prime & diff):
         raise ValueError(
             f"{cube.format_bits(alpha_prime, diagram.n_crossings)} is not a bit increment "
             f"from {cube.format_bits(alpha, diagram.n_crossings)}"
         )
-    return cube.classify_resolutions(
-        cube.resolve(diagram, alpha), cube.resolve(diagram, alpha_prime)
+    return reference_classify(
+        reference_resolve(diagram, alpha), reference_resolve(diagram, alpha_prime)
     )
 
 
@@ -593,7 +696,7 @@ def edge_map(theory: Theory, source: cube.Resolution, target: cube.Resolution):
     """The map of the cube edge ``source -> target`` as a function from a
     source labeling to its target label masks: the Khovanov merge/split
     for Kh, the map of the edge's annular class for AKh."""
-    edge = cube.classify_resolutions(source, target)
+    edge = reference_classify(source, target)
     cls = annular_class(source, target, edge)
     if edge.kind == "merge":
         return functools.partial(_merge_targets, theory, cls, source, edge)
@@ -611,12 +714,12 @@ def reference_gradings(res: cube.Resolution, labels: int, n_pos: int, n_neg: int
     return weight - n_neg, 2 * plus - res.n_circles + weight + n_pos - 2 * n_neg, k
 
 
-def reference_complex(diagram: AnnularDiagram, theory: Theory, resolutions=None):
+def reference_complex(diagram: AnnularDiagram, theory: Theory):
     """(out, gi, gj, gk) of the cube complex, one generator at a time, in
-    the generator order and arrow order of ``build_complex``."""
+    the generator order and arrow order of ``build_complex``, from the
+    reference resolutions (``reference_resolve``)."""
     c = diagram.n_crossings
-    if resolutions is None:
-        resolutions = [cube.resolve(diagram, a) for a in range(1 << c)]
+    resolutions = [reference_resolve(diagram, a) for a in range(1 << c)]
     offsets, gi, gj, gk = [], [], [], []
     for res in resolutions:
         offsets.append(len(gi))
@@ -654,11 +757,14 @@ def counted_d_squared_vanishes(out: list[list[int]]) -> bool:
 
 def builder_matches_reference(gc: GradedComplex) -> bool:
     """The full ``build_complex`` output equals the reference Kh complex,
-    its AKh rows as ``khovanov.rows_of`` reads them equal the reference
-    AKh complex, arrow for arrow, and the path-counting d^2 check accepts
-    both references."""
+    its resolutions the reference resolutions, its AKh rows as
+    ``khovanov.rows_of`` reads them equal the reference AKh complex, arrow
+    for arrow, and the path-counting d^2 check accepts both references."""
+    c = gc.diagram.n_crossings
+    if gc.resolutions != [reference_resolve(gc.diagram, a) for a in range(1 << c)]:
+        return False
     for theory in (Theory.KH, Theory.AKH):
-        out, gi, gj, gk = reference_complex(gc.diagram, theory, gc.resolutions)
+        out, gi, gj, gk = reference_complex(gc.diagram, theory)
         if (view(gc, theory), gc.gi, gc.gj, gc.gk) != (out, gi, gj, gk):
             return False
         if not counted_d_squared_vanishes(out):

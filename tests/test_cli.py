@@ -216,9 +216,9 @@ def test_periodic_resolves_each_vertex_once(runner, monkeypatch):
     calls = []
     resolve = cube.resolve
 
-    def counting(diagram, alpha):
+    def counting(diagram, alpha, *links):
         calls.append((diagram, alpha))
-        return resolve(diagram, alpha)
+        return resolve(diagram, alpha, *links)
 
     monkeypatch.setattr(cube, "resolve", counting)
     result = invoke(
@@ -233,9 +233,9 @@ def test_periodic_classifies_each_edge_once(runner, monkeypatch):
     calls = []
     classify = cube.classify_resolutions
 
-    def counting(source, target):
+    def counting(source, target, *args):
         calls.append((source, target))
-        return classify(source, target)
+        return classify(source, target, *args)
 
     monkeypatch.setattr(cube, "classify_resolutions", counting)
     result = invoke(

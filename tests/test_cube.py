@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from annulus_tate import cube
 from annulus_tate.cube import (
+    PortLinks,
     classify_resolutions,
     format_bits,
     hamming,
@@ -11,10 +14,23 @@ from annulus_tate.cube import (
     swap_halves,
     vertex_gradings,
 )
-from annulus_tate.khovanov import build_complex
-from annulus_tate.links import BraidWord, DiagramTooLarge, close_braid, parse_braid_word
+from annulus_tate.khovanov import _cube_edges, build_complex
+from annulus_tate.links import (
+    BraidWord,
+    DiagramTooLarge,
+    close_braid,
+    double_cover,
+    parse_braid_word,
+)
 
-from conftest import annular_class, classify_edge
+from conftest import (
+    PROPERTY,
+    alphabet,
+    annular_class,
+    classify_edge,
+    reference_classify,
+    reference_resolve,
+)
 
 HOPF = close_braid(parse_braid_word("1 1", 2))
 STAB = close_braid(parse_braid_word("1", 2))
@@ -83,7 +99,7 @@ def test_classify_rejects_non_increment():
 def test_edge_correspondence_keeps_port_sets():
     d = close_braid(parse_braid_word("1 2", 3))
     src, tgt = resolve(d, 0b00), resolve(d, 0b10)
-    edge = classify_resolutions(src, tgt)
+    edge = classify_resolutions(src, tgt, PortLinks(d).crossing_ports[1])
     for si, ti in edge.correspondence:
         assert src.circles[si].ports == tgt.circles[ti].ports
 
@@ -156,3 +172,69 @@ def test_circle_overflow_guard():
     assert resolve(diagram, 0).n_circles == 26
     with pytest.raises(DiagramTooLarge, match="1 of its 1 cube vertices already have 67,108,864"):
         build_complex(diagram)
+
+
+# -- the traced resolutions and crossing-local edge types against the
+# union-find and port-set references
+
+
+def _build_recording_edges(diagram, reduced: bool):
+    """``build_complex(diagram, reduced)`` and the EdgeType it got for
+    each cube edge, in the order it classified them."""
+    edges = []
+    classify = cube.classify_resolutions
+
+    def recording(*args):
+        edges.append(classify(*args))
+        return edges[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cube, "classify_resolutions", recording)
+        gc = build_complex(diagram, reduced=reduced)
+    return gc, edges
+
+
+def _assert_matches_the_references(word: BraidWord) -> None:
+    """On the closure of ``word`` and on its double cover, the full and the
+    reduced build resolve every vertex and classify every edge as the
+    references do."""
+    for diagram in (close_braid(word), double_cover(word)):
+        c = diagram.n_crossings
+        resolutions = [reference_resolve(diagram, alpha) for alpha in range(1 << c)]
+        edges = [
+            reference_classify(resolutions[alpha], resolutions[alpha2])
+            for alpha, alpha2, _ in _cube_edges(c)
+        ]
+        for reduced in (False, True):
+            gc, built = _build_recording_edges(diagram, reduced)
+            assert gc.resolutions == resolutions, (word, reduced)
+            assert built == edges, (word, reduced)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([2, 3, 4]).flatmap(
+        lambda m: st.lists(st.sampled_from(alphabet(m)), max_size=4).map(
+            lambda letters: BraidWord(m, tuple(letters))
+        )
+    )
+)
+def test_resolutions_and_edges_match_the_references(word):
+    _assert_matches_the_references(word)
+
+
+# the seed-0 words of the periodic-len4 and ranks-10x benchmark workloads;
+# a ranks-10x closure is the cover of a five-letter word
+@pytest.mark.parametrize("braid, strands", [
+    ("1 1 1 1", 2), ("1 -1 1 -1", 2), ("1 2 -1 -2", 3),
+    ("1 1 1 1 1", 2), ("1 -1 1 -1 1", 2),
+])
+def test_benchmark_words_match_the_references(braid, strands):
+    _assert_matches_the_references(parse_braid_word(braid, strands))
+
+
+def test_resolve_takes_the_links_of_its_own_diagram():
+    links = PortLinks(HOPF)
+    assert resolve(HOPF, 0b01, links) == resolve(HOPF, 0b01) == reference_resolve(HOPF, 0b01)
+    with pytest.raises(ValueError, match="another diagram"):
+        resolve(STAB, 0, links)

@@ -117,6 +117,14 @@ def test_from_rows_rejects_a_repeated_arrow():
         FilteredComplex.from_rows([0, 1], [(), ()], [[1, 1], []])
 
 
+@pytest.mark.parametrize("target", [-1, 3])
+def test_from_rows_refuses_a_target_outside_the_generators(target):
+    with pytest.raises(
+        FilteredComplexError, match=f"^arrow 0 -> {target} leaves the generators 0..2$"
+    ):
+        FilteredComplex.from_rows([0, 0, 0], [()] * 3, [[target], [], []])
+
+
 def test_homology_zero_differential():
     C = FilteredComplex.from_rows([0, 0, 2], [(5,), (5,), (7,)], [[], [], []])
     assert homology_ranks(C) == {(0, 5): 2, (2, 7): 1}
@@ -405,3 +413,51 @@ def test_offset_engine_cancel_masks_match_the_frozen_engine(complex_, data):
     for x, _ in C.arrows():
         with pytest.raises(MissingArrowError):
             C.cancel_arrow(x, x)
+
+
+def _offset_rows(n: int, rows: list[list[int]]):
+    """(out, out_off, inc, inc_off) of ``rows`` on n generators, each row
+    relative to its lowest index and an empty one to n, assembled row by
+    row from the sources of every target."""
+    sources: list[list[int]] = [[] for _ in range(n)]
+    out, out_off = [], []
+    for x, row in enumerate(rows):
+        off = min(row, default=n)
+        out.append(sum(1 << (t - off) for t in row))
+        out_off.append(off)
+        for t in row:
+            sources[t].append(x)
+    inc = [sum(1 << (x - xs[0]) for x in xs) for xs in sources]
+    inc_off = [xs[0] if xs else n for xs in sources]
+    return out, out_off, inc, inc_off
+
+
+def _fields(C: FilteredComplex):
+    return C.out, C.out_off, C.inc, C.inc_off
+
+
+@PROPERTY
+@given(numbered_complexes(loops=True), st.data())
+def test_from_rows_reads_a_block_of_a_larger_numbering(complex_, data):
+    fdeg, aux, rows = complex_
+    n = len(fdeg)
+    C = FilteredComplex.from_rows(fdeg, aux, rows)
+    assert _fields(C) == _offset_rows(n, rows)
+    # the same generators as slots base..base+n-1 of a larger complex,
+    # whose other generators keep leaves out
+    base, extra = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    slot = data.draw(st.permutations(range(base + n + extra)))
+    id_of = {s: y for y, s in enumerate(slot)}
+    key = [int(not base <= s < base + n) for s in slot]
+    others = [y for y, k in enumerate(key) if k]
+    wide = []
+    for row in rows:
+        wide_row = [id_of[base + t] for t in row]
+        for y in data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []:
+            wide_row.insert(data.draw(st.integers(0, len(wide_row))), y)
+        wide.append(wide_row)
+    D = FilteredComplex.from_rows(fdeg, aux, wide, index=(slot, base), keep=(key, 0))
+    assert _fields(D) == _fields(C) and D.alive == C.alive
+    if any(len(w) > len(r) for w, r in zip(wide, rows)):
+        with pytest.raises(FilteredComplexError, match="^arrow leaves its grading block$"):
+            FilteredComplex.from_rows(fdeg, aux, wide, index=(slot, base))

@@ -267,10 +267,10 @@ def test_edge_maps_are_computed_once_per_distinct_edge(monkeypatch, theory, redu
         monkeypatch.setattr(khovanov, name, counting(name))
     gc = build_complex(close_braid(parse_braid_word("1 1 -1 1 1", 2)), reduced=reduced)
     homology_of(gc, theory)
-    res = gc.resolutions
+    res, ports = gc.resolutions, cube.PortLinks(gc.diagram).crossing_ports
     edges = [
-        cube.classify_resolutions(res[alpha], res[alpha2])
-        for alpha, alpha2 in khovanov._cube_edges(gc.diagram.n_crossings)
+        cube.classify_resolutions(res[alpha], res[alpha2], ports[b])
+        for alpha, alpha2, b in khovanov._cube_edges(gc.diagram.n_crossings)
     ]
     distinct = len(set(edges))
     assert distinct < len(edges) == 80
@@ -278,9 +278,10 @@ def test_edge_maps_are_computed_once_per_distinct_edge(monkeypatch, theory, redu
 
 
 def _resolution(seams: tuple[int, ...]) -> cube.Resolution:
-    """Hand-built: the changing circles on ports 0-3 (one circle, or the
-    halves {0, 1} and {2, 3}) with the given seam counts, and one trivial
-    circle on ports 4, 5 that both ends of an edge share."""
+    """Hand-built: the changing circles on ports 0-3, the four ports of the
+    level-0 crossing of a 2-strand diagram (one circle, or the halves
+    {0, 1} and {2, 3}), with the given seam counts, and one trivial circle
+    on ports 4, 5 that both ends of an edge share."""
     halves = [range(4)] if len(seams) == 1 else [range(2), range(2, 4)]
     circles = [cube.Circle(frozenset(p), s) for p, s in zip(halves, seams)]
     circles.append(cube.Circle(frozenset({4, 5}), 0))
@@ -294,12 +295,14 @@ def _resolution(seams: tuple[int, ...]) -> cube.Resolution:
     ((1,), (1, 2)),
 ], ids=["merge-1+1-to-0", "merge-0+2-to-0", "split-2-to-1+0", "split-1-to-1+2"])
 def test_edge_that_does_not_conserve_seam_count_is_refused(source, target):
+    ports = cube.PortLinks(HOPF).crossing_ports[0]
+    assert ports == {0, 1, 2, 3}
     with pytest.raises(cube.UnclassifiableEdge, match="seam counts"):
-        cube.classify_resolutions(_resolution(source), _resolution(target))
+        cube.classify_resolutions(_resolution(source), _resolution(target), ports)
     # the same circles with conserved seam counts are a merge or a split
     total = sum(source)
     fixed = (total,) if len(target) == 1 else (target[0], total - target[0])
-    edge = cube.classify_resolutions(_resolution(source), _resolution(fixed))
+    edge = cube.classify_resolutions(_resolution(source), _resolution(fixed), ports)
     assert (edge.kind, edge.correspondence) == (
         "merge" if len(source) == 2 else "split", ((len(source), len(fixed)),))
 
@@ -310,9 +313,9 @@ def _watch_cube(monkeypatch) -> tuple[list[int], list[int]]:
     resolved, graded = [], []
     resolve, gradings = cube.resolve, cube.vertex_gradings
 
-    def counting_resolve(diagram, alpha):
+    def counting_resolve(diagram, alpha, *links):
         resolved.append(alpha)
-        return resolve(diagram, alpha)
+        return resolve(diagram, alpha, *links)
 
     def counting_gradings(res, n_pos, n_neg):
         graded.append(res.vertex)
@@ -442,7 +445,7 @@ def test_reduced_build_refuses_an_arrow_onto_circle_zero_plus(monkeypatch):
         kind="split", source_circles=(0,),
         target_circles=(1, 2), correspondence=((1, 0),),
     )
-    monkeypatch.setattr(cube, "classify_resolutions", lambda source, target: onto_zero)
+    monkeypatch.setattr(cube, "classify_resolutions", lambda source, target, *_: onto_zero)
     with pytest.raises(FilteredComplexError, match="leaves the reduced complex"):
         build_complex(HOPF, reduced=True)
 
