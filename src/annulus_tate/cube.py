@@ -106,11 +106,12 @@ class PortLinks:
     A port has two ends: its up end (side 1) meets the crossing at its
     level, or the seam at level c, and its down end (side 0) meets the
     crossing below it, or the seam at level 0.  End 2 * port + side is
-    linked to exactly one other end, so the circles of a resolution are
-    the cycles of a 2-regular graph.  ``step[e]`` is the end by which a
-    walk that arrives at the mate of end e leaves that port; the seam's
-    entries are fixed, and each crossing contributes the entries of its
-    up and down slices for each of its two smoothings.
+    linked to exactly one other end, its mate, so the circles of a
+    resolution are the cycles of a 2-regular graph.  A walk that leaves
+    a port by end e enters the next port by e's mate and leaves it by
+    ``step[e]``, the mate's other end.  The seam's steps are fixed; the
+    crossing at level l sets the steps of the up ends of level l and the
+    down ends of level l + 1, one slice each, from its smoothing.
     """
 
     __slots__ = ("diagram", "n_ports", "crossing_ports", "_seam", "_smoothings")
