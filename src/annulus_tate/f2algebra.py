@@ -123,7 +123,9 @@ class FilteredComplex:
         key, value = keep if keep is not None else (None, None)
         out, out_off = C.out, C.out_off
         inc, inc_off = [0] * n, [n] * n
-        for x, row in enumerate(targets):
+        # one int object per index, shared by every offset equal to it
+        ids = list(range(n))
+        for x, row in zip(ids, targets, strict=True):
             off = n
             bits = count = 0
             for y in row:
@@ -151,7 +153,7 @@ class FilteredComplex:
             if bits.bit_count() != count:
                 raise FilteredComplexError(f"repeated arrow from {x}")
             out.append(bits)
-            out_off.append(off)
+            out_off.append(ids[off] if count else n)
         C.inc, C.inc_off = inc, inc_off
         C.alive = (1 << n) - 1
         return C
