@@ -1,10 +1,10 @@
-"""Stage times of the path from a diagram to the engine's rows, and two
+"""Stage times of the path from a diagram to its rank tables, and
 whole-command figures, written to a ``BENCH_*.json`` file.
 
 Run from the root of a checkout; ``--src`` picks the package to time, so
 the same script measures two commits:
 
-    python3 scripts/bench_cube.py --src src --label after --out BENCH_cube.json
+    python3 scripts/bench_cube.py --src src --label after --out BENCH_ranks.json
 
 Stages, each the median of ``--repeats`` runs on one engine process:
 
@@ -12,8 +12,12 @@ Stages, each the median of ``--repeats`` runs on one engine process:
 - ``classify``: time inside ``cube.classify_resolutions`` during it;
 - ``d_squared``: time inside ``GradedComplex.check_d_squared``;
 - ``build_complex``: the whole build, the three above included;
-- ``assembly``: ``khovanov._map_blocks`` with a function that does
-  nothing, that is, the path from ``gc.out`` to the engine rows.
+- ``assembly``: ``khovanov._map_blocks`` assembling every block's engine
+  complex and dropping it, that is, the path from ``gc.out`` to the
+  engine rows;
+- ``ranks``: ``khovanov.homologies_of``, the rank tables of the op's
+  theories (both on the periodic-len4 sides), however the checkout
+  computes them: block assembly and cancellation, or the rank pass.
 
 The cyclic garbage collector is paused, as the CLI pauses it for a word.
 
@@ -25,8 +29,11 @@ blocks; ranks-10x builds the full closure for ``akh`` ((j, k) blocks) and
 the reduced one for ``kh`` (j blocks).
 
 The command figures run the CLI in a fresh process each, on every CPU:
-the wall time and the largest process's peak resident size (the larger
-of the process's own and its reaped children's ``ru_maxrss``).
+the wall time, the largest process's peak resident size (the larger of
+the process's own and its reaped children's ``ru_maxrss``), and the peak
+of the proportional set size summed over the process and its children,
+read from ``/proc/<pid>/smaps_rollup`` every 50 ms (so a shorter spike
+can be missed; Linux only).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ PERIODIC_WORDS = [("1 1 1 1", 2), ("1 -1 1 -1", 2), ("1 2 -1 -2", 3)]
 RANKS_WORDS = [("1 1 1 1 1 1 1 1 1 1", 2), ("1 -1 1 -1 1 1 -1 1 -1 1", 2)]
 COMMANDS = {
     "periodic 1 1 1 1 1 1/2": ["periodic", "--braid", "1 1 1 1 1 1", "--strands", "2"],
+    "periodic 1 -1 1 -1 1 -1/2": ["periodic", "--braid", "1 -1 1 -1 1 -1", "--strands", "2"],
     "refuse 1 2 1 2 1 2 1 2/3": ["periodic", "--braid", "1 2 1 2 1 2 1 2", "--strands", "3"],
 }
 
@@ -88,6 +96,17 @@ class StageClock:
         setattr(owner, attr, timed)
 
 
+def assemble_blocks(khovanov, gc, theory) -> None:
+    """Assemble every block's engine complex and drop it."""
+    if hasattr(khovanov, "block_complex"):
+        def assemble(members, index) -> None:
+            khovanov.block_complex(gc, theory, members, index)
+
+        khovanov._map_blocks(gc, theory, assemble)
+    else:  # before the rank pass, ``_map_blocks`` assembled the blocks itself
+        khovanov._map_blocks(gc, theory, lambda C, members: None)
+
+
 def stage_times(word: str, strands: int, side: str, reduced: bool, blocks: str,
                 repeats: int) -> dict[str, float]:
     from annulus_tate import cube, khovanov
@@ -96,6 +115,7 @@ def stage_times(word: str, strands: int, side: str, reduced: bool, blocks: str,
     braid = parse_braid_word(word, strands)
     diagram = double_cover(braid) if side == "cover" else close_braid(braid)
     theory = khovanov.Theory(blocks)
+    theories = tuple(khovanov.Theory) if theory is khovanov.Theory.KH and not reduced else (theory,)
     runs: dict[str, list[float]] = {}
     for _ in range(repeats):
         pygc.collect()
@@ -113,12 +133,32 @@ def stage_times(word: str, strands: int, side: str, reduced: bool, blocks: str,
             (cube.resolve, cube.classify_resolutions,
              khovanov.GradedComplex.check_d_squared) = saved
         start = time.perf_counter()
-        khovanov._map_blocks(gc, theory, lambda C, members: None)
+        assemble_blocks(khovanov, gc, theory)
         assembly = time.perf_counter() - start
-        sample = dict(clock.seconds, build_complex=build, assembly=assembly)
+        start = time.perf_counter()
+        khovanov.homologies_of(gc, theories)
+        ranks = time.perf_counter() - start
+        sample = dict(clock.seconds, build_complex=build, assembly=assembly, ranks=ranks)
         for name, value in sample.items():
             runs.setdefault(name, []).append(value)
     return {name: round(statistics.median(values) * 1e3, 2) for name, values in runs.items()}
+
+
+def summed_pss_kb(pid: int) -> int:
+    """The proportional set size of ``pid`` and its descendants, in kB
+    (0 for a process that is gone)."""
+    total = 0
+    try:
+        with open(f"/proc/{pid}/smaps_rollup") as rollup:
+            for line in rollup:
+                if line.startswith("Pss:"):
+                    total += int(line.split()[1])
+                    break
+        with open(f"/proc/{pid}/task/{pid}/children") as children:
+            kids = children.read().split()
+    except OSError:
+        return total
+    return total + sum(summed_pss_kb(int(kid)) for kid in kids)
 
 
 def command_figures(src: Path, args: list[str], repeats: int) -> dict:
@@ -126,14 +166,23 @@ def command_figures(src: Path, args: list[str], repeats: int) -> dict:
     env.pop("ANNULUS_TATE_CACHE", None)
     runs = []
     for _ in range(repeats):
-        done = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-c", ONE_COMMAND, json.dumps(args)],
-            env=env, capture_output=True, text=True, check=True,
+            env=env, stdout=subprocess.PIPE, text=True,
         )
-        runs.append(json.loads(done.stdout))
+        peak = 0
+        while proc.poll() is None:
+            peak = max(peak, summed_pss_kb(proc.pid))
+            time.sleep(0.05)
+        out = proc.stdout.read()
+        proc.stdout.close()
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, args)
+        runs.append(dict(json.loads(out), summed_pss_peak_mb=peak / 1024))
     return {
         "wall_s": [round(r["wall_s"], 2) for r in runs],
         "largest_process_peak_mb": [round(r["largest_process_peak_mb"], 1) for r in runs],
+        "summed_pss_peak_mb": [round(r["summed_pss_peak_mb"], 1) for r in runs],
         "exit": runs[0]["exit"],
     }
 
@@ -175,7 +224,7 @@ def main() -> None:
     out = Path(opts.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("command", "python3 scripts/bench_cube.py --src <checkout>/src "
-                               "--label <label> --out BENCH_cube.json")
+                               f"--label <label> --out {out.name}")
     data[opts.label] = run
     out.write_text(json.dumps(data, indent=1) + "\n")
     json.dump(run, sys.stdout, indent=1)

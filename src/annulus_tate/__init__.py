@@ -1,6 +1,7 @@
 """Annular Khovanov homology of 2-periodic links over F2.
 
-Computes triply-graded AKh/Kh ranks of annular braid closures, builds the
+Computes triply-graded AKh/Kh ranks of annular braid closures from the
+ranks of the differential level by level (``homology_ranks``), builds the
 Tate bicomplex of a 2-periodic double cover folded over F2[theta, 1/theta],
 runs its row-filtered spectral sequence by filtered cancellation, and
 machine-checks the periodicity rank inequalities and their decategorified

@@ -17,18 +17,25 @@ Complexes are built whole by ``FilteredComplex.from_rows``, in one pass
 over the arrows that sets each arrow's ``out`` and ``inc`` bits.  It can
 read a block of a larger complex straight from that complex's rows:
 ``index`` maps each row entry to the block's numbering, and ``keep``
-leaves out the arrows of another grading.  Homology, and
-the pages of a filtration one shift level at a time, are computed by
-Gaussian cancellation in place: cancelling an arrow k -> l removes both
-endpoint generators and toggles an arrow x -> y for every pair x -> l,
-k -> y, which is a single XOR of the successor row into each predecessor
-row.  Rank tables are independent of the cancellation order; bases are
-not, so only ranks are exposed.
+leaves out the arrows of another grading.  The pages of a filtration are
+computed one shift level at a time by Gaussian cancellation in place:
+cancelling an arrow k -> l removes both endpoint generators and toggles
+an arrow x -> y for every pair x -> l, k -> y, which is a single XOR of
+the successor row into each predecessor row.  Rank tables are
+independent of the cancellation order; bases are not, so only ranks are
+exposed.
+
+Homology needs no cancellation where every arrow raises the filtration
+degree by exactly one, as every arrow of a cube complex raises i:
+``homology_ranks`` reads it off the ranks of d level by level, from the
+same rows, through the same ``index`` and ``keep``, without building a
+complex.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -184,17 +191,6 @@ class FilteredComplex:
             for tgt in self.targets(src):
                 yield src, tgt
 
-    def n_arrows(self, target_mask_of=None) -> int:
-        """The arrows between alive generators; with ``target_mask_of``,
-        only those x -> y whose target it allows, as in ``_sweep_cancel``."""
-        out, off, alive = self.out, self.out_off, self.alive
-        if target_mask_of is None:
-            return sum((out[g] & (alive >> off[g])).bit_count() for g in self.generators())
-        return sum(
-            (out[g] & ((alive & target_mask_of(g)) >> off[g])).bit_count()
-            for g in self.generators()
-        )
-
     def grading_key(self, g: int) -> tuple:
         return (self.fdeg[g], *self.aux[g])
 
@@ -313,26 +309,125 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of=None) -> bool:
     return acted
 
 
-def homology_ranks(C: FilteredComplex, key: list | None = None) -> dict[tuple, int]:
-    """Homology ranks per grading, by cancelling ``C`` in place until no
-    arrows remain; pass ``C.copy()`` to keep the complex.
+def homology_ranks(
+    fdeg: list[int],
+    grading: tuple,
+    targets: Iterable[Iterable[int]],
+    index: tuple[list[int], int] | None = None,
+    keep: tuple[list, object] | None = None,
+    key: list | None = None,
+):
+    """Homology ranks of the complex on generators 0..n-1 with an arrow
+    x -> t for every t in ``targets[x]``, keyed (fdeg[x], *grading), where
+    every arrow raises fdeg by exactly one and the generators come level
+    by level (fdeg ascending).
 
-    With ``key``, a list that no arrow raises (a second filtration), only
-    the arrows x -> y with key[y] == key[x] are cancelled, until none
-    remains: the ranks of the associated graded complex.  Cancelling such
-    an arrow creates no arrow that raises ``key``, so ``homology_ranks(C)``
-    afterwards finishes the homology of C itself.
+    Over F2, H at level i then has rank n_i - rk(d out of level i) -
+    rk(d into level i), so no arrow is cancelled: each row is an int
+    relative to the first index of level i + 1 and is reduced into a
+    basis keyed by its highest bit, one per level, which is dropped once
+    the walk leaves the level.  Zero ranks are left out, and a negative
+    one (d^2 != 0) raises FilteredComplexError.  The rows are only read.
+
+    ``index`` and ``keep`` read a block of a larger numbering exactly as
+    :meth:`FilteredComplex.from_rows` reads it, and every arrow it refuses
+    is refused here, with the same FilteredComplexError: a target outside
+    0..n-1 or outside the block, and a repeated arrow.  So is an arrow
+    that does not raise fdeg by one.
+
+    With ``key``, a list over 0..n-1 that no arrow raises, returns the
+    pair (the ranks of the complex, those of its associated graded); the
+    latter are keyed (fdeg[x], *grading, key[x]) and read, from the same
+    rows, with one basis per level and key over the arrows x -> t with
+    key[t] == key[x].
     """
-    target_mask_of = None
-    if key is not None:
-        same: dict = {}
-        for g in C.generators():
-            same[key[g]] = same.get(key[g], 0) | (1 << g)
-        target_mask_of = [same.get(k, 0) for k in key].__getitem__
-    _sweep_cancel(C, target_mask_of)
-    if C.n_arrows(target_mask_of):
-        raise FilteredComplexError("cancellation finished with arrows left")
-    return rank_table(C)
+    n = len(fdeg)
+    slot, base = index if index is not None else (None, 0)
+    kept, value = keep if keep is not None else (None, None)
+    levels: list[tuple[int, int]] = []  # (level, first index)
+    for x, level in enumerate(fdeg):
+        if not levels or level != levels[-1][0]:
+            if levels and level < levels[-1][0]:
+                raise FilteredComplexError("generators are not numbered level by level")
+            levels.append((level, x))
+    levels.append((None, n))
+    table: dict[tuple, int] = {}
+    graded: dict[tuple, int] = {}
+    into = 0  # rk(d into the current level)
+    graded_into: dict = {}
+    rows = zip(range(n), targets, strict=True)
+    for pos in range(len(levels) - 1):
+        (level, start), (after, end) = levels[pos], levels[pos + 1]
+        # the targets lie on level + 1, at end..hi - 1, or nowhere
+        hi = levels[pos + 2][1] if after == level + 1 else end
+        width, shift = hi - end, base + end
+        next_keys = key[end:hi] if key is not None else None
+        pivots: dict[int, int] = {}
+        per_key: dict = {}
+        for x, row in itertools.islice(rows, end - start):
+            bits = count = kept_bits = 0
+            kx = key[x] if key is not None else None
+            for y in row:
+                if kept is not None and kept[y] != value:
+                    continue
+                s = (y if slot is None else slot[y]) - shift
+                if not 0 <= s < width:
+                    _refuse(x, s + end, n, slot is not None)
+                bits |= 1 << s
+                count += 1
+                if next_keys is not None and next_keys[s] == kx:
+                    kept_bits |= 1 << s
+            if bits.bit_count() != count:
+                raise FilteredComplexError(f"repeated arrow from {x}")
+            _reduce(bits, pivots)
+            if key is not None:
+                basis = per_key.get(kx)
+                if basis is None:
+                    basis = per_key[kx] = {}
+                _reduce(kept_bits, basis)
+        rank = len(pivots)
+        _put(table, (level, *grading), end - start - rank - into)
+        into = rank if after == level + 1 else 0
+        if key is not None:
+            sizes = Counter(key[start:end])
+            for k, size in sizes.items():
+                basis = per_key.get(k, ())
+                _put(graded, (level, *grading, k), size - len(basis) - graded_into.get(k, 0))
+            graded_into = (
+                {k: len(basis) for k, basis in per_key.items()} if after == level + 1 else {}
+            )
+    next(rows, None)  # a row past n raises
+    return table if key is None else (table, graded)
+
+
+def _refuse(x: int, t: int, n: int, in_block: bool) -> None:
+    """Raise the FilteredComplexError of an arrow x -> t of the rank pass
+    that does not land on the next level."""
+    if not 0 <= t < n:
+        if in_block:
+            raise FilteredComplexError("arrow leaves its grading block")
+        raise FilteredComplexError(f"arrow {x} -> {t} leaves the generators 0..{n - 1}")
+    raise FilteredComplexError(f"arrow {x} -> {t} does not raise the level by one")
+
+
+def _reduce(bits: int, pivots: dict[int, int]) -> None:
+    """Reduce ``bits`` into the XOR basis ``pivots``, keyed by highest
+    bit, and add what is left, if anything."""
+    while bits:
+        top = bits.bit_length()
+        pivot = pivots.get(top)
+        if pivot is None:
+            pivots[top] = bits
+            return
+        bits ^= pivot
+
+
+def _put(table: dict, key: tuple, rank: int) -> None:
+    """Set ``table[key]`` to a homology rank, leaving out a zero."""
+    if rank < 0:
+        raise FilteredComplexError(f"d^2 != 0: negative homology rank at {key}")
+    if rank:
+        table[key] = rank
 
 
 @dataclass

@@ -23,10 +23,10 @@ Khovanov, "Patterns in knot cohomology I", Experiment. Math. 2003).  The
 full complex serves AKh and the Tate side, where the deck rotation fixes
 no basepoint.  A ``periodic`` run reads every table of a side off that
 side's full complex (``tate.PeriodicRun``), so a run of both theories
-makes two builds: the full quotient and the full cover.  It also
-assembles each block of a side once for both theories: on a j block of
-the Kh rows, cancelling the arrows that keep k first gives AKh, and
-cancelling the rest then gives Kh (``homologies_of``).
+makes two builds: the full quotient and the full cover.  It also reads
+each block of a side once for both theories: on a j block of the Kh
+rows, the arrows that keep k give AKh, and all of them give Kh
+(``homologies_of``).
 
 The complex is built in one pass per cube vertex and one per cube edge.
 Each vertex is traced once (``cube.resolve``, on one ``cube.PortLinks``
@@ -37,19 +37,21 @@ distinct edge for the build).  Each edge map is a table from the labels
 of its participating circles to their images, applied at once to every
 labeling of the other circles; the table and that transport
 (``labeling_images``) are tabulated once per distinct edge type.  d^2 = 0
-is checked on every built complex.  ``_map_blocks`` is the one reader of
-a complex's blocks: it splits the complex into engine complexes along the
-gradings every arrow of a theory preserves, filtered by i and graded by
-(j, k).  A block numbers its generators level by level, so that each
-offset-relative engine row spans one or two levels of i rather than the
-whole block, and ``FilteredComplex.from_rows`` assembles it in one pass
-over its members' arrows.  The blocks share nothing, so
+is checked on every built complex.  ``_map_blocks`` is the one splitter
+of a complex into blocks, along the gradings every arrow of a theory
+preserves.  A block numbers its generators level by level, so that each
+of its rows spans one or two levels of i rather than the whole block.
+Every arrow raises i by exactly one, so over F2 each rank table is
+dim C_i - rk d_i - rk d_{i-1}, level by level: ``f2algebra.homology_ranks``
+reads it straight off the members' arrows, and no block is assembled
+for a table.  Only the Tate pages assemble a block
+(``block_complex``, ``FilteredComplex.from_rows`` in one pass over its
+members' arrows) and cancel it.  The blocks share nothing, so
 ``_fork_map`` shares them out over every CPU: it forks one child per extra
-CPU, and each process assembles its blocks one at a time from its
-(copy-on-write) image of the complex, hands each to the caller's function,
-which may cancel it in place, and drops it before the next is built, so
-the largest block, not the sum of all blocks, sets a process's memory
-peak.  The children pipe their results back.  The d^2 check splits its
+CPU, and each process runs its blocks one at a time on its (copy-on-write)
+image of the complex and drops what it built for a block before the next
+begins, so the largest block, not the sum of all blocks, sets a process's
+memory peak.  The children pipe their results back.  The d^2 check splits its
 generator range the same way.  Complexes below ``FORK_MIN_GENERATORS``
 stay in one process.  A diagram whose complex would have more than
 ``links.MAX_GENERATORS`` generators is refused with ``DiagramTooLarge``
@@ -134,8 +136,13 @@ class GradedComplex:
 
         n, parts = self.n_generators, _engine_processes()
         ranges = [range(n * p // parts, n * (p + 1) // parts) for p in range(parts)]
-        # a generator's check costs a fifth of its block work (1.5-1.9 us),
-        # so the check forks from about 10,000 generators on
+        # a range weighs a fifth of its generators, so the check forks from
+        # 10,000 generators on.  A generator's check costs 0.6-0.9 us, and
+        # in 30 alternating runs (min/median ms, inline against two
+        # processes, see FORK_MIN_GENERATORS) it took 4.0/4.4 against
+        # 4.0/5.0 on 6,564 generators, 14.3/15.1 against 11.8/12.6 on
+        # 19,686, and 52.3/58.6 against 41.2/44.5 on 59,052: the crossover
+        # lies between the first two
         weights = [len(r) // 5 for r in ranges]
         for failure in _fork_map(first_failure, ranges, weights):
             if failure:
@@ -297,37 +304,33 @@ def rows_of(gc: GradedComplex, theory: Theory):
     return lambda g: [t for t in out[g] if gk[t] == gk[g]]
 
 
-def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
-    """``fn(C, members)`` for every block of ``gc`` along the block keys of
-    ``theory``, in block order, with the blocks shared out over the CPUs by
-    ``_fork_map``.
+def _map_blocks(gc: GradedComplex, theory: Theory, fn, weight: float = 1.0) -> list:
+    """``fn(members, index)`` for every block of ``gc`` along the block keys
+    of ``theory``, in block order, with the blocks shared out over the CPUs
+    by ``_fork_map``, which weighs a block at ``weight`` times its size.
 
-    C is the block's engine complex: each generator g is filtered by i and
-    carries (j, k) as auxiliary grading, so that its rank tables are keyed
-    (i, j, k) in either theory; its arrow targets are its ``theory``
-    arrows (``rows_of``).  members[x] is the generator of ``gc`` at engine
-    index x.  Members are numbered level by level: by i, then in
-    generator order.  A cube arrow raises i by one, so each engine row
-    spans at most two adjacent levels.
-
-    The blocks are laid end to end in one numbering, ``slot``, so that
-    ``FilteredComplex.from_rows`` reads each member's ``gc.out`` row once:
-    it drops an AKh row's arrows that change k, maps each target to its
-    engine index, slot - the block's first slot, and refuses one that
-    falls outside the block (FilteredComplexError, "arrow leaves its
-    grading block").  Each process assembles its blocks one at a time, and
-    ``fn`` may cancel C in place: C is dropped when ``fn`` returns.
+    members[x] is the generator of ``gc`` at block index x.  Members are
+    numbered level by level: by i, then in generator order.  A cube arrow
+    raises i by one, so each row of a block spans at most two adjacent
+    levels.  The blocks are laid end to end in one numbering, ``slot``,
+    and ``index`` is the pair (slot, the block's first slot), through
+    which ``f2algebra.homology_ranks`` and ``FilteredComplex.from_rows``
+    read the members' ``gc.out`` rows once (:func:`block_complex`): they
+    map each target to its block index, slot - the block's first slot,
+    and refuse one that falls outside the block (FilteredComplexError,
+    "arrow leaves its grading block").  Each process runs its blocks one
+    at a time, and whatever ``fn`` builds for a block is dropped when it
+    returns.
     """
     if theory is Theory.AKH and gc.reduced:
         raise ValueError("AKh is read from the full complex, not the reduced one")
-    aux = _block_keys(Theory.AKH, gc.gj, gc.gk)
-    keys = aux if theory is Theory.AKH else _block_keys(theory, gc.gj, gc.gk)
     ids: dict[tuple, int] = {}
-    block_of = [ids.setdefault(key, len(ids)) for key in keys]
+    block_of = [ids.setdefault(key, len(ids)) for key in _block_keys(theory, gc.gj, gc.gk)]
     groups: list[list[int]] = [[] for _ in ids]
     for g, b in enumerate(block_of):
         groups[b].append(g)
-    gi, gk, out = gc.gi, gc.gk, gc.out
+    del block_of  # not needed while the blocks run
+    gi = gc.gi
     slot = [0] * gc.n_generators
     starts = []
     first = 0
@@ -339,17 +342,34 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
         first += len(members)
 
     def run_block(b: int):
-        members = groups[b]
-        C = FilteredComplex.from_rows(
-            [gi[g] for g in members],
-            [aux[g] for g in members],
-            (out[g] for g in members),
-            index=(slot, starts[b]),
-            keep=(gk, gk[members[0]]) if theory is Theory.AKH else None,
-        )
-        return fn(C, members)
+        return fn(groups[b], (slot, starts[b]))
 
-    return _fork_map(run_block, range(len(groups)), [len(members) for members in groups])
+    sizes = [len(members) * weight for members in groups]
+    return _fork_map(run_block, range(len(groups)), sizes)
+
+
+def block_complex(
+    gc: GradedComplex, theory: Theory, members: list[int], index: tuple[list[int], int]
+) -> FilteredComplex:
+    """The engine complex of one block of ``_map_blocks(gc, theory, …)``:
+    each generator is filtered by i and carries (j, k) as auxiliary
+    grading, so that its rank tables are keyed (i, j, k) in either theory,
+    and its arrow targets are its ``theory`` arrows (``rows_of``).
+
+    ``FilteredComplex.from_rows`` assembles it in one pass over the
+    members' ``gc.out`` rows: it drops an AKh row's arrows that change k,
+    and maps each target through ``index``.
+    """
+    gi, gk = gc.gi, gc.gk
+    j = gc.gj[members[0]]  # every block key holds j
+    aux = {k: (j, k) for k in {gk[g] for g in members}}
+    return FilteredComplex.from_rows(
+        [gi[g] for g in members],
+        [aux[gk[g]] for g in members],
+        (gc.out[g] for g in members),
+        index=index,
+        keep=(gk, gk[members[0]]) if theory is Theory.AKH else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +382,30 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
 # process takes at most half the work off the parent, and less when the
 # blocks are uneven, so forking pays from about 1,000-2,000 generators on.
 # Re-measured on a 2-vCPU virtual machine (Python 3.11.7), minimum and
-# median of 60 runs, inline against two processes: on the 6,564-generator
-# cover of "1 1 1 1"/2, the AKh homology_of took 31.7/56.0 ms against
-# 30.3/35.3 ms, and hv_pages of both theories 41.4/76.6 ms against
-# 32.4/44.1 ms; on the 59,052-generator cover of "1 1 1 1 1"/2 (12 runs),
-# 445/686 ms against 310/440 ms and 658/1005 ms against 363/553 ms.  Near
-# the crossover the minima are within that host's noise: one CPU-bound
-# loop took 1.9-3.1 s from run to run, and two at once 2.3-3.3 s each.
-# The four-letter quotients and the three-letter covers stay inline;
+# median of 60 runs, inline against two processes: hv_pages of both
+# theories took 41.4/76.6 ms against 32.4/44.1 ms on the 6,564-generator
+# cover of "1 1 1 1"/2, and 658/1005 ms against 363/553 ms on the
+# 59,052-generator cover of "1 1 1 1 1"/2 (12 runs).  Near the crossover
+# the minima are within that host's noise: one CPU-bound loop took
+# 1.9-3.1 s from run to run, and two at once 2.3-3.3 s each.  The
+# four-letter quotients and the three-letter covers stay inline;
 # four-letter covers and 10-crossing closures fork.
 FORK_MIN_GENERATORS = 2_000
+
+# A block's rank pass (``homologies_of``) costs 1.1-2.1 us per generator,
+# about a quarter of block assembly and cancellation, so its blocks weigh
+# a quarter of their size and the pass forks from 8,000 generators on.
+# Measured on the same host, each complex in a process of its own, ranges
+# over two to five rounds of 30 alternating runs, minimum/median ms inline
+# against two processes: 6,564-generator closure of "1 1 1 1 1 1 1 1"/2,
+# AKh: 8.2-9.6/8.9-10.3 against 7.7-13.4/8.9-14.1; 19,686 (nine letters),
+# AKh: 31.0-35.1/33.0-37.0 against 23.8-44.0/25.2-46.4; 29,526 (reduced,
+# ten letters), Kh: 41.4-49.8/48.1-54.8 against 30.9-61.5/35.5-66.9;
+# 59,052, AKh: 107-125/115-134 against 71-84/82-153.  From 6,564 to
+# 29,526 generators the faster side changed from round to round, so the
+# crossover lies there, within the host's noise; the 8,000 that the cost
+# ratio gives is kept.
+RANK_PASS_WEIGHT = 0.25
 
 _max_processes: int | None = None
 
@@ -505,34 +539,37 @@ def _run_share(fn, items: list, share: list[int], sink) -> NoReturn:
         os._exit(0)
 
 
-def _drop_k(i: int, j: int, k: int) -> tuple:
-    return i, j
+def _block_homology(
+    gc: GradedComplex, members: list[int], index: tuple[list[int], int], theories
+) -> dict[Theory, dict[tuple, int]]:
+    """The homology ranks of each of ``theories`` on one block of
+    ``_map_blocks``: a j block of the Kh rows when Kh is among them, a
+    (j, k) block of the AKh rows otherwise.  One rank pass
+    (``homology_ranks``) reads them off the members' ``gc.out`` rows.
 
-
-def _block_homology(C: FilteredComplex, theories) -> dict[Theory, dict[tuple, int]]:
-    """The homology ranks of each of ``theories`` on the block C, which is
-    cancelled in place: a j block of the Kh rows when Kh is among them, a
-    (j, k) block of the AKh rows otherwise (``_map_blocks``).
-
-    On a Kh block, AKh is read first, by cancelling the arrows that keep k
-    (``homology_ranks(C, key)``): AKh is the associated graded of Kh under
-    the k-filtration, and no arrow raises k, so these are exactly the
-    AKh cancellations.  Cancelling the arrows left then gives Kh, keyed
-    (i, j) once summed over k.
+    On a Kh block, AKh is the associated graded of Kh under the
+    k-filtration, so the pass that gives Kh, keyed (i, j), also gives AKh
+    from the arrows that keep k, keyed (i, j, k).
     """
+    gj, gk = gc.gj, gc.gk
+    first = members[0]
+    levels = [gc.gi[g] for g in members]
+    rows = (gc.out[g] for g in members)
     if Theory.KH not in theories:
-        return {Theory.AKH: homology_ranks(C)}
-    tables = {}
-    if Theory.AKH in theories:
-        tables[Theory.AKH] = homology_ranks(C, [k for _, k in C.aux])
-    tables[Theory.KH] = summed(homology_ranks(C), _drop_k)
-    return tables
+        akh = homology_ranks(
+            levels, (gj[first], gk[first]), rows, index, keep=(gk, gk[first])
+        )
+        return {Theory.AKH: akh}
+    if Theory.AKH not in theories:
+        return {Theory.KH: homology_ranks(levels, (gj[first],), rows, index)}
+    kh, akh = homology_ranks(levels, (gj[first],), rows, index, key=[gk[g] for g in members])
+    return {Theory.AKH: akh, Theory.KH: kh}
 
 
 def homologies_of(gc: GradedComplex, theories) -> dict[Theory, dict[tuple, int]]:
-    """Graded homology ranks of each of ``theories`` from one assembly of
-    each block (``_block_homology``): keys (i, j, k) for AKh, (i, j) for
-    Kh.
+    """Graded homology ranks of each of ``theories`` from one rank pass
+    over each block (``_block_homology``): keys (i, j, k) for AKh, (i, j)
+    for Kh.  No block is assembled and no arrow is cancelled.
 
     A reduced complex, with homology h, gives the Kh ranks
     h^{i,j} + h^{i,j-2}; it has no AKh.
@@ -541,7 +578,11 @@ def homologies_of(gc: GradedComplex, theories) -> dict[Theory, dict[tuple, int]]
         raise ValueError("AKh is read from the full complex, not the reduced one")
     blocks = Theory.KH if Theory.KH in theories else Theory.AKH
     tables: dict[Theory, dict[tuple, int]] = {theory: {} for theory in theories}
-    for block in _map_blocks(gc, blocks, lambda C, _: _block_homology(C, theories)):
+
+    def block_tables(members, index):
+        return _block_homology(gc, members, index, theories)
+
+    for block in _map_blocks(gc, blocks, block_tables, RANK_PASS_WEIGHT):
         for theory, ranks in block.items():
             tables[theory].update(ranks)
     if gc.reduced:

@@ -15,12 +15,17 @@ from dataclasses import dataclass
 # Cube size 2^22 is the desk-scale ceiling for every diagram we accept.
 MAX_CROSSINGS = 22
 
-# Generators one ``khovanov.build_complex`` may hold.  Calibrated on peaks
-# measured on 2 vCPUs: the 531,444-generator cover of "1 1 1 1 1 1"/2 ran
-# ``periodic`` at 1,507 MB, about 2.8 KB per cover generator, so the cap
-# stands for about 2 GiB per process and refuses the seven-letter B2 cover.
-# The engine's forked children (``khovanov._fork_map``) come on top: on
-# that cover one child held up to about 1.25 GB of pages of its own.
+# Generators one ``khovanov.build_complex`` may hold.  The cap was set for
+# about 2 GiB per process, when the 531,444-generator cover of
+# "1 1 1 1 1 1"/2 ran ``periodic`` at 1,507 MB (about 2.8 KB per cover
+# generator), and it refuses the seven-letter B2 cover.  Measured since
+# (2 vCPUs, 3 runs each, ``scripts/bench_cube.py``): that cover's
+# ``periodic`` peaks at 644 MB in its largest process, about 1.2 KB per
+# cover generator, and at 974-990 MB of proportional set size summed over
+# the engine's processes; "1 -1 1 -1 1 -1"/2 at 630 and 964-968 MB.  The
+# forked children (``khovanov._fork_map``) make the difference between the
+# two figures, so a cap raised from the largest process alone would
+# undercount.
 MAX_GENERATORS = 750_000
 
 

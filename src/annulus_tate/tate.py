@@ -23,7 +23,9 @@ The AKh Tate complex is the associated graded of the Kh one under the
 k-filtration: theta (1 + tau) keeps k, and a cover arrow never raises it.
 So one Kh Tate block serves both theories (``hv_pages``): page 0 is
 swept once, and the AKh pages cancel, on a copy, only the arrows that
-keep k, which are exactly the AKh cancellations.
+keep k, which are exactly the AKh cancellations.  The cover homology of a
+block needs no cancellation: it is read off the ranks of the block's
+arrows before the block is assembled.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .khovanov import (
     GradedComplex,
     Theory,
     _block_homology,
-    _drop_k,
     _map_blocks,
+    block_complex,
     build_complex,
     homologies_of,
     labeling_images,
@@ -188,12 +190,12 @@ def block_tau(C: FilteredComplex, members: list[int], tau: list[int]) -> list[in
 @dataclass
 class HvPages:
     """Row-filtered spectral sequence of the Tate complex in one theory,
-    and the cover homology its blocks were assembled for.
+    and the cover homology read off the same blocks.
 
     Keys of ``pages`` are (i, j, k) for AKh and (i, j) for Kh: the ranks of
     one column.  ``cover`` holds the homology ranks of the cover complex in
-    the theory, same keys, read off each block before page 0 cancels its
-    free pairs.  The odd-page check asserts that ranks do not move from page
+    the theory, same keys, read off each block's rows by its rank pass.
+    The odd-page check asserts that ranks do not move from page
     2s+1 to page 2s+2.  ``d2_observed`` holds the (delta-i = 2, a = -1)
     arrows g1 -> g2 of the theory read off once page 0 has cancelled every
     free pair (for AKh, the ones that keep k), and ``d2_strays`` any
@@ -220,6 +222,10 @@ def _tau_sweep(C: FilteredComplex, tau: list[int]) -> bool:
     return acted
 
 
+def _drop_k(i: int, j: int, k: int) -> tuple:
+    return i, j
+
+
 def hv_pages(
     cover: GradedComplex, tau: list[int], theories
 ) -> tuple[dict[Theory, dict[tuple, int]], dict[Theory, HvPages]]:
@@ -228,20 +234,21 @@ def hv_pages(
     in each of ``theories``, with chain involution ``tau``, to page
     max(3, i-span + 2), past the largest shift.
 
-    Each block is assembled once from the cover arrows, and every table
-    of the block is read off it: the j blocks of the Kh rows when Kh is
-    among ``theories``, the (j, k) blocks of the AKh rows otherwise
-    (``khovanov._map_blocks``).  AKh is the associated graded of Kh under
-    the k-filtration, and neither an arrow nor tau raises k, so on a Kh
-    block the cancellations of the arrows that keep k are exactly the
-    AKh ones.  Per block:
+    Each block is read once from the cover arrows for every table of the
+    block: the j blocks of the Kh rows when Kh is among ``theories``, the
+    (j, k) blocks of the AKh rows otherwise (``khovanov._map_blocks``).
+    AKh is the associated graded of Kh under the k-filtration, and neither
+    an arrow nor tau raises k, so on a Kh block the cancellations of the
+    arrows that keep k are exactly the AKh ones.  Per block:
 
-    - on a copy, the cover homology (``khovanov._block_homology``);
-    - on the block itself, its Tate block, whose theta arrows are implicit
-      (see the module docstring): page 0's differential is
-      theta (1 + tau), so page 0 cancels each free pair x < tau x in place
-      (:func:`_tau_sweep`), once for both theories.  The state after page
-      0 is where the induced length-2 differentials are read off;
+    - the cover homology, by one rank pass over the block's rows
+      (``khovanov._block_homology``), before the block is assembled;
+    - its Tate block, assembled once (``khovanov.block_complex``), whose
+      theta arrows are implicit (see the module docstring): page 0's
+      differential is theta (1 + tau), so page 0 cancels each free pair
+      x < tau x in place (:func:`_tau_sweep`), once for both theories.
+      The state after page 0 is where the induced length-2 differentials
+      are read off;
     - pages r >= 1 cancel the arrows of shift r: in AKh, on a copy when Kh
       runs too, only those that keep k; in Kh, every one.
 
@@ -251,6 +258,7 @@ def hv_pages(
     """
     kh = Theory.KH in theories
     read = (Theory.AKH, Theory.KH) if kh else (Theory.AKH,)
+    blocks = Theory.KH if kh else Theory.AKH
     max_page = max(3, cover.i_span() + 2)
     gi, gk = cover.gi, cover.gk
 
@@ -263,9 +271,10 @@ def hv_pages(
             moved.append(cancel_shift_level(C, r, masks, key))
         return ranks, moved
 
-    def run_block(C: FilteredComplex, members: list[int]):
+    def run_block(members: list[int], index):
+        block_cover = _block_homology(cover, members, index, read)
+        C = block_complex(cover, blocks, members, index)
         local_tau = block_tau(C, members, tau)
-        block_cover = _block_homology(C.copy(), read)
         start = rank_table(C)
         acted = _tau_sweep(C, local_tau)
         observed: list[tuple[int, int]] = []
@@ -292,7 +301,7 @@ def hv_pages(
     observed: list[tuple[int, int]] = []
     strays: list[int] = []
     for block_cover, block_pages, block_observed, block_strays in _map_blocks(
-        cover, Theory.KH if kh else Theory.AKH, run_block
+        cover, blocks, run_block
     ):
         for theory, table in block_cover.items():
             covers[theory].update(table)
@@ -329,12 +338,12 @@ class PeriodicRun:
 
     One full Kh complex is built per side, "quotient" (the closure of the
     word) or "cover" (its 2-periodic double cover), and every table of a
-    side is read off one assembly of each of its blocks: the j blocks of
-    the Kh rows when Kh is among the theories, where AKh is read through
-    the arrows that keep k, and the (j, k) blocks of the AKh rows
-    otherwise.  The quotient's tables come from one homology pass
-    (``homologies_of``); the cover's from its Tate pass (:func:`hv_pages`),
-    which also runs the Tate pages of the theories.  AKh tables are read in
+    side is read off one rank pass over each of its blocks: the j blocks
+    of the Kh rows when Kh is among the theories, where AKh is read
+    through the arrows that keep k, and the (j, k) blocks of the AKh rows
+    otherwise.  The quotient's tables come from ``homologies_of``; the
+    cover's from its Tate pass (:func:`hv_pages`), which also assembles
+    each block once and runs the Tate pages of the theories.  AKh tables are read in
     every run.  Both equivariance verdicts come from one walk
     (:func:`check_equivariance`).
     """

@@ -15,11 +15,20 @@ from annulus_tate.f2algebra import (
     FilteredComplexError,
     MissingArrowError,
     PageTable,
+    _sweep_cancel,
     dense_rank,
-    homology_ranks,
+    rank_table,
 )
 from annulus_tate import cube
-from annulus_tate.khovanov import GradedComplex, Theory, _map_blocks, build_complex, rows_of
+from annulus_tate import khovanov
+from annulus_tate.khovanov import (
+    GradedComplex,
+    Theory,
+    _map_blocks,
+    block_complex,
+    build_complex,
+    rows_of,
+)
 from annulus_tate.links import AnnularDiagram, BraidWord
 from annulus_tate.tate import HvPages, block_tau, hv_pages
 
@@ -50,6 +59,68 @@ def watch_block_builds(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(FilteredComplex, "from_rows", classmethod(from_rows))
     return live
+
+
+def watch_rank_passes(monkeypatch) -> list[int]:
+    """Patch the rank pass that ``khovanov`` calls (``homology_ranks``) to
+    record, at each call, how many engine complexes are alive plus how
+    many rank passes are running; returns the list it appends to."""
+    pygc.collect()
+    live: list[int] = []
+    running = [0]
+    rank_pass = khovanov.homology_ranks
+
+    def homology_ranks(*args, **kwargs):
+        live.append(
+            running[0] + sum(isinstance(o, FilteredComplex) for o in pygc.get_objects())
+        )
+        running[0] += 1
+        try:
+            return rank_pass(*args, **kwargs)
+        finally:
+            running[0] -= 1
+
+    monkeypatch.setattr(khovanov, "homology_ranks", homology_ranks)
+    return live
+
+
+# -- the cancellation reference for homology ranks
+
+
+def n_arrows(C: FilteredComplex, target_mask_of=None) -> int:
+    """The arrows of C between alive generators; with ``target_mask_of``,
+    only those x -> y whose target it allows, as in ``_sweep_cancel``."""
+    out, off, alive = C.out, C.out_off, C.alive
+    if target_mask_of is None:
+        return sum((out[g] & (alive >> off[g])).bit_count() for g in C.generators())
+    return sum(
+        (out[g] & ((alive & target_mask_of(g)) >> off[g])).bit_count()
+        for g in C.generators()
+    )
+
+
+def cancellation_ranks(C: FilteredComplex, key: list | None = None) -> dict[tuple, int]:
+    """Homology ranks per grading, by cancelling ``C`` in place until no
+    arrows remain; pass ``C.copy()`` to keep the complex.  It reads any
+    complex, self-loops and arrows of any shift included, and is the
+    reference that ``f2algebra.homology_ranks`` is checked against.
+
+    With ``key``, a list that no arrow raises (a second filtration), only
+    the arrows x -> y with key[y] == key[x] are cancelled, until none
+    remains: the ranks of the associated graded complex.  Cancelling such
+    an arrow creates no arrow that raises ``key``, so
+    ``cancellation_ranks(C)`` afterwards finishes the homology of C itself.
+    """
+    target_mask_of = None
+    if key is not None:
+        same: dict = {}
+        for g in C.generators():
+            same[key[g]] = same.get(key[g], 0) | (1 << g)
+        target_mask_of = [same.get(k, 0) for k in key].__getitem__
+    _sweep_cancel(C, target_mask_of)
+    if n_arrows(C, target_mask_of):
+        raise FilteredComplexError("cancellation finished with arrows left")
+    return rank_table(C)
 
 
 # -- the frozen engine: absolute bitset rows (oracle path)
@@ -88,7 +159,8 @@ class BitsetComplex:
     the offset-row ``FilteredComplex`` in the property tests: its sweep
     takes the same order, so the two make the same cancellations.  The
     engine functions of ``f2algebra`` are methods here: ``sweep_cancel``,
-    ``cancel_shift_level``, ``degree_masks``, ``rank_table`` and
+    ``cancel_shift_level``, ``degree_masks`` and ``rank_table``, and so is
+    the cancellation reference, ``cancellation_ranks``, as
     ``homology_ranks``.
     """
 
@@ -267,6 +339,17 @@ def spectral_pages(C, max_page: int, engine=f2algebra) -> PageTable:
     return pages
 
 
+def map_assembled_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
+    """``fn(C, members)`` for every block of ``khovanov._map_blocks(gc,
+    theory, …)``, with C the block's engine complex
+    (``khovanov.block_complex``), assembled when the block's turn comes."""
+
+    def assembled(members, index):
+        return fn(block_complex(gc, theory, members, index), members)
+
+    return _map_blocks(gc, theory, assembled)
+
+
 def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
     """Spectral sequence of the k-grading filtration on the Kh complex, to
     page k-span + 2.
@@ -284,7 +367,7 @@ def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
         C.aux = [(gc.gi[g], gc.gj[g]) for g in members]
         return spectral_pages(C, pages.max_page)
 
-    for block in _map_blocks(gc, Theory.KH, block_pages):
+    for block in map_assembled_blocks(gc, Theory.KH, block_pages):
         pages.add(block.ranks, block.d_nonzero)
     return pages
 
@@ -328,10 +411,10 @@ def total_diagonal_ranks(
 
     def block_ranks(C, members):
         fold(C, members, tau)
-        return homology_ranks(C)
+        return cancellation_ranks(C)
 
     table: dict[tuple, int] = {}
-    for ranks in _map_blocks(cover, theory, block_ranks):
+    for ranks in map_assembled_blocks(cover, theory, block_ranks):
         for key, rank in ranks.items():
             key = key[1:] if theory is Theory.AKH else key[1:2]
             table[key] = table.get(key, 0) + rank
@@ -370,7 +453,7 @@ def vh_pages(
             moved.append(f2algebra.cancel_shift_level(C, 1 - r, masks))
         return ranks, moved
 
-    for ranks, moved in _map_blocks(cover, theory, block_pages):
+    for ranks, moved in map_assembled_blocks(cover, theory, block_pages):
         pages.add(ranks, moved)
     return VhPages(pages=pages, e1_ok=pages.table(1) == cover_homology)
 

@@ -11,7 +11,7 @@ from annulus_tate.khovanov import Theory
 from annulus_tate.links import parse_braid_word
 from annulus_tate.tate import Verdict
 
-from conftest import watch_block_builds
+from conftest import watch_block_builds, watch_rank_passes
 
 
 @pytest.fixture
@@ -147,27 +147,29 @@ def test_periodic_builds_each_complex_once(runner, monkeypatch):
     run = tate.PeriodicRun(parse_braid_word("1 -1", 2))
     quotient, cover = run.complex("quotient"), run.complex("cover")
 
-    def n_blocks(theory):
-        return sum(
-            len(set(khovanov._block_keys(theory, gc.gj, gc.gk))) for gc in (quotient, cover)
-        )
+    def n_blocks(theory, sides=(quotient, cover)):
+        return sum(len(set(khovanov._block_keys(theory, gc.gj, gc.gk))) for gc in sides)
 
     calls = _count_builds(monkeypatch)
     blocks = watch_block_builds(monkeypatch)
+    passes = watch_rank_passes(monkeypatch)
     # each side's blocks are the j blocks of its Kh rows when Kh runs, and
     # the (j, k) blocks of its AKh rows otherwise
     for theory, blocks_of in (("both", Theory.KH), ("kh", Theory.KH), ("akh", Theory.AKH)):
         calls.clear()
         blocks.clear()
+        passes.clear()
         result = invoke(
             runner, ["periodic", "--braid", "1 -1", "--strands", "2", "--theory", theory]
         )
         assert result.exit_code == 0
         # the full complex of each side, which gives both of its tables
         assert sorted(calls) == [(2, False), (4, False)]
-        # one assembly per block of each side: every table of the side, the
-        # cover's Tate pages included, is read off it
-        assert len(blocks) == n_blocks(blocks_of), theory
+        # one rank pass per block of each side gives every table of the
+        # side, and one assembly per cover block its Tate pages; each
+        # block's work is done before the next block's begins
+        assert passes == [0] * n_blocks(blocks_of), theory
+        assert blocks == [0] * n_blocks(blocks_of, (cover,)), theory
 
 
 @pytest.mark.parametrize("theory, tate_passes, cover_passes", [

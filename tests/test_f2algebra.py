@@ -21,8 +21,10 @@ AKH = Theory.AKH
 from conftest import (
     PROPERTY,
     BitsetComplex,
+    cancellation_ranks,
     check_d_squared,
     dense_homology_of,
+    n_arrows,
     spectral_pages,
     theory_rows,
 )
@@ -45,15 +47,15 @@ def bipartite_square():
 def test_cancel_acyclic_pair():
     C, x, y = two_generator_complex()
     C.cancel_arrow(x, y)
-    assert C.n_generators() == 0 and C.n_arrows() == 0
+    assert C.n_generators() == 0 and n_arrows(C) == 0
 
 
 def test_cancel_square_toggles_existing_arrow():
     C, (x, b, a, z) = bipartite_square()
     C.cancel_arrow(x, a)
     assert sorted(C.generators()) == [b, z]
-    assert C.n_arrows() == 0
-    assert homology_ranks(C) == {(0, "src"): 1, (1, "snk"): 1}
+    assert n_arrows(C) == 0
+    assert cancellation_ranks(C) == {(0, "src"): 1, (1, "snk"): 1}
     # dense oracle: the 2x2 all-ones matrix has rank 1, so both sides keep one class
     assert dense_rank([[1, 1], [1, 1]]) == 1
 
@@ -67,8 +69,8 @@ def test_a_key_keeps_the_sweeps_to_the_arrows_that_keep_it():
 
     C = complex_()
     # the associated graded keeps 1 and 3; the complex itself keeps nothing
-    assert homology_ranks(C, key) == {(0, 0): 1, (1, -2): 1}
-    assert homology_ranks(C) == {}
+    assert cancellation_ranks(C, key) == {(0, 0): 1, (1, -2): 1}
+    assert cancellation_ranks(C) == {}
     C = complex_()
     assert cancel_shift_level(C, 1, degree_masks(C, key), key)
     assert list(C.arrows()) == [(1, 3)]
@@ -105,11 +107,11 @@ def test_cancel_masks_leave_out_both_ends():
 def test_cancel_preserves_graded_homology():
     gc = build_complex(close_braid(parse_braid_word("1 1", 2)))
     C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), theory_rows(gc, AKH))
-    before = homology_ranks(C.copy())
+    before = cancellation_ranks(C.copy())
     src, tgt = next(iter(C.arrows()))
     C.cancel_arrow(src, tgt)
     check_d_squared(C)
-    assert homology_ranks(C) == before
+    assert cancellation_ranks(C) == before
 
 
 def test_from_rows_rejects_a_repeated_arrow():
@@ -127,13 +129,13 @@ def test_from_rows_refuses_a_target_outside_the_generators(target):
 
 def test_homology_zero_differential():
     C = FilteredComplex.from_rows([0, 0, 2], [(5,), (5,), (7,)], [[], [], []])
-    assert homology_ranks(C) == {(0, 5): 2, (2, 7): 1}
+    assert cancellation_ranks(C) == {(0, 5): 2, (2, 7): 1}
 
 
 def test_homology_of_hopf_complex_total_rank():
     gc = build_complex(close_braid(parse_braid_word("1 1", 2)))
     C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), theory_rows(gc, AKH))
-    table = homology_ranks(C)
+    table = cancellation_ranks(C)
     assert sum(table.values()) == 6
 
 
@@ -211,7 +213,9 @@ def test_random_complexes_match_dense_rank_nullity():
             h = sizes[i] - mats.get(i, 0) - mats.get(i - 1, 0)
             if h:
                 expected[(i, 0)] = h
-        assert homology_ranks(C) == expected
+        rows = [list(C.targets(x)) for x in range(len(C.fdeg))]
+        assert homology_ranks(C.fdeg, (0,), rows) == expected
+        assert cancellation_ranks(C) == expected
 
 
 def revlex_homology_ranks(C: FilteredComplex) -> dict[tuple, int]:
@@ -236,11 +240,11 @@ def test_homology_ranks_cancels_its_argument_in_place():
     for _ in range(10):
         C = random_valid_complex(rnd)
         before = (list(C.out), list(C.inc), C.alive)
-        expected = homology_ranks(C.copy())
+        expected = cancellation_ranks(C.copy())
         assert (C.out, C.inc, C.alive) == before
-        table = homology_ranks(C)
+        table = cancellation_ranks(C)
         assert table == expected == rank_table(C)
-        assert C.n_arrows() == 0
+        assert n_arrows(C) == 0
         assert C.n_generators() == sum(table.values())
         assert (C.alive == before[2]) == (not any(before[0]))
 
@@ -249,7 +253,7 @@ def test_homology_order_independence():
     rnd = random.Random(99)
     for _ in range(25):
         C = random_valid_complex(rnd)
-        assert homology_ranks(C.copy()) == revlex_homology_ranks(C)
+        assert cancellation_ranks(C.copy()) == revlex_homology_ranks(C)
 
 
 def test_sweep_never_pivots_on_a_self_loop():
@@ -259,7 +263,7 @@ def test_sweep_never_pivots_on_a_self_loop():
     a, b = 0, 1
     C = FilteredComplex.from_rows([0, 0], [(), ()], [[a, b], [b, a]])
     check_d_squared(C)
-    assert homology_ranks(C.copy()) == {}
+    assert cancellation_ranks(C.copy()) == {}
     pages = spectral_pages(C, max_page=1)
     assert pages.table(0) == {(0,): 2} and pages.table(1) == {}
 
@@ -273,7 +277,7 @@ def test_spectral_pages_two_row_example():
     assert total_rank(pages.table(1)) == 2
     assert total_rank(pages.table(2)) == 0
     assert pages.d_nonzero == {0: True, 1: True, 2: False}
-    assert homology_ranks(C) == {}
+    assert cancellation_ranks(C) == {}
 
 
 def test_spectral_pages_page_zero_is_chain_ranks():
@@ -281,7 +285,7 @@ def test_spectral_pages_page_zero_is_chain_ranks():
     C = FilteredComplex.from_rows(gc.gi, list(zip(gc.gj, gc.gk)), theory_rows(gc, AKH))
     pages = spectral_pages(C, max_page=3)
     assert pages.table(0) == rank_table(C)
-    assert pages.table(3) == homology_ranks(C)
+    assert pages.table(3) == cancellation_ranks(C)
     totals = [total_rank(pages.table(r)) for r in range(4)]
     assert all(x >= y for x, y in zip(totals, totals[1:]))
 
@@ -294,7 +298,7 @@ def test_spectral_pages_rejects_negative_shift():
 
 def test_empty_complex_edge_cases():
     C = FilteredComplex()
-    assert homology_ranks(C.copy()) == {}
+    assert cancellation_ranks(C.copy()) == {}
     pages = spectral_pages(C, max_page=2)
     assert pages.table(0) == {} and pages.table(2) == {}
 
@@ -382,7 +386,7 @@ def both_engines(fdeg, aux, rows):
 def test_offset_engine_ranks_match_the_frozen_engine(complex_):
     C, B = both_engines(*complex_)
     check_d_squared(B)
-    assert homology_ranks(C) == B.homology_ranks()
+    assert cancellation_ranks(C) == B.homology_ranks()
 
 
 @PROPERTY
@@ -461,3 +465,183 @@ def test_from_rows_reads_a_block_of_a_larger_numbering(complex_, data):
     if any(len(w) > len(r) for w, r in zip(wide, rows)):
         with pytest.raises(FilteredComplexError, match="^arrow leaves its grading block$"):
             FilteredComplex.from_rows(fdeg, aux, wide, index=(slot, base))
+
+
+# -- the rank pass against the cancellation reference and dense ranks
+
+
+@st.composite
+def leveled_complexes(draw):
+    """(fdeg, key, rows) of a random complex with d^2 = 0 whose arrows
+    raise fdeg by exactly one and never raise ``key``, numbered level by
+    level in a random order within each level.
+
+    A direct sum of pairs x -> y with key[y] <= key[x] and lone generators
+    is conjugated by changes of basis e_a -> e_a + e_b within a level with
+    key[b] <= key[a], which keep d^2 = 0 and the key filtration, so some
+    arrows lower the key, as a Kh arrow may lower k.
+    """
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    low = draw(st.integers(-2, 2))
+    fdeg = [low + h for h, size in enumerate(sizes) for _ in range(size)]
+    first = [sum(sizes[:h]) for h in range(len(sizes))]
+    n = len(fdeg)
+    rnd = draw(st.randoms(use_true_random=False))
+    key = [rnd.choice([0, -2, -4]) for _ in range(n)]
+    out: list[set[int]] = [set() for _ in range(n)]
+    taken = 0  # generators of level h that are already pair targets
+    for h in range(len(sizes) - 1):
+        most = min(sizes[h] - taken, sizes[h + 1])
+        pairs = rnd.randint(most // 2, most)
+        for p in range(pairs):
+            x, y = first[h] + taken + p, first[h + 1] + p
+            out[x].add(y)
+            key[y] = min(key[y], key[x])
+        taken = pairs
+    for _ in range(rnd.randrange(4 * n + 1)):
+        a, b = rnd.randrange(n), rnd.randrange(n)
+        if a == b or fdeg[a] != fdeg[b] or key[b] > key[a]:
+            continue
+        out[a] ^= out[b]
+        for row in out:
+            if a in row:
+                row ^= {b}
+    # a random order within each level
+    index = []
+    for h, size in enumerate(sizes):
+        index += rnd.sample(range(first[h], first[h] + size), size)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    keys = [0] * n
+    for g in range(n):
+        rows[index[g]] = rnd.sample([index[t] for t in sorted(out[g])], len(out[g]))
+        keys[index[g]] = key[g]
+    return fdeg, keys, rows
+
+
+def dense_ranks(fdeg, grading, rows, key=None) -> dict[tuple, int]:
+    """n - rk(d out of the level) - rk(d into it) per level, from dense
+    matrices (``dense_rank``); with ``key``, per level and key over the
+    arrows that keep the key, keyed (level, *grading, key)."""
+    groups: dict[tuple, list[int]] = {}
+    for x, level in enumerate(fdeg):
+        groups.setdefault((level,) if key is None else (level, key[x]), []).append(x)
+
+    def rank_out(group: tuple) -> int:
+        level, *k = group
+        srcs, tgts = groups.get(group, []), groups.get((level + 1, *k), [])
+        return dense_rank([[int(t in rows[x]) for t in tgts] for x in srcs])
+
+    table = {}
+    for group, members in groups.items():
+        level, *k = group
+        rank = len(members) - rank_out(group) - rank_out((level - 1, *k))
+        if rank:
+            table[(level, *grading, *k)] = rank
+    return table
+
+
+@PROPERTY
+@given(leveled_complexes(), st.data())
+def test_rank_pass_matches_cancellation_and_dense_ranks(complex_, data):
+    fdeg, key, rows = complex_
+    before = [list(row) for row in rows]
+    # the Kh j-block form: the complex and its associated graded, one pass
+    kh, akh = homology_ranks(fdeg, (7,), rows, key=key)
+    assert rows == before
+    C = FilteredComplex.from_rows(fdeg, [(7, k) for k in key], rows)
+    assert akh == cancellation_ranks(C, key) == dense_ranks(fdeg, (7,), rows, key)
+    reference: dict[tuple, int] = {}
+    for (i, j, _), rank in cancellation_ranks(C).items():
+        reference[i, j] = reference.get((i, j), 0) + rank
+    assert kh == reference == dense_ranks(fdeg, (7,), rows)
+    assert homology_ranks(fdeg, (7,), rows) == kh
+    # the (j, k)-block form: each key's generators as a block of a larger
+    # numbering, the arrows that lower the key left out by ``keep``
+    n = len(fdeg)
+    for k in sorted(set(key)):
+        members = [x for x in range(n) if key[x] == k]
+        others = [x for x in range(n) if key[x] != k]
+        cut = data.draw(st.integers(0, len(others)))
+        order = others[:cut] + members + others[cut:]
+        slot = [0] * n
+        for s, x in enumerate(order):
+            slot[x] = s
+        args = ([fdeg[x] for x in members], [rows[x] for x in members])
+        block = homology_ranks(args[0], (7, k), args[1], index=(slot, cut), keep=(key, k))
+        assert block == {g: r for g, r in akh.items() if g[2] == k}
+        D = FilteredComplex.from_rows(
+            args[0], [(7, k)] * len(members), args[1], index=(slot, cut), keep=(key, k)
+        )
+        assert cancellation_ranks(D) == block
+        if any(key[t] != k for x in members for t in rows[x]):
+            with pytest.raises(FilteredComplexError, match="^arrow leaves its grading block$"):
+                homology_ranks(args[0], (7, k), args[1], index=(slot, cut))
+    assert rows == before
+
+
+@PROPERTY
+@given(numbered_complexes(loops=True), st.data())
+def test_rank_pass_refuses_what_from_rows_refuses(complex_, data):
+    # any rows on leveled generators: targets out of range, repeated
+    # arrows, self-loops and arrows of any shift among them
+    _, _, rows = complex_
+    n = len(rows)
+    fdeg = sorted(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    rows = [row + data.draw(st.lists(st.integers(-1, n), max_size=2)) for row in rows]
+    try:
+        FilteredComplex.from_rows(fdeg, [()] * n, rows)
+    except FilteredComplexError:
+        with pytest.raises(FilteredComplexError):
+            homology_ranks(fdeg, (), rows)
+    raises_level = any(
+        0 <= t < n and fdeg[t] != fdeg[x] + 1 for x, row in enumerate(rows) for t in row
+    )
+    if raises_level:
+        with pytest.raises(FilteredComplexError):
+            homology_ranks(fdeg, (), rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 1], [], []], "^repeated arrow from 0$"),
+    ([[-1], [], []], r"^arrow 0 -> -1 leaves the generators 0..2$"),
+    ([[3], [], []], r"^arrow 0 -> 3 leaves the generators 0..2$"),
+    ([[0], [], []], r"^arrow 0 -> 0 does not raise the level by one$"),
+    ([[2], [], []], r"^arrow 0 -> 2 does not raise the level by one$"),
+    ([[], [2], []], r"^arrow 1 -> 2 does not raise the level by one$"),
+    ([[], [], [1]], r"^arrow 2 -> 1 does not raise the level by one$"),
+])
+def test_rank_pass_refusals(rows, message):
+    # levels 0, 1, 3: only 0 -> 1 raises the level by one
+    with pytest.raises(FilteredComplexError, match=message):
+        homology_ranks([0, 1, 3], (), rows)
+
+
+def test_rank_pass_refuses_an_arrow_that_leaves_its_block():
+    # the block is slots 1..2 of a numbering of four; generator 3 sits at slot 3
+    slot = [1, 2, 0, 3]
+    with pytest.raises(FilteredComplexError, match="^arrow leaves its grading block$"):
+        homology_ranks([0, 1], (), [[1, 3], []], index=(slot, 1))
+    # ``keep`` drops the arrow before the block check
+    key = [0, 0, 1, 1]
+    assert homology_ranks([0, 1], (), [[1, 3], []], index=(slot, 1), keep=(key, 0)) == {}
+
+
+def test_rank_pass_refuses_generators_out_of_level_order():
+    with pytest.raises(FilteredComplexError, match="level by level"):
+        homology_ranks([1, 0], (), [[], []])
+
+
+def test_rank_pass_refuses_d_squared_nonzero():
+    # 0 -> 1 -> 2 with d^2 != 0: the ranks of d exceed level 1's generators
+    with pytest.raises(FilteredComplexError, match="d\\^2 != 0"):
+        homology_ranks([0, 1, 2], (), [[1], [2], []])
+
+
+def test_rank_pass_leaves_out_zero_ranks_and_keys_by_level():
+    # 0 -> 2 kills both; 1 survives at level 0, 3 at level 1
+    rows = [[2], [], [], []]
+    assert homology_ranks([0, 0, 1, 1], ("j",), rows) == {(0, "j"): 1, (1, "j"): 1}
+    # 1 -> 3 lowers the key: the associated graded keeps 1 and 3
+    rows = [[2], [3], [], []]
+    kh, akh = homology_ranks([0, 0, 1, 1], ("j",), rows, key=[0, 0, 0, -2])
+    assert kh == {} and akh == {(0, "j", 0): 1, (1, "j", -2): 1}

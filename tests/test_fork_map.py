@@ -75,7 +75,7 @@ def test_a_child_exception_is_raised_in_the_parent(monkeypatch, forks):
 
 def test_an_arrow_between_blocks_is_refused_in_a_child(monkeypatch, forks):
     gc = build_complex(HOPF)
-    groups = _map_blocks(gc, Theory.KH, lambda C, members: members)
+    groups = _map_blocks(gc, Theory.KH, lambda members, index: members)
     # the parent runs the largest block, the lowest-numbered of equal ones
     largest = max(range(len(groups)), key=lambda b: (len(groups[b]), -b))
     x = next(g for b, members in enumerate(groups) if b != largest for g in members)
@@ -85,14 +85,14 @@ def test_an_arrow_between_blocks_is_refused_in_a_child(monkeypatch, forks):
     for cpus, n_forks in ((1, 0), (len(groups), len(groups) - 1)):
         on_cpus(monkeypatch, cpus, 0)
         with pytest.raises(FilteredComplexError, match=r"^arrow leaves its grading block$"):
-            _map_blocks(gc, Theory.KH, lambda C, _: None)
+            homology_of(gc, Theory.KH)
         assert forks == [1] * n_forks
 
 
 def test_a_tau_between_blocks_is_refused_in_a_child(monkeypatch, forks):
     run = PeriodicRun(parse_braid_word("1", 2))
     gc = run.complex("cover")
-    groups = _map_blocks(gc, Theory.AKH, lambda C, members: members)
+    groups = _map_blocks(gc, Theory.AKH, lambda members, index: members)
     largest = max(range(len(groups)), key=lambda b: (len(groups[b]), -b))
     x = next(g for b, members in enumerate(groups) if b != largest for g in members)
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])

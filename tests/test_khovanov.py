@@ -5,11 +5,12 @@ from hypothesis import given, strategies as st
 
 from annulus_tate import cube, khovanov
 from annulus_tate.cube import resolve
-from annulus_tate.f2algebra import FilteredComplexError
+from annulus_tate.f2algebra import FilteredComplex, FilteredComplexError
 from annulus_tate.khovanov import (
     Theory,
     _map_blocks,
     build_complex,
+    homologies_of,
     homology,
     homology_of,
     rows_of,
@@ -32,11 +33,14 @@ from conftest import (
     counted_d_squared_vanishes,
     dense_homology_of,
     k_filtration_pages,
+    map_assembled_blocks,
     mirror,
+    n_arrows,
     reduced_matches_full,
     reference_complex,
     view,
     watch_block_builds,
+    watch_rank_passes,
 )
 
 STAB = close_braid(parse_braid_word("1", 2))
@@ -212,17 +216,20 @@ def test_blocks_reject_an_arrow_between_blocks(monkeypatch):
     x = 0
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
     gc.out[x].append(y)
+    # refused by the rank pass and by block assembly alike
     with pytest.raises(FilteredComplexError, match="leaves its grading block"):
-        _map_blocks(gc, Theory.KH, lambda C, members: members)
+        homology_of(gc, Theory.KH)
+    with pytest.raises(FilteredComplexError, match="leaves its grading block"):
+        map_assembled_blocks(gc, Theory.KH, lambda C, members: members)
 
 
 def test_blocks_partition_the_generators():
     gc = build_complex(close_braid(parse_braid_word("1 -2 1", 3)))
     rows = view(gc, Theory.AKH)
-    blocks = _map_blocks(gc, Theory.AKH, lambda C, members: (C, members))
+    blocks = map_assembled_blocks(gc, Theory.AKH, lambda C, members: (C, members))
     members = sorted(g for _, block in blocks for g in block)
     assert members == list(range(gc.n_generators))
-    assert sum(C.n_arrows() for C, _ in blocks) == len(arrows(rows))
+    assert sum(n_arrows(C) for C, _ in blocks) == len(arrows(rows))
     for C, block in blocks:
         assert C.n_generators() == len(block)
         for x, g in enumerate(block):
@@ -232,11 +239,37 @@ def test_blocks_partition_the_generators():
 
 @pytest.mark.parametrize("theory", [Theory.AKH, Theory.KH])
 def test_homology_of_builds_each_block_after_the_last_is_gone(monkeypatch, theory):
+    # one rank pass per block, each begun once the last has returned, with
+    # no engine complex alive and none assembled
     gc = build_complex(close_braid(parse_braid_word("1 -2 1 -2", 3)))
     expected = homology_of(gc, theory)
-    live = watch_block_builds(monkeypatch)
+    built = watch_block_builds(monkeypatch)
+    live = watch_rank_passes(monkeypatch)
     assert homology_of(gc, theory) == expected
-    assert len(live) >= 3 and live == [0] * len(live)
+    n_blocks = len(set(khovanov._block_keys(theory, gc.gj, gc.gk)))
+    assert len(live) == n_blocks >= 3 and live == [0] * n_blocks
+    assert built == []
+
+
+@pytest.mark.parametrize("theories", [
+    (Theory.AKH,), (Theory.KH,), (Theory.AKH, Theory.KH),
+], ids=["akh", "kh", "both"])
+def test_homologies_of_assembles_and_cancels_nothing(monkeypatch, theories):
+    gc = build_complex(close_braid(parse_braid_word("1 -2 1 -2", 3)))
+    expected = homologies_of(gc, theories)
+    calls = []
+
+    def refuse(name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return called
+
+    monkeypatch.setattr(FilteredComplex, "from_rows", classmethod(refuse("from_rows")))
+    for name in ("cancel_arrow", "cancel_pair"):
+        monkeypatch.setattr(FilteredComplex, name, refuse(name))
+    assert homologies_of(gc, theories) == expected
+    assert calls == []
 
 
 def test_k_filtration_pages_builds_each_block_after_the_last_is_gone(monkeypatch):
@@ -453,7 +486,7 @@ def test_reduced_build_refuses_an_arrow_onto_circle_zero_plus(monkeypatch):
 def test_only_kh_has_a_reduced_complex():
     # AKh is read from the full complex only
     reduced = build_complex(HOPF, reduced=True)
-    for read in (rows_of, lambda gc, t: _map_blocks(gc, t, lambda C, m: m), homology_of):
+    for read in (rows_of, lambda gc, t: _map_blocks(gc, t, lambda m, index: m), homology_of):
         with pytest.raises(ValueError, match="reduced"):
             read(reduced, Theory.AKH)
 

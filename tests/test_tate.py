@@ -10,7 +10,6 @@ from annulus_tate.cube import hamming
 from annulus_tate.f2algebra import FilteredComplexError, cancel_shift_level, degree_masks
 from annulus_tate.khovanov import (
     Theory,
-    _map_blocks,
     build_complex,
     homology_of,
     total_rank,
@@ -44,6 +43,8 @@ from conftest import (
     hv_pages_of,
     labels_of,
     lift_reference,
+    map_assembled_blocks,
+    n_arrows,
     tau_reference,
     theory_rows,
     total_diagonal_ranks,
@@ -198,11 +199,11 @@ def test_folded_tate_is_a_complex_on_the_cover_generators():
         fold(C, members, tau)
         return C, members
 
-    blocks = _map_blocks(gc, Theory.AKH, folded)
+    blocks = map_assembled_blocks(gc, Theory.AKH, folded)
     assert sum(len(members) for _, members in blocks) == 12
     n_free = sum(1 for g, tg in enumerate(tau) if tg != g)
-    n_arrows = sum(C.n_arrows() for C, _ in blocks)
-    assert n_arrows == len(arrows(theory_rows(gc, Theory.AKH))) + 2 * n_free
+    total = sum(n_arrows(C) for C, _ in blocks)
+    assert total == len(arrows(theory_rows(gc, Theory.AKH))) + 2 * n_free
     for C, _ in blocks:
         check_d_squared(C)
 
@@ -307,7 +308,7 @@ def test_folded_blocks_square_to_zero(braid, strands):
         check_d_squared(C)
 
     for theory in (Theory.AKH, Theory.KH):
-        _map_blocks(run.complex("cover"), theory, check)
+        map_assembled_blocks(run.complex("cover"), theory, check)
 
 
 def _block_state(C) -> list[tuple[int, list[int]]]:
@@ -336,7 +337,7 @@ def test_tau_pair_sweep_leaves_what_the_folded_shift_0_sweep_leaves(theory):
             _tau_sweep(C, block_tau(C, members, tau))
             return _block_state(folded), _block_state(C)
 
-        for folded, in_place in _map_blocks(run.complex("cover"), theory, both_sweeps):
+        for folded, in_place in map_assembled_blocks(run.complex("cover"), theory, both_sweeps):
             assert in_place == folded, word
 
 
