@@ -304,10 +304,10 @@ def rows_of(gc: GradedComplex, theory: Theory):
     return lambda g: [t for t in out[g] if gk[t] == gk[g]]
 
 
-def _map_blocks(gc: GradedComplex, theory: Theory, fn, weight: float = 1.0) -> list:
+def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     """``fn(members, index)`` for every block of ``gc`` along the block keys
     of ``theory``, in block order, with the blocks shared out over the CPUs
-    by ``_fork_map``, which weighs a block at ``weight`` times its size.
+    by ``_fork_map``.
 
     members[x] is the generator of ``gc`` at block index x.  Members are
     numbered level by level: by i, then in generator order.  A cube arrow
@@ -344,8 +344,7 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn, weight: float = 1.0) -> l
     def run_block(b: int):
         return fn(groups[b], (slot, starts[b]))
 
-    sizes = [len(members) * weight for members in groups]
-    return _fork_map(run_block, range(len(groups)), sizes)
+    return _fork_map(run_block, range(len(groups)), [len(members) for members in groups])
 
 
 def block_complex(
@@ -390,22 +389,19 @@ def block_complex(
 # 1.9-3.1 s from run to run, and two at once 2.3-3.3 s each.  The
 # four-letter quotients and the three-letter covers stay inline;
 # four-letter covers and 10-crossing closures fork.
-FORK_MIN_GENERATORS = 2_000
-
 # A block's rank pass (``homologies_of``) costs 1.1-2.1 us per generator,
-# about a quarter of block assembly and cancellation, so its blocks weigh
-# a quarter of their size and the pass forks from 8,000 generators on.
-# Measured on the same host, each complex in a process of its own, ranges
-# over two to five rounds of 30 alternating runs, minimum/median ms inline
-# against two processes: 6,564-generator closure of "1 1 1 1 1 1 1 1"/2,
-# AKh: 8.2-9.6/8.9-10.3 against 7.7-13.4/8.9-14.1; 19,686 (nine letters),
-# AKh: 31.0-35.1/33.0-37.0 against 23.8-44.0/25.2-46.4; 29,526 (reduced,
-# ten letters), Kh: 41.4-49.8/48.1-54.8 against 30.9-61.5/35.5-66.9;
-# 59,052, AKh: 107-125/115-134 against 71-84/82-153.  From 6,564 to
-# 29,526 generators the faster side changed from round to round, so the
-# crossover lies there, within the host's noise; the 8,000 that the cost
-# ratio gives is kept.
-RANK_PASS_WEIGHT = 0.25
+# about a quarter of block assembly and cancellation.  Measured on the same
+# host, each complex in a process of its own, ranges over two to five
+# rounds of 30 alternating runs, minimum/median ms inline against two
+# processes: 6,564-generator closure of "1 1 1 1 1 1 1 1"/2, AKh:
+# 8.2-9.6/8.9-10.3 against 7.7-13.4/8.9-14.1; 19,686 (nine letters), AKh:
+# 31.0-35.1/33.0-37.0 against 23.8-44.0/25.2-46.4; 29,526 (reduced, ten
+# letters), Kh: 41.4-49.8/48.1-54.8 against 30.9-61.5/35.5-66.9; 59,052,
+# AKh: 107-125/115-134 against 71-84/82-153.  From 6,564 to 29,526
+# generators the faster side changed from round to round, so these runs
+# do not place the rank pass's crossover, and it forks from this same
+# threshold.
+FORK_MIN_GENERATORS = 2_000
 
 _max_processes: int | None = None
 
@@ -582,7 +578,7 @@ def homologies_of(gc: GradedComplex, theories) -> dict[Theory, dict[tuple, int]]
     def block_tables(members, index):
         return _block_homology(gc, members, index, theories)
 
-    for block in _map_blocks(gc, blocks, block_tables, RANK_PASS_WEIGHT):
+    for block in _map_blocks(gc, blocks, block_tables):
         for theory, ranks in block.items():
             tables[theory].update(ranks)
     if gc.reduced:
