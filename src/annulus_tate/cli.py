@@ -83,8 +83,11 @@ def _verdict_json(v: Verdict) -> dict:
 def _without_gc(compute):
     """``compute`` with the cyclic garbage collector paused while it runs.
 
-    A word's complexes hold one list per generator and form no reference
-    cycles, so collections would only traverse them over and over.  They
+    A word's complexes hold a tuple of arrow targets per generator (a cube
+    complex, about 148 traced bytes per generator with its gradings, see
+    ``BENCH_memory.json``) or an int per generator and direction (an
+    engine block), and form no reference cycles, so collections would
+    only traverse them over and over.  They
     are freed when ``compute`` returns, before the collector's previous
     state is restored.
     """

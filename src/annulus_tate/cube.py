@@ -15,12 +15,15 @@ through the crossing or seam below it, so the circles are the cycles of
 a 2-regular graph.  ``PortLinks`` tabulates each crossing's links once
 per cube, and ``resolve`` traces each circle from its lowest unvisited
 port, so the circles come out in ascending order of their lowest port.
+A resolution keeps each circle's lowest port and seam count, and a table
+from each port to the circle through it; it keeps no port set.
 A circle is nontrivial exactly when it meets the seam an odd number of
 times, that is, when it holds an odd number of level-0 ports.
 
 An edge of the cube flips one crossing.  The circles it changes are the
-circles through that crossing's four ports on each side, and every other
-circle keeps its ports (``classify_resolutions``).
+circles through that crossing's four ports on each side, read off each
+side's port table, and every other circle keeps its ports
+(``classify_resolutions``).
 
 Smoothing convention: at a positive crossing bit 0 is braid-like and bit 1
 is the turnback; at a negative crossing the bits are swapped.
@@ -62,33 +65,35 @@ def parse_bits(text: str) -> tuple[int, int]:
     return bits, len(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
-    """One smoothing component: its ports, and how often it meets the seam."""
+    """One smoothing component: its lowest port, and how often it meets
+    the seam."""
 
-    ports: frozenset[int]
+    min_port: int
     seam_count: int
 
     @property
     def trivial(self) -> bool:
         return self.seam_count % 2 == 0
 
-    @property
-    def min_port(self) -> int:
-        return min(self.ports)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resolution:
     """A complete smoothing of a diagram at one cube vertex.
 
     Circles are listed in canonical order: ascending minimal port id, so
-    circle 0 is the circle through port 0.  The crossing and strand
-    counts that decode a port id are the diagram's, not copied here.
+    circle 0 is the circle through port 0.  ``circle_of[port]`` is the
+    index of the circle through ``port``, the table ``PortLinks.trace``
+    fills as it traces, kept as bytes: a closure within the strand and
+    crossing guards has at most strands + crossings < 255 circles.  The
+    crossing and strand counts that decode a port id are the diagram's,
+    not copied here.
     """
 
     vertex: int
     circles: tuple[Circle, ...]
+    circle_of: bytes
 
     @property
     def n_circles(self) -> int:
@@ -126,7 +131,7 @@ class PortLinks:
             seam[2 * top + 1] = 2 * s + 1  # (c, s) up -> (0, s) down
             seam[2 * s] = 2 * top  # (0, s) down -> (c, s) up
         self._seam = seam
-        self.crossing_ports: list[frozenset[int]] = []
+        self.crossing_ports: list[tuple[int, int, int, int]] = []
         self._smoothings = []
         for level, cr in enumerate(diagram.crossings):
             lo, hi, p = level * m, (level + 1) * m, cr.position
@@ -141,35 +146,37 @@ class PortLinks:
                 slice(2 * hi, 2 * (hi + m), 2),
                 (braid, turn) if cr.sign > 0 else (turn, braid),
             ))
-            self.crossing_ports.append(frozenset({lo + p, lo + p + 1, hi + p, hi + p + 1}))
+            self.crossing_ports.append((lo + p, lo + p + 1, hi + p, hi + p + 1))
 
-    def trace(self, alpha: int) -> tuple[Circle, ...]:
-        """The circles at vertex ``alpha``, each traced from its lowest
-        port, in ascending order of that port."""
+    def trace(self, alpha: int) -> Resolution:
+        """The resolution at vertex ``alpha``: each circle traced from its
+        lowest port, in ascending order of that port."""
         step = self._seam[:]
         for level, (up, down, smoothings) in enumerate(self._smoothings):
             step[up], step[down] = smoothings[(alpha >> level) & 1]
         n, m = self.n_ports, self.diagram.strands
-        circle_of = [-1] * n
-        traced: list[list[int]] = []
+        circle_of = bytearray(b"\xff") * n  # 0xff: not traced yet
+        starts: list[int] = []
         for start in range(n):
-            if circle_of[start] >= 0:
+            if circle_of[start] != 0xFF:
                 continue
-            idx = len(traced)
-            ports = [start]
+            idx = len(starts)
+            starts.append(start)
             circle_of[start] = idx
             end = step[2 * start + 1]
             port = end >> 1
             while port != start:
-                ports.append(port)
                 circle_of[port] = idx
                 end = step[end]
                 port = end >> 1
-            traced.append(ports)
-        seams = [0] * len(traced)
+        seams = [0] * len(starts)
         for s in range(m):  # each level-0 port meets the seam once
             seams[circle_of[s]] += 1
-        return tuple(Circle(frozenset(ports), k) for ports, k in zip(traced, seams))
+        return Resolution(
+            vertex=alpha,
+            circles=tuple(map(Circle, starts, seams)),
+            circle_of=bytes(circle_of),
+        )
 
 
 def resolve(
@@ -185,7 +192,7 @@ def resolve(
         links = PortLinks(diagram)
     elif links.diagram != diagram:
         raise ValueError("port links of another diagram")
-    return Resolution(vertex=alpha, circles=links.trace(alpha))
+    return links.trace(alpha)
 
 
 @dataclass(frozen=True)
@@ -207,31 +214,29 @@ class EdgeType:
 
 
 def classify_resolutions(
-    source: Resolution, target: Resolution, ports: frozenset[int], types: dict | None = None
+    source: Resolution, target: Resolution, ports: tuple[int, ...], types: dict | None = None
 ) -> EdgeType:
     """Classify the edge between two resolutions that differ at the crossing
     whose four ports are ``ports``.
 
     The participating circles are the circles through those ports on each
-    side; every other circle keeps its ports, so the rest pair off in index
-    order.  ``types``, a dict kept for one cube, holds one EdgeType per
-    (source part, target part, circle counts).  Raises UnclassifiableEdge
-    unless the edge is a merge or a split whose participating circles
-    conserve seam count.
+    side, read off its ``circle_of`` table; every other circle keeps its
+    ports, so the rest pair off in index order.  ``types``, a dict kept
+    for one cube, holds one EdgeType per (source part, target part,
+    circle counts).  Raises UnclassifiableEdge unless the edge is a merge
+    or a split whose participating circles conserve seam count.
     """
+    a, b, c, d = ports
     circles, tcircles = source.circles, target.circles
-    src: list[int] = []
-    tgt: list[int] = []
+    circle_of, tcircle_of = source.circle_of, target.circle_of
+    src = tuple(sorted({circle_of[a], circle_of[b], circle_of[c], circle_of[d]}))
+    tgt = tuple(sorted({tcircle_of[a], tcircle_of[b], tcircle_of[c], tcircle_of[d]}))
     seams = 0  # the source's participating seam counts less the target's
-    for i, circle in enumerate(circles):
-        if not ports.isdisjoint(circle.ports):
-            src.append(i)
-            seams += circle.seam_count
-    for i, circle in enumerate(tcircles):
-        if not ports.isdisjoint(circle.ports):
-            tgt.append(i)
-            seams -= circle.seam_count
-    key = (tuple(src), tuple(tgt), len(circles), len(tcircles))
+    for i in src:
+        seams += circles[i].seam_count
+    for i in tgt:
+        seams -= tcircles[i].seam_count
+    key = (src, tgt, len(circles), len(tcircles))
     edge = types.get(key) if types is not None else None
     if edge is None:
         edge = _edge_type(*key)

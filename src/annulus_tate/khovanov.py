@@ -36,8 +36,17 @@ crossing it flips (``cube.classify_resolutions``, with one EdgeType per
 distinct edge for the build).  Each edge map is a table from the labels
 of its participating circles to their images, applied at once to every
 labeling of the other circles; the table and that transport
-(``labeling_images``) are tabulated once per distinct edge type.  d^2 = 0
-is checked on every built complex.  ``_map_blocks`` is the one splitter
+(``labeling_images``) are tabulated once per distinct edge type.  Every
+arrow out of a vertex's generators comes from that vertex's edges, so its
+rows are built in lists local to the vertex and kept as exact-size tuples
+of the build's one int object per index; the gradings and vertices are
+typed arrays.  So the complex holds no list and no int object of its own
+per generator: on the 59,052-generator closure of
+"1 -1 1 -1 1 1 -1 1 -1 1"/2 it holds 148.5 traced bytes per generator,
+and the build and AKh table peak at 187.0 (229.5 and 323.7 with a list
+per row, list gradings and fresh ints per block layout;
+``scripts/bench_cube.py``, ``BENCH_memory.json``).  d^2 = 0 is checked
+on every built complex.  ``_map_blocks`` is the one splitter
 of a complex into blocks, along the gradings every arrow of a theory
 preserves.  A block numbers its generators level by level, so that each
 of its rows spans one or two levels of i rather than the whole block.
@@ -63,8 +72,10 @@ from __future__ import annotations
 import enum
 import os
 import threading
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NoReturn
 
 from . import cube
@@ -82,11 +93,16 @@ class GradedComplex:
     """The Khovanov cube-of-chains complex of a diagram, full or reduced.
 
     Generators are indexed consecutively: all labelings of vertex 0, then
-    of vertex 1, and so on, with label bitmasks ascending.  ``out[g]``
-    lists the Kh arrow targets in construction order; ``rows_of`` reads
-    the AKh ones.  A ``reduced`` complex keeps only the labelings with
-    circle 0 "-", the one at index ``offsets[vertex] + (labels >> 1)``,
-    and serves Kh only.
+    of vertex 1, and so on, with label bitmasks ascending.  ``out[g]`` is
+    the tuple of Kh arrow targets in construction order; ``rows_of`` reads
+    the AKh ones.  ``ids`` holds one int object per generator index, the
+    one every row and every block layout (``_map_blocks``) shares, and
+    the gradings and vertices are typed arrays, so no generator costs an
+    int object or a list of its own: a 10-crossing closure holds 147-149
+    traced bytes per generator (229-230 with a list per row and list
+    gradings).  A ``reduced`` complex keeps only
+    the labelings with circle 0 "-", the one at index
+    ``offsets[vertex] + (labels >> 1)``, and serves Kh only.
     """
 
     # Only perfbench/tracer.py reads this, to key its build counts; it goes
@@ -97,11 +113,12 @@ class GradedComplex:
     resolutions: list[cube.Resolution]
     offsets: list[int]
     n_generators: int
-    vertex_of: list[int]
-    gi: list[int]
-    gj: list[int]
-    gk: list[int]
-    out: list[list[int]] = field(repr=False)
+    vertex_of: array
+    gi: array
+    gj: array
+    gk: array
+    out: list[tuple[int, ...]] = field(repr=False)
+    ids: list[int] = field(repr=False)
     reduced: bool = False
 
     def index(self, vertex: int, labels: int) -> int:
@@ -197,15 +214,6 @@ def _transport_table(edge: cube.EdgeType, reduced: bool) -> tuple[list[int], lis
     return labeling_images(bits), labeling_images(tbits)
 
 
-def _cube_edges(c: int):
-    """The edges alpha -> alpha | 1 << b of a c-cube with the crossing b
-    each flips, alpha ascending, then b."""
-    return (
-        (alpha, alpha | 1 << b, b) for alpha in range(1 << c) for b in range(c)
-        if not (alpha >> b) & 1
-    )
-
-
 def build_complex(diagram: AnnularDiagram, reduced: bool = False) -> GradedComplex:
     """Build the Khovanov cube-of-chains complex and verify d^2 = 0.
 
@@ -214,59 +222,73 @@ def build_complex(diagram: AnnularDiagram, reduced: bool = False) -> GradedCompl
     before building any arrow, at the first cube vertex that brings the
     generators so far past MAX_GENERATORS, before that vertex's labelings
     are expanded or the next vertex is resolved.
+
+    Every arrow out of a vertex's generators comes from that vertex's
+    edges, so each vertex's rows are built in lists of its own, edge by
+    edge, and kept as tuples once its last edge is done.
     """
     c = diagram.n_crossings
     n_pos, n_neg = diagram.n_pos, diagram.n_neg
 
     links = cube.PortLinks(diagram)
-    resolved, offsets, vertex_of, gi, gj, gk = [], [], [], [], [], []
+    resolved, offsets = [], []
+    vertex_of, gi, gj, gk = array("i"), array("h"), array("h"), array("h")
+    total = 0
     # resolved one vertex at a time, so an oversize cube is refused early
     for alpha in range(1 << c):
         res = cube.resolve(diagram, alpha, links)
         size = 1 << res.n_circles >> reduced
-        if len(gi) + size > MAX_GENERATORS:
+        if total + size > MAX_GENERATORS:
             raise DiagramTooLarge(
                 f"the {c}-crossing diagram has more than the {MAX_GENERATORS:,}-"
                 f"generator limit: {alpha + 1:,} of its {1 << c:,} cube vertices "
-                f"already have {len(gi) + size:,}"
+                f"already have {total + size:,}"
             )
         resolved.append(res)
-        offsets.append(len(gi))
+        offsets.append(total)
         i, js, ks = cube.vertex_gradings(res, n_pos, n_neg)
         if reduced:
             js, ks = js[::2], ks[::2]
-        vertex_of += [alpha] * size
-        gi += [i] * size
-        gj += js
-        gk += ks
-    total = len(gi)
+        vertex_of.extend(repeat(alpha, size))
+        gi.extend(repeat(i, size))
+        gj.extend(js)
+        gk.extend(ks)
+        total += size
 
-    out: list[list[int]] = [[] for _ in range(total)]
-    ids = list(range(total))  # one int object per target, shared by its arrows
+    out: list[tuple[int, ...]] = []
+    # one int object per index, shared by the arrows into it and by every
+    # block layout (``_map_blocks``)
+    ids = list(range(total))
     # per distinct edge: rule, transport; a 10-crossing cube has 5,120
     # edges but about a hundred distinct ones
     types: dict[tuple, cube.EdgeType] = {}
     maps: dict[cube.EdgeType, tuple] = {}
     ports = links.crossing_ports
-    for alpha, alpha2, b in _cube_edges(c):
-        edge = cube.classify_resolutions(resolved[alpha], resolved[alpha2], ports[b], types)
-        if edge not in maps:
-            maps[edge] = (_edge_rule(edge), *_transport_table(edge, reduced))
-        rule, rest, image = maps[edge]
-        src_off, tgt_off = offsets[alpha], offsets[alpha2]
-        for plus, tplus in rule.items():
-            if not tplus or (reduced and plus & 1):
+    for alpha, res in enumerate(resolved):
+        vertex_rows: list[list[int]] = [[] for _ in range(1 << res.n_circles >> reduced)]
+        for b in range(c):
+            if (alpha >> b) & 1:
                 continue
-            rows = [out[src_off + (lab | plus >> reduced)] for lab in rest]
-            for tp in tplus:
-                if reduced and tp & 1:
-                    raise FilteredComplexError(
-                        f"arrow leaves the reduced complex: edge {alpha} -> {alpha2} "
-                        "labels circle 0 \"+\""
-                    )
-                base = tgt_off + (tp >> reduced)
-                for row, t in zip(rows, image):
-                    row.append(ids[base + t])
+            alpha2 = alpha | 1 << b
+            edge = cube.classify_resolutions(res, resolved[alpha2], ports[b], types)
+            if edge not in maps:
+                maps[edge] = (_edge_rule(edge), *_transport_table(edge, reduced))
+            rule, rest, image = maps[edge]
+            tgt_off = offsets[alpha2]
+            for plus, tplus in rule.items():
+                if not tplus or (reduced and plus & 1):
+                    continue
+                rows = [vertex_rows[lab | plus >> reduced] for lab in rest]
+                for tp in tplus:
+                    if reduced and tp & 1:
+                        raise FilteredComplexError(
+                            f"arrow leaves the reduced complex: edge {alpha} -> {alpha2} "
+                            "labels circle 0 \"+\""
+                        )
+                    base = tgt_off + (tp >> reduced)
+                    for row, t in zip(rows, image):
+                        row.append(ids[base + t])
+        out += map(tuple, vertex_rows)
 
     gc = GradedComplex(
         diagram=diagram,
@@ -278,6 +300,7 @@ def build_complex(diagram: AnnularDiagram, reduced: bool = False) -> GradedCompl
         gj=gj,
         gk=gk,
         out=out,
+        ids=ids,
         reduced=reduced,
     )
     gc.check_d_squared()
@@ -324,10 +347,11 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     """
     if theory is Theory.AKH and gc.reduced:
         raise ValueError("AKh is read from the full complex, not the reduced one")
-    ids: dict[tuple, int] = {}
-    block_of = [ids.setdefault(key, len(ids)) for key in _block_keys(theory, gc.gj, gc.gk)]
-    groups: list[list[int]] = [[] for _ in ids]
-    for g, b in enumerate(block_of):
+    numbers: dict[tuple, int] = {}
+    block_of = [numbers.setdefault(key, len(numbers)) for key in _block_keys(theory, gc.gj, gc.gk)]
+    groups: list[list[int]] = [[] for _ in numbers]
+    ids = gc.ids  # the build's int objects: no block layout makes its own
+    for g, b in zip(ids, block_of):
         groups[b].append(g)
     del block_of  # not needed while the blocks run
     gi = gc.gi
@@ -337,7 +361,7 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     for members in groups:
         members.sort(key=gi.__getitem__)  # stable: level by level
         starts.append(first)
-        for x, g in enumerate(members, first):
+        for x, g in zip(ids[first:first + len(members)], members):
             slot[g] = x
         first += len(members)
 
@@ -401,6 +425,14 @@ def block_complex(
 # generators the faster side changed from round to round, so these runs
 # do not place the rank pass's crossover, and it forks from this same
 # threshold.
+# The same host's parallel throughput varies from run to run: two forked
+# CPU-bound loops ran at 0.77-1.13x the loop rate of one in six runs of
+# 3-7 rounds of ``scripts/bench_cube.py --parts parallel``, and at
+# 1.0-2.34x in five others; pinned to a CPU each, at 1.35-2.5x.  In
+# 20 alternating fresh ``akh`` runs on the 59,052-generator closure of
+# "1 -1 1 -1 1 1 -1 1 -1 1"/2, one process took a median 286 ms (276-456)
+# against 322 ms (306-389) on two.  The threshold stays: these figures
+# come from one host.
 FORK_MIN_GENERATORS = 2_000
 
 _max_processes: int | None = None

@@ -19,10 +19,12 @@ MAX_CROSSINGS = 22
 # about 2 GiB per process, when the 531,444-generator cover of
 # "1 1 1 1 1 1"/2 ran ``periodic`` at 1,507 MB (about 2.8 KB per cover
 # generator), and it refuses the seven-letter B2 cover.  Measured since
-# (2 vCPUs, 3 runs each, ``scripts/bench_cube.py``): that cover's
-# ``periodic`` peaks at 644 MB in its largest process, about 1.2 KB per
-# cover generator, and at 974-990 MB of proportional set size summed over
-# the engine's processes; "1 -1 1 -1 1 -1"/2 at 630 and 964-968 MB.  The
+# (2 vCPUs, 3 runs each, ``scripts/bench_cube.py``, ``BENCH_memory.json``):
+# with tuple rows and typed gradings in the cube complex, that cover's
+# ``periodic`` peaks at 576 MB in its largest process, about 1.08 KB per
+# cover generator, and at 891-905 MB of proportional set size summed over
+# the engine's processes; "1 -1 1 -1 1 -1"/2 at 561 and 880-881 MB (644
+# and 965-991 MB, and 630 and 967-969 MB, with a list per row).  The
 # forked children (``khovanov._fork_map``) make the difference between the
 # two figures, so a cap raised from the largest process alone would
 # undercount.

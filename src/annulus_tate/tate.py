@@ -79,17 +79,13 @@ class Verdict:
 # chain involution
 
 
-def _port_circle_map(res: cube.Resolution) -> dict[int, int]:
-    return {port: idx for idx, circle in enumerate(res.circles) for port in circle.ports}
-
-
 def _circle_images(
     res: cube.Resolution, target: cube.Resolution, m: int, shift: int, period: int
 ) -> list[int]:
     """For each circle of ``res``, on ``m`` strands, the index of the circle
     of ``target`` through the image of its minimal port, (level, strand)
     going to ((level + shift) mod period, strand)."""
-    circle_of = _port_circle_map(target)
+    circle_of = target.circle_of
     images = []
     for circle in res.circles:
         level, strand = divmod(circle.min_port, m)

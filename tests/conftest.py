@@ -559,31 +559,48 @@ def reference_resolve(diagram: AnnularDiagram, alpha: int) -> cube.Resolution:
         root = find(seam_base + s)
         seam_counts[root] = seam_counts.get(root, 0) + 1
 
-    circles = [
-        cube.Circle(ports=frozenset(ports), seam_count=seam_counts.get(root, 0))
-        for root, ports in members.items()
-    ]
-    circles.sort(key=lambda circle: circle.min_port)
-    return cube.Resolution(vertex=alpha, circles=tuple(circles))
+    roots = sorted(members, key=lambda root: min(members[root]))
+    circle_of = [0] * n_ports
+    for idx, root in enumerate(roots):
+        for port in members[root]:
+            circle_of[port] = idx
+    circles = tuple(
+        cube.Circle(min_port=min(members[root]), seam_count=seam_counts.get(root, 0))
+        for root in roots
+    )
+    return cube.Resolution(vertex=alpha, circles=circles, circle_of=bytes(circle_of))
+
+
+def circle_ports(res: cube.Resolution) -> list[frozenset[int]]:
+    """The port set of each circle of ``res``, read off its port table."""
+    ports: list[set[int]] = [set() for _ in res.circles]
+    for port, idx in enumerate(res.circle_of):
+        ports[idx].add(port)
+    return [frozenset(p) for p in ports]
+
+
+def cube_edges(c: int):
+    """The edges alpha -> alpha | 1 << b of a c-cube with the crossing b
+    each flips, alpha ascending, then b: the order ``build_complex``
+    classifies them in."""
+    return (
+        (alpha, alpha | 1 << b, b) for alpha in range(1 << c) for b in range(c)
+        if not (alpha >> b) & 1
+    )
 
 
 def reference_classify(source: cube.Resolution, target: cube.Resolution) -> cube.EdgeType:
     """The edge between two resolutions that differ at one crossing: the
     participating circles are those whose port set the other side lacks,
     and the rest pair off by equal port sets."""
-    target_index = {circle.ports: i for i, circle in enumerate(target.circles)}
-    source_index = {circle.ports: i for i, circle in enumerate(source.circles)}
+    source_ports, target_ports = circle_ports(source), circle_ports(target)
+    target_index = {ports: i for i, ports in enumerate(target_ports)}
+    source_index = {ports: i for i, ports in enumerate(source_ports)}
 
-    src_part = tuple(
-        i for i, circle in enumerate(source.circles) if circle.ports not in target_index
-    )
-    tgt_part = tuple(
-        i for i, circle in enumerate(target.circles) if circle.ports not in source_index
-    )
+    src_part = tuple(i for i, ports in enumerate(source_ports) if ports not in target_index)
+    tgt_part = tuple(i for i, ports in enumerate(target_ports) if ports not in source_index)
     correspondence = tuple(
-        (i, target_index[circle.ports])
-        for i, circle in enumerate(source.circles)
-        if circle.ports in target_index
+        (i, target_index[ports]) for i, ports in enumerate(source_ports) if ports in target_index
     )
 
     if len(src_part) == 2 and len(tgt_part) == 1:
@@ -639,7 +656,7 @@ def tau_reference(gc: GradedComplex, g: int) -> int:
     labels = labels_of(gc, g)
     tbeta = cube.swap_halves(beta, gc.diagram.n_crossings) if n else beta
     res, tres = gc.resolutions[beta], gc.resolutions[tbeta]
-    circle_of = {port: c for c, circle in enumerate(tres.circles) for port in circle.ports}
+    circle_of = tres.circle_of
     tlabels = 0
     for ci, circle in enumerate(res.circles):
         level, strand = divmod(circle.min_port, m)
@@ -659,7 +676,7 @@ def lift_reference(gq: GradedComplex, gcov: GradedComplex, v: int) -> int:
     labels = labels_of(gq, v)
     beta = alpha | alpha << n
     qres, cres = gq.resolutions[alpha], gcov.resolutions[beta]
-    circle_of = {port: c for c, circle in enumerate(qres.circles) for port in circle.ports}
+    circle_of = qres.circle_of
     clabels = 0
     for ci, circle in enumerate(cres.circles):
         level, strand = divmod(circle.min_port, m)
@@ -671,6 +688,13 @@ def lift_reference(gq: GradedComplex, gcov: GradedComplex, v: int) -> int:
 def arrows(rows: list[list[int]]):
     """(source, target) of every arrow of a list of target rows."""
     return [(src, tgt) for src, row in enumerate(rows) for tgt in row]
+
+
+def without(row: tuple[int, ...], y: int) -> tuple[int, ...]:
+    """``row`` less its first entry ``y``: a cube complex's rows are
+    tuples, so a test that drops an arrow replaces the row."""
+    i = row.index(y)
+    return row[:i] + row[i + 1:]
 
 
 def view(gc: GradedComplex, theory: Theory) -> list[list[int]]:
@@ -848,7 +872,8 @@ def builder_matches_reference(gc: GradedComplex) -> bool:
         return False
     for theory in (Theory.KH, Theory.AKH):
         out, gi, gj, gk = reference_complex(gc.diagram, theory)
-        if (view(gc, theory), gc.gi, gc.gj, gc.gk) != (out, gi, gj, gk):
+        rows = [list(row) for row in view(gc, theory)]
+        if (rows, list(gc.gi), list(gc.gj), list(gc.gk)) != (out, gi, gj, gk):
             return False
         if not counted_d_squared_vanishes(out):
             return False
@@ -870,7 +895,7 @@ def reduced_matches_full(reduced: GradedComplex, full: GradedComplex) -> bool:
         if any(y not in index for y in full.out[g]):
             return False
         if (
-            [index[y] for y in full.out[g]] != reduced.out[r]
+            [index[y] for y in full.out[g]] != list(reduced.out[r])
             or (full.gi[g], full.gj[g], full.gk[g])
             != (reduced.gi[r], reduced.gj[r], reduced.gk[r])
             or (full.vertex_of[g], labels_of(full, g))

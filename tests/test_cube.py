@@ -14,7 +14,7 @@ from annulus_tate.cube import (
     swap_halves,
     vertex_gradings,
 )
-from annulus_tate.khovanov import _cube_edges, build_complex
+from annulus_tate.khovanov import build_complex
 from annulus_tate.links import (
     BraidWord,
     DiagramTooLarge,
@@ -27,7 +27,9 @@ from conftest import (
     PROPERTY,
     alphabet,
     annular_class,
+    circle_ports,
     classify_edge,
+    cube_edges,
     reference_classify,
     reference_resolve,
 )
@@ -75,7 +77,7 @@ def test_resolve_width_guard():
 def test_resolve_is_deterministic():
     a = resolve(HOPF, 0b10)
     b = resolve(HOPF, 0b10)
-    assert [c.ports for c in a.circles] == [c.ports for c in b.circles]
+    assert circle_ports(a) == circle_ports(b)
 
 
 def test_hopf_edge_types():
@@ -101,7 +103,7 @@ def test_edge_correspondence_keeps_port_sets():
     src, tgt = resolve(d, 0b00), resolve(d, 0b10)
     edge = classify_resolutions(src, tgt, PortLinks(d).crossing_ports[1])
     for si, ti in edge.correspondence:
-        assert src.circles[si].ports == tgt.circles[ti].ports
+        assert circle_ports(src)[si] == circle_ports(tgt)[ti]
 
 
 def test_gradings_examples():
@@ -203,7 +205,7 @@ def _assert_matches_the_references(word: BraidWord) -> None:
         resolutions = [reference_resolve(diagram, alpha) for alpha in range(1 << c)]
         edges = [
             reference_classify(resolutions[alpha], resolutions[alpha2])
-            for alpha, alpha2, _ in _cube_edges(c)
+            for alpha, alpha2, _ in cube_edges(c)
         ]
         for reduced in (False, True):
             gc, built = _build_recording_edges(diagram, reduced)

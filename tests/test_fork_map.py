@@ -80,7 +80,7 @@ def test_an_arrow_between_blocks_is_refused_in_a_child(monkeypatch, forks):
     largest = max(range(len(groups)), key=lambda b: (len(groups[b]), -b))
     x = next(g for b, members in enumerate(groups) if b != largest for g in members)
     y = next(g for g in range(gc.n_generators) if gc.gj[g] != gc.gj[x])
-    gc.out[x].append(y)  # a Kh row, which a child reads from its copy-on-write image
+    gc.out[x] += (y,)  # a Kh row, which a child reads from its copy-on-write image
     # inline, then with one process per block
     for cpus, n_forks in ((1, 0), (len(groups), len(groups) - 1)):
         on_cpus(monkeypatch, cpus, 0)
@@ -185,16 +185,16 @@ def engine_results(run: PeriodicRun, reduced) -> list:
 def d_squared_refusal(gc, drop: list[int]) -> str:
     """The d^2 message after each generator s of ``drop`` loses its first
     arrow; the rows are restored afterwards."""
-    saved = {s: list(gc.out[s]) for s in drop}
+    saved = {s: gc.out[s] for s in drop}
     try:
         for s in drop:
-            del gc.out[s][0]
+            gc.out[s] = gc.out[s][1:]
         with pytest.raises(FilteredComplexError) as info:
             gc.check_d_squared()
         return str(info.value)
     finally:
         for s, row in saved.items():
-            gc.out[s][:] = row
+            gc.out[s] = row
 
 
 @pytest.fixture(scope="module")

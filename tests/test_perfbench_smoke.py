@@ -27,8 +27,10 @@ print(json.dumps({"spanned": SPANNED, "patched": tracer.patched}))
 """
 
 
-def test_traced_periodic_benchmark_round_is_correct():
-    args = ["--workload", "periodic-len4", "--seed", "0", "--seconds", "1", "--trace", "1"]
+def _traced_round(workload: str) -> None:
+    """One second of ``workload``, seed 0, traced: it must exit 0, report
+    ``correct: true`` and fail no op."""
+    args = ["--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"]
     result = subprocess.run(
         [sys.executable, "perfbench/run.py", *args],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
@@ -37,6 +39,16 @@ def test_traced_periodic_benchmark_round_is_correct():
     summary = json.loads(result.stdout.splitlines()[-1])
     assert summary["correct"] is True, result.stdout
     assert summary["failed"] == 0
+
+
+def test_traced_periodic_benchmark_round_is_correct():
+    _traced_round("periodic-len4")
+
+
+def test_traced_ranks_benchmark_round_is_correct():
+    # the akh and kh ops, whose builds the tracer counts from the complex's
+    # rows (``_count_build``), away from the Tate code
+    _traced_round("ranks-10x")
 
 
 def test_every_traced_function_is_patched():
