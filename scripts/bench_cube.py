@@ -15,9 +15,6 @@ Stages, each the median of ``--repeats`` runs on one engine process:
 - ``classify``: time inside ``cube.classify_resolutions`` during it;
 - ``d_squared``: time inside ``GradedComplex.check_d_squared``;
 - ``build_complex``: the whole build, the three above included;
-- ``assembly``: ``khovanov._map_blocks`` assembling every block's engine
-  complex and dropping it, that is, the path from ``gc.out`` to the
-  engine rows;
 - ``ranks``: ``khovanov.homologies_of``, the rank tables of the op's
   theories (both on the periodic-len4 sides), however the checkout
   computes them: block assembly and cancellation, or the rank pass.
@@ -40,7 +37,7 @@ The cyclic garbage collector is paused, as the CLI pauses it for a word.
 The inner stages are timed by wrappers around the calls, so their figures
 include the wrappers' cost (about 0.3 us a call).  The words are the
 seed-0 words of the two benchmark workloads, built as their ops build
-them: periodic-len4 builds the full quotient and cover and assembles Kh j
+them: periodic-len4 builds the full quotient and cover and reads Kh j
 blocks; ranks-10x builds the full closure for ``akh`` ((j, k) blocks) and
 the reduced one for ``kh`` (j blocks).
 
@@ -128,17 +125,6 @@ class StageClock:
         setattr(owner, attr, timed)
 
 
-def assemble_blocks(khovanov, gc, theory) -> None:
-    """Assemble every block's engine complex and drop it."""
-    if hasattr(khovanov, "block_complex"):
-        def assemble(members, index) -> None:
-            khovanov.block_complex(gc, theory, members, index)
-
-        khovanov._map_blocks(gc, theory, assemble)
-    else:  # before the rank pass, ``_map_blocks`` assembled the blocks itself
-        khovanov._map_blocks(gc, theory, lambda C, members: None)
-
-
 def as_built(word: str, strands: int, side: str, reduced: bool, blocks: str):
     """The diagram an op builds, the theory of its blocks, and the
     theories it reads (both on a full complex with Kh blocks)."""
@@ -156,7 +142,7 @@ def stage_times(word: str, strands: int, side: str, reduced: bool, blocks: str,
                 repeats: int) -> dict[str, float]:
     from annulus_tate import cube, khovanov
 
-    diagram, theory, theories = as_built(word, strands, side, reduced, blocks)
+    diagram, _, theories = as_built(word, strands, side, reduced, blocks)
     runs: dict[str, list[float]] = {}
     for _ in range(repeats):
         pygc.collect()
@@ -174,12 +160,9 @@ def stage_times(word: str, strands: int, side: str, reduced: bool, blocks: str,
             (cube.resolve, cube.classify_resolutions,
              khovanov.GradedComplex.check_d_squared) = saved
         start = time.perf_counter()
-        assemble_blocks(khovanov, gc, theory)
-        assembly = time.perf_counter() - start
-        start = time.perf_counter()
         khovanov.homologies_of(gc, theories)
         ranks = time.perf_counter() - start
-        sample = dict(clock.seconds, build_complex=build, assembly=assembly, ranks=ranks)
+        sample = dict(clock.seconds, build_complex=build, ranks=ranks)
         for name, value in sample.items():
             runs.setdefault(name, []).append(value)
     return {name: round(statistics.median(values) * 1e3, 2) for name, values in runs.items()}

@@ -14,11 +14,8 @@ generators are numbered level by level, as ``khovanov._map_blocks``
 numbers them: a cube arrow goes from one level to the next.
 
 Complexes are built whole by ``FilteredComplex.from_rows``, in one pass
-over the arrows that sets each arrow's ``out`` and ``inc`` bits.  It can
-read a block of a larger complex straight from that complex's rows:
-``index`` maps each row entry to the block's numbering, and ``keep``
-leaves out the arrows of another grading.  The pages of a filtration are
-computed one shift level at a time by Gaussian cancellation in place:
+over the arrows that sets each arrow's ``out`` and ``inc`` bits.  The
+pages of a filtration are computed one shift level at a time by Gaussian cancellation in place:
 cancelling an arrow k -> l removes both endpoint generators and toggles
 an arrow x -> y for every pair x -> l, k -> y, which is a single XOR of
 the successor row into each predecessor row.  Rank tables are
@@ -27,9 +24,10 @@ exposed.
 
 Homology needs no cancellation where every arrow raises the filtration
 degree by exactly one, as every arrow of a cube complex raises i:
-``homology_ranks`` reads it off the ranks of d level by level, from the
-same rows, through the same ``index`` and ``keep``, without building a
-complex.
+``homology_ranks`` reads it off the ranks of d level by level, without
+building a complex.  It can read a block of a larger complex straight
+from that complex's rows: ``index`` maps each row entry to the block's
+numbering, and ``keep`` leaves out the arrows of another grading.
 """
 
 from __future__ import annotations
@@ -97,24 +95,11 @@ class FilteredComplex:
 
     @classmethod
     def from_rows(
-        cls,
-        fdeg: list[int],
-        aux: list[tuple],
-        targets: Iterable[Iterable[int]],
-        index: tuple[list[int], int] | None = None,
-        keep: tuple[list, object] | None = None,
+        cls, fdeg: list[int], aux: list[tuple], targets: Iterable[Iterable[int]]
     ) -> "FilteredComplex":
         """The complex on generators 0..n-1 with filtration degrees
         ``fdeg``, auxiliary gradings ``aux`` and an arrow x -> t for every
         t in ``targets[x]``.
-
-        The rows may hold the indices of a larger complex.  With ``index``,
-        a pair (slot, base), this complex is the block of slots
-        base..base+n-1 of that complex's numbering: entry y stands for
-        generator slot[y] - base, and one outside the block raises
-        FilteredComplexError("arrow leaves its grading block").  With
-        ``keep``, a pair (key, value), entry y is left out unless
-        key[y] == value.
 
         Each ``out`` and ``inc`` row is assembled in one pass over the
         arrows, relative to its lowest index.  Sources are read in
@@ -126,8 +111,6 @@ class FilteredComplex:
         n = len(fdeg)
         C.fdeg = list(fdeg)
         C.aux = list(aux)
-        slot, base = index if index is not None else (None, 0)
-        key, value = keep if keep is not None else (None, None)
         out, out_off = C.out, C.out_off
         inc, inc_off = [0] * n, [n] * n
         # one int object per index, shared by every offset equal to it
@@ -135,16 +118,11 @@ class FilteredComplex:
         for x, row in zip(ids, targets, strict=True):
             off = n
             bits = count = 0
-            for y in row:
-                if key is not None and key[y] != value:
-                    continue
-                t = y if slot is None else slot[y] - base
+            for t in row:
                 if not 0 <= t < n:
-                    if slot is None:
-                        raise FilteredComplexError(
-                            f"arrow {x} -> {t} leaves the generators 0..{n - 1}"
-                        )
-                    raise FilteredComplexError("arrow leaves its grading block")
+                    raise FilteredComplexError(
+                        f"arrow {x} -> {t} leaves the generators 0..{n - 1}"
+                    )
                 if t >= off:
                     bits |= 1 << (t - off)
                 else:  # a new lowest target: rebase the row to it
@@ -208,34 +186,27 @@ class FilteredComplex:
     # -- cancellation ---------------------------------------------------
 
     def cancel_arrow(self, k: int, l: int) -> tuple[int, int]:
-        """Cancel the arrow k -> l: :meth:`cancel_pair` once the arrow is
-        found.  A missing arrow raises MissingArrowError, and so does a
-        self-loop k -> k, which is not an invertible pair.
-        """
-        off = self.out_off[k]
-        if l < off or not (self.out[k] >> (l - off)) & 1:
-            raise MissingArrowError(f"no arrow {k}->{l} to cancel")
-        return self.cancel_pair(k, l)
-
-    def cancel_pair(self, k: int, l: int) -> tuple[int, int]:
-        """Cancel k against l along an arrow k -> l, stored or not:
-        remove both and toggle x -> y for all x -> l, k -> y.
+        """Cancel the arrow k -> l: remove both ends and toggle x -> y for
+        all x -> l, k -> y.
 
         Returns the absolute (predecessor, successor) masks that were
-        toggled against each other; neither contains k or l.  The caller
-        vouches for the arrow: :meth:`cancel_arrow` finds it stored, and a
-        Tate block (``tate``) cancels along its implicit theta arrows
-        x -> tau x.  k == l, or an end already cancelled, raises
-        MissingArrowError.
+        toggled against each other; neither contains k or l.  A missing
+        arrow raises MissingArrowError, and so does a self-loop k -> k,
+        which is not an invertible pair.
         """
         pair = (1 << k) | (1 << l)
         alive = self.alive
-        if k == l or alive & pair != pair:
-            raise MissingArrowError(f"no pair {k}, {l} to cancel")
-        alive ^= pair
-        self.alive = alive
         out, out_off = self.out, self.out_off
         succ_off = out_off[k]
+        if (
+            k == l
+            or alive & pair != pair
+            or l < succ_off
+            or not (out[k] >> (l - succ_off)) & 1
+        ):
+            raise MissingArrowError(f"no arrow {k}->{l} to cancel")
+        alive ^= pair
+        self.alive = alive
         pred_off = self.inc_off[l]
         preds = self.inc[l] & (alive >> pred_off)
         succs = out[k] & (alive >> succ_off)
@@ -329,11 +300,15 @@ def homology_ranks(
     the walk leaves the level.  Zero ranks are left out, and a negative
     one (d^2 != 0) raises FilteredComplexError.  The rows are only read.
 
-    ``index`` and ``keep`` read a block of a larger numbering exactly as
-    :meth:`FilteredComplex.from_rows` reads it, and every arrow it refuses
-    is refused here, with the same FilteredComplexError: a target outside
-    0..n-1 or outside the block, and a repeated arrow.  So is an arrow
-    that does not raise fdeg by one.
+    The rows may hold the indices of a larger complex.  With ``index``,
+    a pair (slot, base), this complex is the block of slots
+    base..base+n-1 of that complex's numbering: entry y stands for
+    generator slot[y] - base.  With ``keep``, a pair (key, value), entry
+    y is left out unless key[y] == value.  Every arrow that
+    :meth:`FilteredComplex.from_rows` refuses is refused here, with the
+    same FilteredComplexError: a target outside 0..n-1 and a repeated
+    arrow; so is a target outside the block ("arrow leaves its grading
+    block") and an arrow that does not raise fdeg by one.
 
     With ``key``, a list over 0..n-1 that no arrow raises, returns the
     pair (the ranks of the complex, those of its associated graded); the

@@ -53,9 +53,9 @@ of its rows spans one or two levels of i rather than the whole block.
 Every arrow raises i by exactly one, so over F2 each rank table is
 dim C_i - rk d_i - rk d_{i-1}, level by level: ``f2algebra.homology_ranks``
 reads it straight off the members' arrows, and no block is assembled
-for a table.  Only the Tate pages assemble a block
-(``block_complex``, ``FilteredComplex.from_rows`` in one pass over its
-members' arrows) and cancel it.  The blocks share nothing, so
+for a table.  The Tate pages read each block's page 1 off the same
+arrows (``tate.page0_model``) and cancel only that.  The blocks share
+nothing, so
 ``_fork_map`` shares them out over every CPU: it forks one child per extra
 CPU, and each process runs its blocks one at a time on its (copy-on-write)
 image of the complex and drops what it built for a block before the next
@@ -79,7 +79,7 @@ from itertools import repeat
 from typing import NoReturn
 
 from . import cube
-from .f2algebra import FilteredComplex, FilteredComplexError, homology_ranks
+from .f2algebra import FilteredComplexError, homology_ranks
 from .links import MAX_GENERATORS, AnnularDiagram, DiagramTooLarge
 
 
@@ -337,11 +337,11 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     raises i by one, so each row of a block spans at most two adjacent
     levels.  The blocks are laid end to end in one numbering, ``slot``,
     and ``index`` is the pair (slot, the block's first slot), through
-    which ``f2algebra.homology_ranks`` and ``FilteredComplex.from_rows``
-    read the members' ``gc.out`` rows once (:func:`block_complex`): they
-    map each target to its block index, slot - the block's first slot,
-    and refuse one that falls outside the block (FilteredComplexError,
-    "arrow leaves its grading block").  Each process runs its blocks one
+    which ``f2algebra.homology_ranks`` and ``tate.page0_model`` read the
+    members' ``gc.out`` rows: they map each target to its block index,
+    slot - the block's first slot.  The rank pass refuses one that falls
+    outside the block (FilteredComplexError, "arrow leaves its grading
+    block").  Each process runs its blocks one
     at a time, and whatever ``fn`` builds for a block is dropped when it
     returns.
     """
@@ -371,53 +371,27 @@ def _map_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     return _fork_map(run_block, range(len(groups)), [len(members) for members in groups])
 
 
-def block_complex(
-    gc: GradedComplex, theory: Theory, members: list[int], index: tuple[list[int], int]
-) -> FilteredComplex:
-    """The engine complex of one block of ``_map_blocks(gc, theory, …)``:
-    each generator is filtered by i and carries (j, k) as auxiliary
-    grading, so that its rank tables are keyed (i, j, k) in either theory,
-    and its arrow targets are its ``theory`` arrows (``rows_of``).
-
-    ``FilteredComplex.from_rows`` assembles it in one pass over the
-    members' ``gc.out`` rows: it drops an AKh row's arrows that change k,
-    and maps each target through ``index``.
-    """
-    gi, gk = gc.gi, gc.gk
-    j = gc.gj[members[0]]  # every block key holds j
-    aux = {k: (j, k) for k in {gk[g] for g in members}}
-    return FilteredComplex.from_rows(
-        [gi[g] for g in members],
-        [aux[gk[g]] for g in members],
-        (gc.out[g] for g in members),
-        index=index,
-        keep=(gk, gk[members[0]]) if theory is Theory.AKH else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # blocks on every CPU
 
 # Complexes with fewer generators stay in one process.  On a 2-vCPU host a
 # fork round trip (fork, copy-on-write faults, pickled results, reaping)
-# took 2.5-2.75 ms (median) from a 22-30 MB parent, and block assembly and
-# cancellation 6-11 us per generator, more in larger complexes.  A second
-# process takes at most half the work off the parent, and less when the
-# blocks are uneven, so forking pays from about 1,000-2,000 generators on.
-# Re-measured on a 2-vCPU virtual machine (Python 3.11.7), minimum and
-# median of 60 runs, inline against two processes: hv_pages of both
-# theories took 41.4/76.6 ms against 32.4/44.1 ms on the 6,564-generator
-# cover of "1 1 1 1"/2, and 658/1005 ms against 363/553 ms on the
-# 59,052-generator cover of "1 1 1 1 1"/2 (12 runs).  Near the crossover
-# the minima are within that host's noise: one CPU-bound loop took
-# 1.9-3.1 s from run to run, and two at once 2.3-3.3 s each.  The
-# four-letter quotients and the three-letter covers stay inline;
-# four-letter covers and 10-crossing closures fork.
-# A block's rank pass (``homologies_of``) costs 1.1-2.1 us per generator,
-# about a quarter of block assembly and cancellation.  Measured on the same
-# host, each complex in a process of its own, ranges over two to five
-# rounds of 30 alternating runs, minimum/median ms inline against two
-# processes: 6,564-generator closure of "1 1 1 1 1 1 1 1"/2, AKh:
+# took 2.5-2.75 ms (median) from a 22-30 MB parent.  A second process takes
+# at most half the work off the parent, and less when the blocks are
+# uneven.  On a 2-vCPU virtual machine (Python 3.11.7), minimum/median ms
+# in two rounds of alternating runs, inline against two processes,
+# hv_pages of both theories (rank tables and ``tate.page0_model`` per
+# block) took 19.0/20.2 and 20.6/34.7 against 24.9/25.8 and 15.8/24.1 on
+# the 6,564-generator cover of "1 1 1 1"/2 (60 runs), and 225/235 and
+# 244/366 against 146/197 and 161/229 on the 59,052-generator cover of
+# "1 1 1 1 1"/2 (12 runs).  On the smaller cover the faster side changed
+# from round to round, so its crossover lies near there.  The four-letter
+# quotients and the three-letter covers stay inline; four-letter covers
+# and 10-crossing closures fork.
+# A block's rank pass (``homologies_of``) costs 1.1-2.1 us per generator.
+# Measured on the same host, each complex in a process of its own, ranges
+# over two to five rounds of 30 alternating runs, minimum/median ms
+# inline against two processes: 6,564-generator closure of "1 1 1 1 1 1 1 1"/2, AKh:
 # 8.2-9.6/8.9-10.3 against 7.7-13.4/8.9-14.1; 19,686 (nine letters), AKh:
 # 31.0-35.1/33.0-37.0 against 23.8-44.0/25.2-46.4; 29,526 (reduced, ten
 # letters), Kh: 41.4-49.8/48.1-54.8 against 30.9-61.5/35.5-66.9; 59,052,

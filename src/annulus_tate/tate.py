@@ -7,29 +7,30 @@ the bicomplex is computed folded: one engine generator g per cover
 generator stands for all of its column copies (g, t).  Under the total
 grading i + t an arrow g -> g' can only carry theta^a with
 a = 1 + i(g) - i(g'), so one bit per entry determines the complex, and
-Gaussian cancellation is exact on it.  Only the cover arrows (theta^0) are
-stored.  The theta^1 arrows g -> g and g -> tau g of each non-equivariant
-g stay implicit (an equivariant g has none: its two copies coincide and
-cancel mod 2).  They are the whole page-0 differential of the row (i)
-filtration, and page 0 cancels each free pair g < tau g along its arrow
-g -> tau g (``FilteredComplex.cancel_pair``).  tau keeps every grading and
-a cover arrow raises i by exactly 1, so each such cancellation toggles
-only arrows from level i - 1 to level i + 1: no theta arrow or self-loop is
-ever created, removed or read, and none is left once every pair is gone.
-Ranks read off the folded complex are ranks of one column of the
-bi-infinite bicomplex, with no truncation to finitely many columns.
+Gaussian cancellation is exact on it.  The theta^1 arrows g -> g and
+g -> tau g of each non-equivariant g are the whole page-0 differential of
+the row (i) filtration (an equivariant g has none: its two copies
+coincide and cancel mod 2), and page 0 cancels every free pair along
+them.  What is left is the complex on the equivariant generators, whose
+arrows are the cover arrows between them and the zigzags through the
+free pairs; ``page0_model`` builds it in one pass over the cover rows,
+and the pages from 1 on cancel it (``f2algebra``).  No theta arrow or
+self-loop is stored.  Ranks read off the folded complex are ranks of one
+column of the bi-infinite bicomplex, with no truncation to finitely many
+columns.
 
 The AKh Tate complex is the associated graded of the Kh one under the
 k-filtration: theta (1 + tau) keeps k, and a cover arrow never raises it.
-So one Kh Tate block serves both theories (``hv_pages``): page 0 is
-swept once, and the AKh pages cancel, on a copy, only the arrows that
+So one Kh Tate block serves both theories (``hv_pages``): its page 1 is
+built once, and the AKh pages cancel, on a copy, only the arrows that
 keep k, which are exactly the AKh cancellations.  The cover homology of a
 block needs no cancellation: it is read off the ranks of the block's
-arrows before the block is assembled.
+arrows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +39,7 @@ from .f2algebra import (
     FilteredComplex,
     FilteredComplexError,
     PageTable,
+    _bits,
     cancel_shift_level,
     degree_masks,
     rank_table,
@@ -47,7 +49,6 @@ from .khovanov import (
     Theory,
     _block_homology,
     _map_blocks,
-    block_complex,
     build_complex,
     homologies_of,
     labeling_images,
@@ -165,22 +166,66 @@ def check_equivariance(
 # the folded Tate complex
 
 
-def block_tau(C: FilteredComplex, members: list[int], tau: list[int]) -> list[int]:
-    """tau on the engine indices of the cover block C, which holds the
-    cover generator members[x] at engine index x; ``tau`` is the chain
-    involution of the cover (:func:`tau_table`).  A tau that leaves the
-    block, or moves a generator to another (j, k), raises
-    FilteredComplexError.
+def page0_model(
+    gc: GradedComplex,
+    theory: Theory,
+    members: list[int],
+    index: tuple[list[int], int],
+    tau: list[int],
+) -> tuple[FilteredComplex, list[int]]:
+    """Page 1 of the Tate block of one block of ``_map_blocks(gc, theory,
+    …)``: the complex left on the tau-fixed members once page 0 has
+    cancelled every free pair, and the cover generators at its indices.
+    A ``tau`` (:func:`tau_table`) that leaves the block, or changes k,
+    raises FilteredComplexError("arrow leaves its grading block").
+
+    With B the fixed members, X the free x < tau x and Y = tau X, page 1
+    is d' = d_BB + d_BX phi^-1 d_YB, where phi = theta P + d_YX (P: x ->
+    tau x) and phi^-1 = sum_n (theta P)^-1 (d_YX (theta P)^-1)^n.  Each
+    arrow raises i by one and tau keeps i, so one pass in level order
+    gives d': each fixed member, and each x in X that one reaches, XORs
+    its mask of fixed sources into tau y for an arrow to y in Y, and into
+    y's column for an arrow to a fixed y.  Rows out of Y are never read.
+    The rank pass (``khovanov._block_homology``) has already refused a
+    target outside the block.
     """
-    local = {g: x for x, g in enumerate(members)}
-    try:
-        images = [local[tau[g]] for g in members]
-    except KeyError:
-        raise FilteredComplexError("arrow leaves its grading block") from None
-    aux = C.aux
-    if any(aux[t] != aux[x] for x, t in enumerate(images)):
-        raise FilteredComplexError("arrow leaves its grading block")
-    return images
+    slot, base = index
+    n = len(members)
+    gk = gc.gk
+    local = []  # tau on block indices
+    for g in members:
+        t = tau[g]
+        x = slot[t] - base
+        if not 0 <= x < n or gk[t] != gk[g]:
+            raise FilteredComplexError("arrow leaves its grading block")
+        local.append(x)
+    fixed = [x for x, t in enumerate(local) if t == x]
+    bit = {x: 1 << b for b, x in enumerate(fixed)}
+    row = rows_of(gc, theory)
+    reach: dict[int, int] = {}  # x in X: the fixed members that reach it
+    column: dict[int, int] = {}  # fixed y: the fixed sources of its arrows
+    for x, t in enumerate(local):
+        if t == x:
+            mask = bit[x]
+        elif x > t or not (mask := reach.pop(x, 0)):
+            continue
+        for g in row(members[x]):
+            y = slot[g] - base
+            ty = local[y]
+            if ty == y:
+                column[y] = column.get(y, 0) ^ mask
+            elif ty < y:
+                reach[ty] = reach.get(ty, 0) ^ mask
+    rows: list[list[int]] = [[] for _ in fixed]
+    for b, y in enumerate(fixed):
+        for s in _bits(column.get(y, 0)):
+            rows[s].append(b)
+    survivors = [members[x] for x in fixed]
+    j = gc.gj[members[0]]  # every block key holds j
+    model = FilteredComplex.from_rows(
+        [gc.gi[g] for g in survivors], [(j, gk[g]) for g in survivors], rows
+    )
+    return model, survivors
 
 
 @dataclass
@@ -194,8 +239,10 @@ class HvPages:
     The odd-page check asserts that ranks do not move from page
     2s+1 to page 2s+2.  ``d2_observed`` holds the (delta-i = 2, a = -1)
     arrows g1 -> g2 of the theory read off once page 0 has cancelled every
-    free pair (for AKh, the ones that keep k), and ``d2_strays`` any
-    nonequivariant survivors of page 0 (there should be none).
+    free pair (for AKh, the ones that keep k).  ``d2_strays`` lists the
+    nonequivariant survivors of page 0, none by construction
+    (:func:`page0_model`); the e2 verdict reports it, and the windowed
+    oracle's strays are checked against it.
     """
 
     pages: PageTable
@@ -203,19 +250,6 @@ class HvPages:
     odd_pages_ok: bool
     d2_observed: set = field(default_factory=set)
     d2_strays: list = field(default_factory=list)
-
-
-def _tau_sweep(C: FilteredComplex, tau: list[int]) -> bool:
-    """Page 0 of a Tate block: cancel each free pair x < tau x (``tau`` on
-    engine indices) along its implicit arrow x -> tau x; returns True if
-    the block has one.  A cancellation toggles only arrows that raise i by
-    2, so it leaves every other pair as it found it."""
-    acted = False
-    for x, tx in enumerate(tau):
-        if x < tx:
-            C.cancel_pair(x, tx)
-            acted = True
-    return acted
 
 
 def _drop_k(i: int, j: int, k: int) -> tuple:
@@ -238,19 +272,18 @@ def hv_pages(
     arrows that keep k are exactly the AKh ones.  Per block:
 
     - the cover homology, by one rank pass over the block's rows
-      (``khovanov._block_homology``), before the block is assembled;
-    - its Tate block, assembled once (``khovanov.block_complex``), whose
-      theta arrows are implicit (see the module docstring): page 0's
-      differential is theta (1 + tau), so page 0 cancels each free pair
-      x < tau x in place (:func:`_tau_sweep`), once for both theories.
-      The state after page 0 is where the induced length-2 differentials
-      are read off;
-    - pages r >= 1 cancel the arrows of shift r: in AKh, on a copy when Kh
-      runs too, only those that keep k; in Kh, every one.
+      (``khovanov._block_homology``);
+    - page 0 of its Tate block, whose differential is theta (1 + tau):
+      its table is the block's generator count, and it acts when the
+      block has a free pair.  Page 1 is the complex left on the
+      equivariant generators once every free pair is cancelled, built
+      directly (:func:`page0_model`), once for both theories.  Its
+      length-2 arrows are the induced d2;
+    - pages r >= 1 cancel the arrows of shift r on page 1: in AKh, on a
+      copy when Kh runs too, only those that keep k; in Kh, every one.
 
     The blocks run on every CPU; each returns its cover ranks, page tables,
-    ``d_nonzero`` flags, observed d2 arrows and strays, merged in block
-    order.
+    ``d_nonzero`` flags and observed d2 arrows, merged in block order.
     """
     kh = Theory.KH in theories
     read = (Theory.AKH, Theory.KH) if kh else (Theory.AKH,)
@@ -269,20 +302,16 @@ def hv_pages(
 
     def run_block(members: list[int], index):
         block_cover = _block_homology(cover, members, index, read)
-        C = block_complex(cover, blocks, members, index)
-        local_tau = block_tau(C, members, tau)
-        start = rank_table(C)
-        acted = _tau_sweep(C, local_tau)
-        observed: list[tuple[int, int]] = []
-        strays: list[int] = []
-        for src in C.generators():
-            g1 = members[src]
-            if local_tau[src] != src:
-                strays.append(g1)
-            for tgt in C.targets(src):
-                g2 = members[tgt]
-                if gi[g2] - gi[g1] == 2:
-                    observed.append((g1, g2))
+        C, survivors = page0_model(cover, blocks, members, index, tau)
+        j = cover.gj[members[0]]
+        start = dict(Counter((gi[g], j, gk[g]) for g in members))
+        acted = len(survivors) < len(members)
+        observed = [
+            (g1, g2)
+            for src, g1 in enumerate(survivors)
+            for g2 in (survivors[tgt] for tgt in C.targets(src))
+            if gi[g2] - gi[g1] == 2
+        ]
         pages = {}
         if Theory.AKH in theories:
             key = [k for _, k in C.aux] if kh else None
@@ -290,21 +319,17 @@ def hv_pages(
         if kh:
             ranks, moved = pages_from(C, start, acted)
             pages[Theory.KH] = [summed(table, _drop_k) for table in ranks], moved
-        return block_cover, pages, observed, strays
+        return block_cover, pages, observed
 
     covers: dict[Theory, dict[tuple, int]] = {theory: {} for theory in read}
     pages = {theory: PageTable(max_page=max_page) for theory in theories}
     observed: list[tuple[int, int]] = []
-    strays: list[int] = []
-    for block_cover, block_pages, block_observed, block_strays in _map_blocks(
-        cover, blocks, run_block
-    ):
+    for block_cover, block_pages, block_observed in _map_blocks(cover, blocks, run_block):
         for theory, table in block_cover.items():
             covers[theory].update(table)
         for theory, (ranks, moved) in block_pages.items():
             pages[theory].add(ranks, moved)
         observed += block_observed
-        strays += block_strays
     d2 = {
         Theory.AKH: {(g1, g2) for g1, g2 in observed if gk[g1] == gk[g2]},
         Theory.KH: set(observed),
@@ -318,7 +343,6 @@ def hv_pages(
                 for r in range(1, max_page, 2)
             ),
             d2_observed=d2[theory],
-            d2_strays=sorted(strays),
         )
         for theory in theories
     }
@@ -338,9 +362,9 @@ class PeriodicRun:
     of the Kh rows when Kh is among the theories, where AKh is read
     through the arrows that keep k, and the (j, k) blocks of the AKh rows
     otherwise.  The quotient's tables come from ``homologies_of``; the
-    cover's from its Tate pass (:func:`hv_pages`), which also assembles
-    each block once and runs the Tate pages of the theories.  AKh tables are read in
-    every run.  Both equivariance verdicts come from one walk
+    cover's from its Tate pass (:func:`hv_pages`), which also builds
+    each block's page 1 once and runs the Tate pages of the theories.  AKh
+    tables are read in every run.  Both equivariance verdicts come from one walk
     (:func:`check_equivariance`).
     """
 

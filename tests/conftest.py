@@ -25,12 +25,11 @@ from annulus_tate.khovanov import (
     GradedComplex,
     Theory,
     _map_blocks,
-    block_complex,
     build_complex,
     rows_of,
 )
 from annulus_tate.links import AnnularDiagram, BraidWord
-from annulus_tate.tate import HvPages, block_tau, hv_pages
+from annulus_tate.tate import HvPages, hv_pages
 
 
 # hypothesis settings of the property tests: reproducible, no example database
@@ -339,10 +338,39 @@ def spectral_pages(C, max_page: int, engine=f2algebra) -> PageTable:
     return pages
 
 
+def block_complex(
+    gc: GradedComplex, theory: Theory, members: list[int], index: tuple[list[int], int]
+) -> FilteredComplex:
+    """The engine complex of one block of ``khovanov._map_blocks(gc,
+    theory, …)``: each generator is filtered by i and carries (j, k) as
+    auxiliary grading, so that its rank tables are keyed (i, j, k) in
+    either theory, and its arrows are its ``theory`` arrows, the AKh ones
+    those that keep k.  Each target is mapped to its block index through
+    ``index``; one outside the block raises FilteredComplexError("arrow
+    leaves its grading block")."""
+    slot, base = index
+    n = len(members)
+    gk = gc.gk
+    rows = []
+    for g in members:
+        row = []
+        for y in gc.out[g]:
+            if theory is Theory.AKH and gk[y] != gk[g]:
+                continue
+            t = slot[y] - base
+            if not 0 <= t < n:
+                raise FilteredComplexError("arrow leaves its grading block")
+            row.append(t)
+        rows.append(row)
+    return FilteredComplex.from_rows(
+        [gc.gi[g] for g in members], [(gc.gj[g], gk[g]) for g in members], rows
+    )
+
+
 def map_assembled_blocks(gc: GradedComplex, theory: Theory, fn) -> list:
     """``fn(C, members)`` for every block of ``khovanov._map_blocks(gc,
-    theory, …)``, with C the block's engine complex
-    (``khovanov.block_complex``), assembled when the block's turn comes."""
+    theory, …)``, with C the block's engine complex (``block_complex``),
+    assembled when the block's turn comes."""
 
     def assembled(members, index):
         return fn(block_complex(gc, theory, members, index), members)
@@ -390,11 +418,15 @@ def fold(C: FilteredComplex, members: list[int], tau: list[int]) -> list[int]:
     """Fold C, the cover block with members[x] at engine index x, into its
     materialized Tate block: add the theta arrows g -> g and g -> tau g of
     every generator g that is not equivariant, which ``tate.hv_pages``
-    leaves implicit.  Returns tau on the block's engine indices
-    (``tate.block_tau``, which raises on a tau that leaves the block).
-    The total-homology and column-filtration oracles read these blocks,
-    with the self-loops that ``f2algebra``'s sweep never pivots on."""
-    local_tau = block_tau(C, members, tau)
+    leaves implicit.  Returns tau on the block's engine indices; a tau
+    that leaves the block or changes its gradings raises
+    FilteredComplexError.  The total-homology and column-filtration
+    oracles read these blocks, with the self-loops that ``f2algebra``'s
+    sweep never pivots on."""
+    local = {g: x for x, g in enumerate(members)}
+    local_tau = [local.get(tau[g], -1) for g in members]
+    if any(t < 0 or C.aux[t] != C.aux[x] for x, t in enumerate(local_tau)):
+        raise FilteredComplexError("arrow leaves its grading block")
     for x, t in enumerate(local_tau):
         if t != x:
             _add_arrow(C, x, x)

@@ -10,6 +10,7 @@ from annulus_tate.cube import hamming
 from annulus_tate.f2algebra import FilteredComplexError, cancel_shift_level, degree_masks
 from annulus_tate.khovanov import (
     Theory,
+    _map_blocks,
     build_complex,
     homology_of,
     total_rank,
@@ -18,10 +19,9 @@ from annulus_tate.links import BraidWord, close_braid, double_cover, parse_braid
 from annulus_tate.tate import (
     PeriodicRun,
     _lift_table,
-    _tau_sweep,
-    block_tau,
     check_equivariance,
     hv_pages,
+    page0_model,
     tau_table,
     verify_cascade,
     verify_collapse,
@@ -36,6 +36,7 @@ from conftest import (
     WindowedTate,
     alphabet,
     arrows,
+    block_complex,
     check_d_squared,
     check_nonnegative,
     dense_homology_of,
@@ -312,15 +313,11 @@ def test_folded_blocks_square_to_zero(braid, strands):
         map_assembled_blocks(run.complex("cover"), theory, check)
 
 
-def _block_state(C) -> list[tuple[int, list[int]]]:
-    return [(x, list(C.targets(x))) for x in C.generators()]
-
-
 @pytest.mark.parametrize("theory", [Theory.AKH, Theory.KH])
-def test_tau_pair_sweep_leaves_what_the_folded_shift_0_sweep_leaves(theory):
-    # page 0 of hv_pages cancels each free pair in place, with no theta
-    # arrow stored; on the materialized Tate block the whole shift-0 sweep
-    # must reach the same generators and arrows
+def test_page0_model_is_what_the_folded_shift_0_sweep_leaves(theory):
+    # page 1 of hv_pages is built on the equivariant generators alone; on
+    # the materialized Tate block, the whole shift-0 sweep must leave the
+    # same generators and the same arrows between them
     words = [
         BraidWord(m, letters)
         for m, max_letters in ((2, 3), (3, 2))
@@ -329,17 +326,24 @@ def test_tau_pair_sweep_leaves_what_the_folded_shift_0_sweep_leaves(theory):
     ]
     for word in words:
         run = PeriodicRun(word)
-        tau = run.tau
+        gc, tau = run.complex("cover"), run.tau
 
-        def both_sweeps(C, members):
-            folded = C.copy()
+        def both(members, index):
+            folded = block_complex(gc, theory, members, index)
             fold(folded, members, tau)
             cancel_shift_level(folded, 0, degree_masks(folded))
-            _tau_sweep(C, block_tau(C, members, tau))
-            return _block_state(folded), _block_state(C)
+            model, survivors = page0_model(gc, theory, members, index, tau)
+            assert model.aux == [(gc.gj[g], gc.gk[g]) for g in survivors]
+            assert model.fdeg == [gc.gi[g] for g in survivors]
+            return (
+                [members[x] for x in folded.generators()],
+                sorted((members[x], members[y]) for x, y in folded.arrows()),
+                survivors,
+                sorted((survivors[x], survivors[y]) for x, y in model.arrows()),
+            )
 
-        for folded, in_place in map_assembled_blocks(run.complex("cover"), theory, both_sweeps):
-            assert in_place == folded, word
+        for *swept, in_survivors, in_model in _map_blocks(gc, theory, both):
+            assert [in_survivors, in_model] == swept, word
 
 
 @pytest.mark.parametrize(
