@@ -1,17 +1,12 @@
 """Finite F2 chain complexes with filtered graded bases.
 
 Arrows are stored as adjacency bitsets keyed by generator index: one
-Python int per generator and direction.  Each row is kept relative to an
-offset of its own: bit b of ``out[x]`` means an arrow
-x -> ``out_off[x] + b`` with coefficient 1, and bit b of ``inc[y]`` an
-arrow ``inc_off[y] + b`` -> y.  ``from_rows`` sets each offset to the
-row's lowest index (an empty row gets the generator count, above every
-index), so a row is as wide as the span of its ends rather than as the
-whole complex; a cancellation that toggles bits below a row's offset
-first rebases the row to the lower offset.  Every query and every
-returned mask uses absolute indices.  Rows stay narrow when the
-generators are numbered level by level, as ``khovanov._map_blocks``
-numbers them: a cube arrow goes from one level to the next.
+Python int per generator and direction.  Rows are absolute: bit y of
+``out[x]`` is the arrow x -> y with coefficient 1, and bit x of
+``inc[y]`` is the same arrow.  The complexes the package cancels are
+the page-1 models of Tate blocks (``tate.page0_model``), at most 240
+generators per block for the six-letter B2 covers, so a row as wide as
+its complex stays small.
 
 Complexes are built whole by ``FilteredComplex.from_rows``, in one pass
 over the arrows that sets each arrow's ``out`` and ``inc`` bits.  The
@@ -48,27 +43,12 @@ class FilteredComplexError(ValueError):
     arrow or an arrow that leaves its grading block."""
 
 
-def _bits(mask: int, base: int = 0) -> Iterator[int]:
-    """The indices base + b of the set bits b of ``mask``, ascending."""
-    if mask == 0:
-        return
-    if mask.bit_count() <= 32 or mask.bit_length() <= 1024:
-        # sparse or narrow: peel set bits directly
-        base -= 1
-        while mask:
-            low = mask & -mask
-            yield base + low.bit_length()
-            mask ^= low
-        return
-    # wide dense masks: one bytes conversion beats repeated big-int shifts
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    for byte in data:
-        if byte:
-            while byte:
-                low = byte & -byte
-                yield base + low.bit_length() - 1
-                byte ^= low
-        base += 8
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FilteredComplex:
@@ -80,15 +60,13 @@ class FilteredComplex:
     move.
     """
 
-    __slots__ = ("fdeg", "aux", "out", "out_off", "inc", "inc_off", "alive")
+    __slots__ = ("fdeg", "aux", "out", "inc", "alive")
 
     def __init__(self) -> None:
         self.fdeg: list[int] = []
         self.aux: list[tuple] = []
         self.out: list[int] = []
-        self.out_off: list[int] = []
         self.inc: list[int] = []
-        self.inc_off: list[int] = []
         self.alive: int = 0
 
     # -- construction -------------------------------------------------
@@ -101,45 +79,30 @@ class FilteredComplex:
         ``fdeg``, auxiliary gradings ``aux`` and an arrow x -> t for every
         t in ``targets[x]``.
 
-        Each ``out`` and ``inc`` row is assembled in one pass over the
-        arrows, relative to its lowest index.  Sources are read in
-        ascending order, so the first source of a target is its ``inc``
-        offset.  A target outside 0..n-1 and a repeated arrow raise
+        Each arrow sets its bit in the ``out`` row of its source and in
+        the ``inc`` row of its target, in one pass over the arrows.  A
+        target outside 0..n-1 and a repeated arrow raise
         FilteredComplexError.
         """
         C = cls()
         n = len(fdeg)
         C.fdeg = list(fdeg)
         C.aux = list(aux)
-        out, out_off = C.out, C.out_off
-        inc, inc_off = [0] * n, [n] * n
-        # one int object per index, shared by every offset equal to it
-        ids = list(range(n))
-        for x, row in zip(ids, targets, strict=True):
-            off = n
+        out, inc = C.out, [0] * n
+        for x, row in zip(range(n), targets, strict=True):
             bits = count = 0
             for t in row:
                 if not 0 <= t < n:
                     raise FilteredComplexError(
                         f"arrow {x} -> {t} leaves the generators 0..{n - 1}"
                     )
-                if t >= off:
-                    bits |= 1 << (t - off)
-                else:  # a new lowest target: rebase the row to it
-                    bits = bits << (off - t) | 1
-                    off = t
+                bits |= 1 << t
                 count += 1
-                first = inc_off[t]
-                if first == n:
-                    inc_off[t] = x
-                    inc[t] = 1
-                else:
-                    inc[t] |= 1 << (x - first)
+                inc[t] |= 1 << x
             if bits.bit_count() != count:
                 raise FilteredComplexError(f"repeated arrow from {x}")
             out.append(bits)
-            out_off.append(ids[off] if count else n)
-        C.inc, C.inc_off = inc, inc_off
+        C.inc = inc
         C.alive = (1 << n) - 1
         return C
 
@@ -152,17 +115,14 @@ class FilteredComplex:
         return self.alive.bit_count()
 
     def has_arrow(self, src: int, tgt: int) -> bool:
-        off = self.out_off[src]
         return bool(
-            tgt >= off
-            and (self.alive >> src) & 1
+            (self.alive >> src) & 1
             and (self.alive >> tgt) & 1
-            and (self.out[src] >> (tgt - off)) & 1
+            and (self.out[src] >> tgt) & 1
         )
 
     def targets(self, src: int) -> Iterator[int]:
-        off = self.out_off[src]
-        return _bits(self.out[src] & (self.alive >> off), off)
+        return _bits(self.out[src] & self.alive)
 
     def arrows(self) -> Iterator[tuple[int, int]]:
         for src in self.generators():
@@ -177,9 +137,7 @@ class FilteredComplex:
         dup.fdeg = list(self.fdeg)
         dup.aux = list(self.aux)
         dup.out = list(self.out)
-        dup.out_off = list(self.out_off)
         dup.inc = list(self.inc)
-        dup.inc_off = list(self.inc_off)
         dup.alive = self.alive
         return dup
 
@@ -189,45 +147,27 @@ class FilteredComplex:
         """Cancel the arrow k -> l: remove both ends and toggle x -> y for
         all x -> l, k -> y.
 
-        Returns the absolute (predecessor, successor) masks that were
-        toggled against each other; neither contains k or l.  A missing
-        arrow raises MissingArrowError, and so does a self-loop k -> k,
-        which is not an invertible pair.
+        Returns the (predecessor, successor) masks that were toggled
+        against each other; neither contains k or l.  A missing arrow
+        raises MissingArrowError, and so does a self-loop k -> k, which is
+        not an invertible pair.
         """
         pair = (1 << k) | (1 << l)
         alive = self.alive
-        out, out_off = self.out, self.out_off
-        succ_off = out_off[k]
-        if (
-            k == l
-            or alive & pair != pair
-            or l < succ_off
-            or not (out[k] >> (l - succ_off)) & 1
-        ):
+        out = self.out
+        if k == l or alive & pair != pair or not (out[k] >> l) & 1:
             raise MissingArrowError(f"no arrow {k}->{l} to cancel")
         alive ^= pair
         self.alive = alive
-        pred_off = self.inc_off[l]
-        preds = self.inc[l] & (alive >> pred_off)
-        succs = out[k] & (alive >> succ_off)
+        preds = self.inc[l] & alive
+        succs = out[k] & alive
         if preds and succs:
-            _toggle(out, out_off, _bits(preds, pred_off), succs, succ_off)
-            _toggle(self.inc, self.inc_off, _bits(succs, succ_off), preds, pred_off)
-        return preds << pred_off, succs << succ_off
-
-
-def _toggle(
-    rows: list[int], offsets: list[int], xs: Iterable[int], mask: int, off: int
-) -> None:
-    """XOR ``mask``, relative to ``off``, into the rows ``xs``; a row
-    whose offset is higher is rebased to ``off`` first."""
-    for x in xs:
-        shift = off - offsets[x]
-        if shift >= 0:
-            rows[x] ^= mask << shift
-        else:
-            rows[x] = rows[x] << -shift ^ mask
-            offsets[x] = off
+            for x in _bits(preds):
+                out[x] ^= succs
+            inc = self.inc
+            for y in _bits(succs):
+                inc[y] ^= preds
+        return preds, succs
 
 
 def rank_table(C: FilteredComplex) -> dict[tuple, int]:
@@ -247,14 +187,12 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of=None) -> bool:
     chain of arrows, not for an invertible pair.
     """
     acted = False
-    out, off = work.out, work.out_off
+    out = work.out
     alive = work.alive
     if target_mask_of is None:
-        heap = [x for x in _bits(alive) if out[x] & (alive >> off[x])]
+        heap = [x for x in _bits(alive) if out[x] & alive]
     else:
-        heap = [
-            x for x in _bits(alive) if out[x] & ((alive & target_mask_of(x)) >> off[x])
-        ]
+        heap = [x for x in _bits(alive) if out[x] & alive & target_mask_of(x)]
     heapq.heapify(heap)
     while heap:
         x = heapq.heappop(heap)
@@ -263,17 +201,16 @@ def _sweep_cancel(work: FilteredComplex, target_mask_of=None) -> bool:
             continue
         if target_mask_of is not None:
             alive &= target_mask_of(x)
-        base = off[x]
-        m = out[x] & (alive >> base)  # eligible targets, relative to base
+        m = out[x] & alive  # eligible targets
         if not m:
             continue
         low = m & -m
-        if low.bit_length() - 1 + base == x:
+        if low.bit_length() - 1 == x:
             m ^= low
             if not m:
                 continue
             low = m & -m
-        preds, _ = work.cancel_arrow(x, low.bit_length() - 1 + base)
+        preds, _ = work.cancel_arrow(x, low.bit_length() - 1)
         acted = True
         for p in _bits(preds):
             heapq.heappush(heap, p)

@@ -89,12 +89,11 @@ def watch_rank_passes(monkeypatch) -> list[int]:
 def n_arrows(C: FilteredComplex, target_mask_of=None) -> int:
     """The arrows of C between alive generators; with ``target_mask_of``,
     only those x -> y whose target it allows, as in ``_sweep_cancel``."""
-    out, off, alive = C.out, C.out_off, C.alive
+    out, alive = C.out, C.alive
     if target_mask_of is None:
-        return sum((out[g] & (alive >> off[g])).bit_count() for g in C.generators())
+        return sum((out[g] & alive).bit_count() for g in C.generators())
     return sum(
-        (out[g] & ((alive & target_mask_of(g)) >> off[g])).bit_count()
-        for g in C.generators()
+        (out[g] & alive & target_mask_of(g)).bit_count() for g in C.generators()
     )
 
 
@@ -155,7 +154,7 @@ class BitsetComplex:
 
     It is the engine of the windowed Tate oracle, which so shares no
     cancellation code with the engine it checks, and the reference for
-    the offset-row ``FilteredComplex`` in the property tests: its sweep
+    the engine complex, ``FilteredComplex``, in the property tests: its sweep
     takes the same order, so the two make the same cancellations.  The
     engine functions of ``f2algebra`` are methods here: ``sweep_cancel``,
     ``cancel_shift_level``, ``degree_masks`` and ``rank_table``, and so is
@@ -401,17 +400,11 @@ def k_filtration_pages(diagram: AnnularDiagram) -> PageTable:
 
 
 def _add_arrow(C: FilteredComplex, x: int, y: int) -> None:
-    """Add the arrow x -> y to C in place, rebasing a row whose offset lies
-    above the new bit; an arrow already present raises."""
-    for rows, offsets, a, b in ((C.out, C.out_off, x, y), (C.inc, C.inc_off, y, x)):
-        off = offsets[a]
-        if b < off:
-            rows[a] <<= off - b
-            offsets[a] = off = b
-        bit = 1 << (b - off)
-        if rows[a] & bit:
-            raise FilteredComplexError(f"repeated arrow from {x}")
-        rows[a] |= bit
+    """Add the arrow x -> y to C in place; an arrow already present raises."""
+    if (C.out[x] >> y) & 1:
+        raise FilteredComplexError(f"repeated arrow from {x}")
+    C.out[x] |= 1 << y
+    C.inc[y] |= 1 << x
 
 
 def fold(C: FilteredComplex, members: list[int], tau: list[int]) -> list[int]:

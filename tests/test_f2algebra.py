@@ -233,7 +233,7 @@ def revlex_homology_ranks(C: FilteredComplex) -> dict[tuple, int]:
     return rank_table(work)
 
 
-def test_homology_ranks_cancels_its_argument_in_place():
+def test_cancellation_ranks_cancels_its_argument_in_place():
     # the surviving generators of C are the homology basis it reports, and
     # a copy handed in instead leaves C as it was
     rnd = random.Random(7)
@@ -331,7 +331,7 @@ def test_dense_homology_matches_cancellation_for_both_theories():
             assert homology_of(gc, theory) == dense_homology_of(gc, theory)
 
 
-# -- the offset-row engine against the frozen absolute-row engine
+# -- the engine complex against the frozen engine of the windowed oracle
 
 
 @st.composite
@@ -383,7 +383,7 @@ def both_engines(fdeg, aux, rows):
 
 @PROPERTY
 @given(numbered_complexes())
-def test_offset_engine_ranks_match_the_frozen_engine(complex_):
+def test_engine_ranks_match_the_frozen_engine(complex_):
     C, B = both_engines(*complex_)
     check_d_squared(B)
     assert cancellation_ranks(C) == B.homology_ranks()
@@ -391,9 +391,8 @@ def test_offset_engine_ranks_match_the_frozen_engine(complex_):
 
 @PROPERTY
 @given(numbered_complexes(loops=True))
-def test_offset_engine_pages_match_the_frozen_engine(complex_):
-    # every shift from -4 to 4 in turn, negative shifts first: their
-    # targets lie below the source's row offset and force rebases
+def test_engine_pages_match_the_frozen_engine(complex_):
+    # every shift from -4 to 4 in turn, negative shifts first
     C, B = both_engines(*complex_)
     masks, bmasks = degree_masks(C), B.degree_masks()
     assert masks == bmasks
@@ -406,7 +405,7 @@ def test_offset_engine_pages_match_the_frozen_engine(complex_):
 
 @PROPERTY
 @given(numbered_complexes(loops=True), st.data())
-def test_offset_engine_cancel_masks_match_the_frozen_engine(complex_, data):
+def test_engine_cancel_masks_match_the_frozen_engine(complex_, data):
     C, B = both_engines(*complex_)
     gens = range(len(C.fdeg))
     while pairs := [(x, y) for x, y in sorted(B.arrows()) if x != y]:
@@ -419,33 +418,11 @@ def test_offset_engine_cancel_masks_match_the_frozen_engine(complex_, data):
             C.cancel_arrow(x, x)
 
 
-def _offset_rows(n: int, rows: list[list[int]]):
-    """(out, out_off, inc, inc_off) of ``rows`` on n generators, each row
-    relative to its lowest index and an empty one to n, assembled row by
-    row from the sources of every target."""
-    sources: list[list[int]] = [[] for _ in range(n)]
-    out, out_off = [], []
-    for x, row in enumerate(rows):
-        off = min(row, default=n)
-        out.append(sum(1 << (t - off) for t in row))
-        out_off.append(off)
-        for t in row:
-            sources[t].append(x)
-    inc = [sum(1 << (x - xs[0]) for x in xs) for xs in sources]
-    inc_off = [xs[0] if xs else n for xs in sources]
-    return out, out_off, inc, inc_off
-
-
-def _fields(C: FilteredComplex):
-    return C.out, C.out_off, C.inc, C.inc_off
-
-
 @PROPERTY
 @given(numbered_complexes(loops=True))
-def test_from_rows_keeps_each_row_relative_to_its_lowest_index(complex_):
-    fdeg, aux, rows = complex_
-    C = FilteredComplex.from_rows(fdeg, aux, rows)
-    assert _fields(C) == _offset_rows(len(fdeg), rows)
+def test_from_rows_sets_absolute_rows(complex_):
+    C, B = both_engines(*complex_)
+    assert (C.out, C.inc) == (B.out, B.inc)
 
 
 # -- the rank pass against the cancellation reference and dense ranks
